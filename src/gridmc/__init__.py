@@ -25,7 +25,7 @@ from .document import DocumentError, ModelDocument
 from .formula import FormulaError, parse_formula, render_formula
 from .functions import ErrorKind, irr, lookup, npv
 from .model import CalcError, Model, ModelBuildError, build_model, evaluate
-from .rng import RandomSource, uniform_for
+from .rng import RandomSource
 from .simulate import (
     CalcErrorDossier,
     Expectation,

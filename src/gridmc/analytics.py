@@ -170,29 +170,31 @@ def histogram(store: TrialStore, forecast: str, bins: Optional[int] = None) -> H
 def certainty(store: TrialStore, forecast: str,
               lo: Optional[float] = None, hi: Optional[float] = None) -> float:
     """Fraction of completed trials with lo <= value <= hi (closed interval)."""
+    return float(_in_bounds(store.forecast_values(forecast), lo, hi, "certainty").mean())
+
+
+def _in_bounds(values: np.ndarray, lo: Optional[float], hi: Optional[float],
+               what: str) -> np.ndarray:
+    """Mask of values in the closed interval [lo, hi]; a None side is open."""
     if lo is not None and hi is not None and lo > hi:
-        raise ValueError("certainty bounds out of order")
-    values = store.forecast_values(forecast)
+        raise ValueError(f"{what} bounds out of order")
     mask = np.ones(len(values), dtype=bool)
     if lo is not None:
         mask &= values >= lo
     if hi is not None:
         mask &= values <= hi
-    return float(mask.mean())
+    return mask
 
 
 def rank_average(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned their average rank."""
     values = np.asarray(values)
     order = np.argsort(values, kind="stable")
+    _, first, counts = np.unique(values[order], return_index=True,
+                                 return_counts=True, equal_nan=False)
+    last = first + counts - 1
     ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, counts)
     return ranks
 
 
@@ -219,15 +221,18 @@ def sensitivity(store: TrialStore, forecast: Optional[str] = None):
         raise ValueError("sensitivity needs at least 10 completed trials")
     spec = store.spec
     corr = spec.correlation.as_array() if spec.correlation is not None else None
+    columns = store.assumption_matrix.T
+    column_ranks = [rank_average(col) for col in columns]
     out = {}
     for fi, f in enumerate(spec.forecasts):
         fv = store.forecast_matrix[:, fi]
+        fv_ranks = rank_average(fv)
         entries = []
         rhos = []
         for j, cell in enumerate(spec.assumption_cells):
-            col = store.assumption_matrix[:, j]
+            col = columns[j]
             degenerate = bool(col.std() == 0.0)
-            rho = 0.0 if degenerate else spearman(col, fv)
+            rho = 0.0 if degenerate else pearson(column_ranks[j], fv_ranks)
             r = 0.0 if degenerate else pearson(col, fv)
             correlated = bool(corr is not None and
                               np.any(np.delete(corr[j], j) != 0.0))
@@ -305,16 +310,10 @@ def scenario_filter(store: TrialStore, forecast: str,
                     hi: Optional[float] = None) -> ScenarioSubset:
     """Trials whose forecast lies in [lo, hi]; vectors replay to their
     forecasts bit-exactly (paste-back guarantee)."""
-    if lo is not None and hi is not None and lo > hi:
-        raise ValueError("scenario bounds out of order")
     values = store.forecast_values(forecast)
-    mask = np.ones(len(values), dtype=bool)
-    if lo is not None:
-        mask &= values >= lo
-    if hi is not None:
-        mask &= values <= hi
+    mask = _in_bounds(values, lo, hi, "scenario")
     return ScenarioSubset(
-        indices=[int(t) for t in store.trial_indices[mask]],
+        indices=store.trial_indices[mask].tolist(),
         assumptions=store.assumption_matrix[mask],
         forecasts=values[mask],
     )

@@ -7,6 +7,7 @@ replay through the model to demonstrate the flagged behavior.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
@@ -100,12 +101,15 @@ class AuditReport:
 
 def detect_disconnected(store: TrialStore, sens: dict, torn: dict,
                         thresholds: Thresholds = Thresholds()) -> list:
-    """Assumptions that move neither the rank correlation nor the tornado.
+    """Assumptions that move neither the rank correlation nor the tornado
+    of any forecast.
 
-    Both conditions must hold: |rho| below the independence band and the
-    isolation swing below epsilon of the forecast range. "Disconnected"
-    means disconnected over the sampled region; a never-taken IF branch
-    counts.
+    Both conditions must hold against every forecast: |rho| below the
+    independence band and the isolation swing below epsilon of the
+    forecast range. Such an assumption gets one finding per forecast; one
+    that drives some forecast is not flagged against the others.
+    "Disconnected" means disconnected over the sampled region; a
+    never-taken IF branch counts.
     """
     n = store.completed
     if n < 100:
@@ -113,7 +117,7 @@ def detect_disconnected(store: TrialStore, sens: dict, torn: dict,
     rho_threshold = thresholds.z * math.sqrt(1.0 / n)
     spec = store.spec
     medians = [d.median for d in spec.distributions]
-    findings = []
+    pairs = []  # (assumption index, finding) under both thresholds
     for f in spec.forecasts:
         values = store.forecast_values(f.label)
         frange = float(values.max() - values.min())
@@ -124,7 +128,7 @@ def detect_disconnected(store: TrialStore, sens: dict, torn: dict,
             label = store.model.label_of(cell)
             entry, bar = entries[label], bars[label]
             if abs(entry.spearman) < rho_threshold and bar.swing <= swing_threshold:
-                findings.append(AuditFinding(
+                pairs.append((j, AuditFinding(
                     kind=FindingKind.DISCONNECTED,
                     cells=(str(cell), str(f.cell)),
                     severity=_SEVERITY[FindingKind.DISCONNECTED],
@@ -137,8 +141,9 @@ def detect_disconnected(store: TrialStore, sens: dict, torn: dict,
                         "swing_threshold": swing_threshold,
                     },
                     witness=tuple(medians),
-                ))
-    return findings
+                )))
+    hits = Counter(j for j, _ in pairs)
+    return [finding for j, finding in pairs if hits[j] == len(spec.forecasts)]
 
 
 def check_signs(sens: dict, torn: dict, store: TrialStore) -> list:
@@ -360,8 +365,7 @@ def run_audit(model: Model, spec: SimulationSpec,
     Deterministic for fixed (model, spec, thresholds, seed); findings are
     ordered by detector kind.
     """
-    census_spec = replace_stop(spec, stop_on_error=False)
-    store = run(model, census_spec)
+    store = run(model, replace(spec, stop_on_error=False))
     sens = analytics.sensitivity(store)
     torn = {f.label: analytics.tornado(model, spec, f.label) for f in spec.forecasts}
 
@@ -375,7 +379,3 @@ def run_audit(model: Model, spec: SimulationSpec,
         findings.extend(backcast(model, spec, history, observed).findings)
     return AuditReport(findings=findings, thresholds=thresholds,
                        seed=spec.seed, trials=spec.trials)
-
-
-def replace_stop(spec: SimulationSpec, stop_on_error: bool) -> SimulationSpec:
-    return replace(spec, stop_on_error=stop_on_error)

@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 clean, 1 calculation-error halt or model build error,
-2 audit findings with severity error, 3 usage or schema error.
+Exit codes: 0 clean, 1 calculation-error halt, model build error or a
+run that cannot complete (too few trials for the declared correlations,
+every trial failing), 2 audit findings with severity error, 3 usage,
+schema or history-file error.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import sys
 
 from . import analytics, report
 from .audit import Thresholds, run_audit
+from .correlation import CorrelationError
 from .document import DocumentError, ModelDocument
 from .model import CalcError, ModelBuildError
 from .simulate import SimulationError, StepSession, run
@@ -221,8 +224,14 @@ def _read_history(path, spec, model):
                 [f"trailing history columns must be forecast labels {f_labels}, got {extra}"])
         observed_cols = True
     history, observed = [], [] if observed_cols else None
-    for row in rows[1:]:
-        values = [float(v) for v in row]
+    for i, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise DocumentError(
+                [f"line {i} has {len(row)} values, the header has {len(header)}"])
+        try:
+            values = [float(v) for v in row]
+        except ValueError as exc:
+            raise DocumentError([f"line {i}: {exc}"]) from None
         history.append(values[:len(a_labels)])
         if observed_cols:
             observed.append(values[len(a_labels):])
@@ -329,6 +338,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK
+    except (CorrelationError, SimulationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CALC_ERROR
 
 
 if __name__ == "__main__":

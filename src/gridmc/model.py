@@ -182,7 +182,8 @@ def evaluate(model: Model, overrides: Optional[dict] = None, order=None) -> Eval
     """Evaluate every cell; overridden cells take the override verbatim.
 
     Returns the full CellRef -> value map, or the first CalcError in
-    topological order.
+    topological order. A computed inf or nan is a DOMAIN_ERROR at the
+    cell that produced it.
     """
     overrides = overrides or {}
     for ref in overrides:
@@ -194,9 +195,12 @@ def evaluate(model: Model, overrides: Optional[dict] = None, order=None) -> Eval
             values[ref] = float(overrides[ref])
             continue
         try:
-            values[ref] = model._compiled[ref](values)
+            value = model._compiled[ref](values)
         except EvalFailure as exc:
             return CalcError(exc.kind, ref, exc.detail)
+        if not math.isfinite(value):
+            return CalcError(ErrorKind.DOMAIN_ERROR, ref, f"non-finite result {value!r}")
+        values[ref] = value
     return values
 
 

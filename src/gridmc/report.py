@@ -79,11 +79,9 @@ def run_report(store: TrialStore, tornados: dict) -> dict:
 
 def trials_csv_rows(store: TrialStore):
     header = ["trial"] + store.assumption_labels + store.forecast_labels
-    rows = []
-    for i in range(store.completed):
-        rows.append([int(store.trial_indices[i])]
-                    + [float(v) for v in store.assumption_matrix[i]]
-                    + [float(v) for v in store.forecast_matrix[i]])
+    rows = [[t] + a + f for t, a, f in zip(store.trial_indices.tolist(),
+                                           store.assumption_matrix.tolist(),
+                                           store.forecast_matrix.tolist())]
     return header, rows
 
 

@@ -1,8 +1,8 @@
 """Counter-based uniform variates: value = f(seed, trial, assumption).
 
 Stateless mixing (splitmix64 finalizer chain) makes every stream
-reproducible and order-independent, so trials can run in parallel and
-still match a serial run bit for bit.
+reproducible and order-independent: a trial's variates depend on no
+other trial.
 """
 
 from __future__ import annotations
@@ -48,7 +48,3 @@ class RandomSource:
             x = _mix64(x ^ k[None, :])
         # top 53 bits, shifted into the open unit interval
         return ((x >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-
-
-def uniform_for(src: RandomSource, trial: int, assumption: int) -> float:
-    return src.uniform(trial, assumption)

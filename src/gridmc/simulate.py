@@ -6,7 +6,6 @@ and the exact assumption vector) rather than crashing the run.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -195,7 +194,7 @@ def sample_assumptions(spec: SimulationSpec) -> np.ndarray:
     return values
 
 
-def run(model: Model, spec: SimulationSpec, workers: Optional[int] = None) -> TrialStore:
+def run(model: Model, spec: SimulationSpec) -> TrialStore:
     """Execute the full simulation.
 
     stop_on_error=True halts at the first calculation error, keeping all
@@ -208,21 +207,11 @@ def run(model: Model, spec: SimulationSpec, workers: Optional[int] = None) -> Tr
     forecast_cells = [f.cell for f in spec.forecasts]
     limit_cells = [lim.cell for lim in spec.limits]
 
-    def one(t: int):
-        overrides = {c: values[t, j] for j, c in enumerate(cells)}
-        return evaluate(model, overrides)
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(spec.trials)))
-    else:
-        results = None
-
-    rows, forecast_rows, monitored_rows, indices = [], [], [], []
+    forecast_rows, monitored_rows, kept = [], [], []
     errors = []
     dossier = None
     for t in range(spec.trials):
-        result = results[t] if results is not None else one(t)
+        result = evaluate(model, {c: values[t, j] for j, c in enumerate(cells)})
         if isinstance(result, CalcError):
             vec = tuple(values[t].tolist())
             if spec.stop_on_error:
@@ -230,23 +219,23 @@ def run(model: Model, spec: SimulationSpec, workers: Optional[int] = None) -> Tr
                 break
             errors.append(TrialError(t, result, vec))
             continue
-        rows.append(values[t])
         forecast_rows.append([result[c] for c in forecast_cells])
         monitored_rows.append([result[c] for c in limit_cells])
-        indices.append(t)
+        kept.append(t)
 
-    if not rows and not spec.stop_on_error:
+    if not kept and not spec.stop_on_error:
         raise SimulationError("every trial failed with a calculation error")
 
-    k, nf, nm = len(cells), len(forecast_cells), len(limit_cells)
+    kept = np.array(kept, dtype=int)
+    n = len(kept)
     return TrialStore(
         model=model,
         spec=spec,
         seed=spec.seed,
-        assumption_matrix=np.array(rows).reshape(len(rows), k),
-        forecast_matrix=np.array(forecast_rows).reshape(len(rows), nf),
-        monitored_matrix=np.array(monitored_rows).reshape(len(rows), nm),
-        trial_indices=np.array(indices, dtype=int),
+        assumption_matrix=values[kept],
+        forecast_matrix=np.array(forecast_rows).reshape(n, len(forecast_cells)),
+        monitored_matrix=np.array(monitored_rows).reshape(n, len(limit_cells)),
+        trial_indices=kept,
         errors=errors,
         dossier=dossier,
     )

@@ -7,11 +7,12 @@ lines as they print.
 import csv
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from gridmc import analytics
-from gridmc.audit import FindingKind, replace_stop, run_audit
+from gridmc.audit import FindingKind, run_audit
 from gridmc.cells import parse_cell
 from gridmc.cli import main
 from gridmc.correlation import CorrelationSpec, induce_rank_correlation
@@ -220,7 +221,7 @@ def test_07_defect_detection(project_doc, hardcode_doc, signflip_doc,
 
 def test_08_correlation_masking(correlated_doc, capsys):
     model, spec = correlated_doc.build(seed=42)
-    store = run(model, replace_stop(spec, stop_on_error=False))
+    store = run(model, replace(spec, stop_on_error=False))
     entry = next(e for e in analytics.sensitivity(store, "ProjectNPV")
                  if e.label == "COGSGrowth")
     torn = analytics.tornado(model, spec, "ProjectNPV")

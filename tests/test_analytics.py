@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
 from gridmc.analytics import (
     certainty,
@@ -149,6 +150,13 @@ class TestRankCorrelation:
     def test_rank_average_ties(self):
         assert list(rank_average(np.array([10.0, 20.0, 20.0, 30.0]))) == [1.0, 2.5, 2.5, 4.0]
 
+    @given(st.lists(st.sampled_from([-2.5, -0.0, 0.0, 1.0, 3.0, 1e300]), max_size=80)
+           | st.lists(st.floats(allow_nan=False), max_size=80))
+    @settings(max_examples=200, deadline=None)
+    def test_rank_average_equals_scipy_rankdata(self, xs):
+        x = np.array(xs, dtype=float)
+        assert np.array_equal(rank_average(x), scipy_stats.rankdata(x, method="average"))
+
     def test_spearman_identity_and_reversal(self):
         x = np.arange(20.0)
         assert spearman(x, x) == pytest.approx(1.0)
@@ -198,6 +206,14 @@ class TestSensitivity:
         assert by["x"].spearman == pytest.approx(-1.0)
         assert by["x"].contribution < 0
         assert abs(by["y"].spearman) < 0.15
+
+    def test_spearman_equals_pairwise_spearman_exactly(self):
+        # the forecast is 0 on half the trials: a large tie group
+        _, _, store = make_store(formula="=MAX(0,A1-0.5)*A2", trials=300)
+        fv = store.forecast_values("f")
+        by = {e.label: e for e in sensitivity(store, "f")}
+        for label, col in zip(store.assumption_labels, store.assumption_matrix.T):
+            assert by[label].spearman == spearman(col, fv)
 
     def test_requires_ten_trials(self):
         _, _, store = make_store(trials=5)

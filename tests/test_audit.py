@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,11 +15,11 @@ from gridmc.audit import (
     check_limits,
     detect_disconnected,
     error_census,
-    replace_stop,
     run_audit,
 )
 from gridmc.cells import parse_cell
 from gridmc.distributions import Uniform
+from gridmc.document import ModelDocument
 from gridmc.model import CalcError, build_model
 from gridmc.simulate import (
     ExpectedInterval,
@@ -90,7 +92,7 @@ class TestFixtureAudits:
 
     def test_clamped_control_has_no_limit_findings(self, project_doc):
         model, spec = project_doc.build()
-        store = run(model, replace_stop(spec, stop_on_error=False))
+        store = run(model, replace(spec, stop_on_error=False))
         assert check_limits(store) == []
 
     def test_sqrt_trap_census_rate(self, sqrt_trap_doc):
@@ -144,13 +146,32 @@ class TestDisconnected:
         spec = SimulationSpec(assumptions=[(C("A1"), Uniform(0, 1))],
                               forecasts=[Forecast(C("A2"), "f")],
                               trials=4000, seed=42)
-        store = run(model, replace_stop(spec, stop_on_error=False))
+        store = run(model, replace(spec, stop_on_error=False))
         sens = analytics.sensitivity(store)
         assert abs(sens["f"][0].spearman) > 2.58 / math.sqrt(store.completed)
         torn = analytics.tornado(model, spec, "f")
         assert torn.bar("x").swing == 0.0
         report = run_audit(model, spec)
         assert report.by_kind(FindingKind.DISCONNECTED) == []
+
+    @staticmethod
+    def with_second_forecast(doc):
+        # a forecast that depends on SalesGrowth alone, by design
+        data = json.loads(json.dumps(doc.data))
+        data["cells"].append({"address": "B17", "label": "Root",
+                              "formula": "=SQRT(B3+0.06)"})
+        data["forecasts"].append({"cell": "B17", "label": "Root"})
+        return ModelDocument.from_json(data).build(trials=1000)
+
+    def test_second_forecast_flags_nothing_connected(self, project_doc):
+        model, spec = self.with_second_forecast(project_doc)
+        assert run_audit(model, spec).by_kind(FindingKind.DISCONNECTED) == []
+
+    def test_disconnected_from_every_forecast_flagged_against_each(self, hardcode_doc):
+        model, spec = self.with_second_forecast(hardcode_doc)
+        found = run_audit(model, spec).by_kind(FindingKind.DISCONNECTED)
+        assert [(f.evidence["assumption"], f.evidence["forecast"]) for f in found] == [
+            ("Year1Sales", "ProjectNPV"), ("Year1Sales", "Root")]
 
     def test_minimum_trial_count(self):
         model = build_model([("A1", "x", 0.5), ("A2", "f", "=A1")])
@@ -221,7 +242,7 @@ class TestErrorCensus:
 
     def test_no_errors_no_findings(self, project_doc):
         model, spec = project_doc.build()
-        store = run(model, replace_stop(spec, stop_on_error=False))
+        store = run(model, replace(spec, stop_on_error=False))
         assert error_census(store) == []
 
 

@@ -225,6 +225,74 @@ class TestAudit:
         assert "no such file" in err and "nope.csv" in err
 
 
+def one_error_line(capsys, prefix):
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), err
+    return lines[0]
+
+
+def write_doc(tmp_path, doc, name="doc.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+ALL_FAIL = {
+    "name": "all-fail",
+    "cells": [{"address": "A1", "label": "X", "formula": 1},
+              {"address": "A2", "label": "Y", "formula": "=1/(A1-A1)"}],
+    "assumptions": [{"cell": "X", "distribution":
+                     {"type": "uniform", "min": 0.5, "max": 1.5}}],
+    "forecasts": [{"cell": "A2", "label": "Y"}],
+    "run": {"trials": 200, "seed": 1},
+}
+
+
+class TestErrorExits:
+    """Each failure ends in a documented exit code and one stderr line."""
+
+    def test_correlation_pair_naming_one_cell_twice(self, tmp_path, capsys):
+        doc = json.load(open(PROJECT))
+        doc["correlations"] = [{"a": "SalesGrowth", "b": "SalesGrowth", "rho": -1}]
+        path = write_doc(tmp_path, doc)
+        assert main(["validate", path]) == 1
+        one_error_line(capsys, "error:")
+        assert main(["run", path, "--out", str(tmp_path)]) == 1
+        one_error_line(capsys, "error:")
+
+    def test_too_few_trials_for_correlation(self, tmp_path, capsys):
+        assert main(["run", CORRELATED, "--trials", "5", "--out", str(tmp_path)]) == 1
+        assert "at least 40 trials" in one_error_line(capsys, "error:")
+
+    def test_every_trial_failing_run(self, tmp_path, capsys):
+        path = write_doc(tmp_path, ALL_FAIL)
+        assert main(["run", path, "--continue-on-error", "--out", str(tmp_path)]) == 1
+        assert "every trial failed" in one_error_line(capsys, "error:")
+
+    def test_every_trial_failing_audit(self, tmp_path, capsys):
+        path = write_doc(tmp_path, ALL_FAIL)
+        assert main(["audit", path, "--out", str(tmp_path)]) == 1
+        assert "every trial failed" in one_error_line(capsys, "error:")
+
+    def test_overflow_halts_with_dossier(self, tmp_path, capsys):
+        doc = dict(ALL_FAIL, cells=[ALL_FAIL["cells"][0],
+                                    {"address": "A2", "label": "Y", "formula": "=A1*1e308*10"}])
+        path = write_doc(tmp_path, doc)
+        assert main(["run", path, "--out", str(tmp_path)]) == 1
+        assert "non-finite result inf" in capsys.readouterr().out
+        dossier = json.loads(read(tmp_path / "dossier.json"))
+        assert (dossier["kind"], dossier["cell"], dossier["trial"]) == ("DomainError", "A2", 0)
+
+    @pytest.mark.parametrize("row", ["100,0.05,abc,0.25", "100,0.05,0.03"])
+    def test_history_bad_row(self, tmp_path, capsys, row):
+        hist = tmp_path / "history.csv"
+        hist.write_text("Year1Sales,SalesGrowth,COGSGrowth,OpexPct\n" + row + "\n")
+        assert main(["audit", PROJECT, "--history", str(hist),
+                     "--out", str(tmp_path)]) == 3
+        assert "line 2" in one_error_line(capsys, "history error:")
+
+
 class TestStep:
     def run_step(self, monkeypatch, script, path=PROJECT, extra=()):
         monkeypatch.setattr("sys.stdin", io.StringIO(script))

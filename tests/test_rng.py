@@ -2,28 +2,28 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from gridmc.rng import RandomSource, uniform_for
+from gridmc.rng import RandomSource
 
 
 class TestDeterminism:
     def test_same_coordinates_same_value(self):
         src = RandomSource(42)
-        assert uniform_for(src, 3, 1) == uniform_for(src, 3, 1)
+        assert src.uniform(3, 1) == src.uniform(3, 1)
 
     def test_streams_separate(self):
         src = RandomSource(42)
-        assert uniform_for(src, 0, 0) != uniform_for(src, 0, 1)
-        assert uniform_for(src, 0, 0) != uniform_for(src, 1, 0)
+        assert src.uniform(0, 0) != src.uniform(0, 1)
+        assert src.uniform(0, 0) != src.uniform(1, 0)
 
     def test_seed_changes_values(self):
-        assert uniform_for(RandomSource(1), 0, 0) != uniform_for(RandomSource(2), 0, 0)
+        assert RandomSource(1).uniform(0, 0) != RandomSource(2).uniform(0, 0)
 
     def test_block_matches_scalar(self):
         src = RandomSource(99)
         block = src.uniform_block(np.arange(10), np.arange(4))
         for t in range(10):
             for k in range(4):
-                assert block[t, k] == uniform_for(src, t, k)
+                assert block[t, k] == src.uniform(t, k)
 
     def test_pure_function_of_coordinates(self):
         # independent of evaluation order / block shape

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from gridmc.correlation import CorrelationSpec
 from gridmc.distributions import Normal, Uniform
 from gridmc.functions import ErrorKind
 from gridmc.model import CalcError, build_model, evaluate
-from gridmc.rng import RandomSource, uniform_for
+from gridmc.rng import RandomSource
 from gridmc.simulate import (
     Forecast,
     SimulationError,
@@ -31,6 +34,24 @@ def sqrt_model():
         seed=42,
     )
     return model, spec
+
+
+def overflow_model():
+    model = build_model([("A1", "X", 1), ("A2", "Big", "=A1*1e308*10")])
+    spec = SimulationSpec(
+        assumptions=[(C("A1"), Uniform(-1, 1))],
+        forecasts=[Forecast(C("A2"), "Big")],
+        trials=100,
+        seed=1,
+    )
+    return model, spec
+
+
+def overflowing_trials(spec):
+    # plain-float oracle: the trials whose X * 1e308 * 10 is not finite
+    src, dist = RandomSource(spec.seed), spec.distributions[0]
+    return [t for t in range(spec.trials)
+            if not math.isfinite(dist.inverse_cdf(src.uniform(t, 0)) * 1e308 * 10)]
 
 
 def linear_model(trials=500, seed=42, correlation=None):
@@ -61,7 +82,7 @@ class TestRun:
         # normal draw is negative, i.e. uniform < 0.5
         src = RandomSource(spec.seed)
         expected_trial = next(t for t in range(spec.trials)
-                              if uniform_for(src, t, 0) < 0.5)
+                              if src.uniform(t, 0) < 0.5)
         assert store.dossier is not None
         assert store.dossier.trial == expected_trial
         assert store.dossier.error.kind is ErrorKind.DOMAIN_ERROR
@@ -96,14 +117,39 @@ class TestRun:
             assert np.array_equal(part.assumption_matrix, full.assumption_matrix[:m])
             assert np.array_equal(part.forecast_matrix, full.forecast_matrix[:m])
 
-    def test_parallel_equals_serial(self):
+    def test_continue_mode_prefix_property(self):
         model, spec = sqrt_model()
         spec.stop_on_error = False
-        serial = run(model, spec)
-        parallel = run(model, spec, workers=4)
-        assert np.array_equal(serial.assumption_matrix, parallel.assumption_matrix)
-        assert np.array_equal(serial.forecast_matrix, parallel.forecast_matrix)
-        assert [te.trial for te in serial.errors] == [te.trial for te in parallel.errors]
+        full = run(model, spec)
+        for m in (5, 37, 120, 200):
+            part = run(model, replace(spec, trials=m))
+            assert part.errors == [te for te in full.errors if te.trial < m]
+            k = part.completed
+            assert k == int(np.count_nonzero(full.trial_indices < m))
+            assert np.array_equal(part.trial_indices, full.trial_indices[:k])
+            assert np.array_equal(part.assumption_matrix, full.assumption_matrix[:k])
+            assert np.array_equal(part.forecast_matrix, full.forecast_matrix[:k])
+
+    def test_non_finite_result_halts_at_producing_cell(self):
+        model, spec = overflow_model()
+        store = run(model, spec)
+        assert store.dossier is not None
+        assert store.dossier.trial == overflowing_trials(spec)[0]
+        assert store.dossier.error.kind is ErrorKind.DOMAIN_ERROR
+        assert store.dossier.error.cell == C("A2")
+        assert "non-finite" in store.dossier.error.detail
+        assert replay(model, spec, store.dossier.assumptions) == store.dossier.error
+
+    def test_non_finite_result_recorded_in_continue_mode(self):
+        model, spec = overflow_model()
+        spec.stop_on_error = False
+        store = run(model, spec)
+        bad = [te.trial for te in store.errors]
+        assert bad == overflowing_trials(spec)
+        assert 0 < len(bad) < spec.trials
+        assert all(te.error.cell == C("A2") for te in store.errors)
+        assert np.all(np.isfinite(store.forecast_matrix))
+        assert sorted(bad + store.trial_indices.tolist()) == list(range(spec.trials))
 
     def test_all_trials_failing_is_an_error(self):
         model = build_model([("A1", None, 1), ("A2", "out", "=1/0")])
