@@ -8,8 +8,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import CalcError, Model, evaluate
-from .simulate import SimulationSpec, TrialStore
+from .model import Model, evaluate_batch
+from .simulate import SimulationError, SimulationSpec, TrialStore
 
 PERCENTILE_LEVELS = (1, 5, 10, 25, 50, 75, 90, 95, 99)
 MAX_HISTOGRAM_BINS = 100
@@ -268,30 +268,32 @@ def tornado(model: Model, spec: SimulationSpec, forecast: str,
     if fcell is None:
         raise KeyError(f"unknown forecast {forecast!r}")
 
-    medians = {c: d.median for c, d in spec.assumptions}
-    base_result = evaluate(model, medians)
-    if isinstance(base_result, CalcError):
-        raise ValueError(f"tornado base case failed: {base_result}")
-    base = base_result[fcell]
+    # Row 0 holds every median; rows 2j+1 and 2j+2 move assumption j to
+    # its low and its high quantile.
+    k = len(spec.assumptions)
+    rows = np.tile(np.array([d.median for d in spec.distributions], dtype=float),
+                   (2 * k + 1, 1))
+    for j, dist in enumerate(spec.distributions):
+        rows[2 * j + 1, j] = dist.inverse_cdf(q_low)
+        rows[2 * j + 2, j] = dist.inverse_cdf(q_high)
+    batch = evaluate_batch(
+        model, {c: rows[:, j] for j, c in enumerate(spec.assumption_cells)}, 2 * k + 1)
+    if 0 in batch.errors:
+        raise SimulationError(f"tornado base case failed: {batch.errors[0]}")
+    base = batch.value(fcell, 0)
 
     bars = []
-    for cell, dist in spec.assumptions:
-        points = {}
-        error = None
-        for tag, q in (("low", q_low), ("high", q_high)):
-            overrides = dict(medians)
-            overrides[cell] = dist.inverse_cdf(q)
-            result = evaluate(model, overrides)
-            if isinstance(result, CalcError):
-                error = str(result)
-                points[tag] = None
-            else:
-                points[tag] = result[fcell]
-        lo, hi = points["low"], points["high"]
-        if error is None:
+    for j, cell in enumerate(spec.assumption_cells):
+        lo_row, hi_row = 2 * j + 1, 2 * j + 2
+        lo = None if lo_row in batch.errors else batch.value(fcell, lo_row)
+        hi = None if hi_row in batch.errors else batch.value(fcell, hi_row)
+        failure = batch.errors.get(hi_row) or batch.errors.get(lo_row)
+        if failure is None:
+            error = None
             swing = abs(hi - lo)
             direction = 0 if hi == lo else (1 if hi > lo else -1)
         else:
+            error = str(failure)
             swing, direction = 0.0, 0
         bars.append(TornadoBar(model.label_of(cell), lo, hi, swing, direction, error))
     bars.sort(key=lambda b: -b.swing)

@@ -15,7 +15,7 @@ from importlib import resources
 import jsonschema
 
 from .cells import parse_cell
-from .correlation import CorrelationSpec
+from .correlation import CorrelationError, CorrelationSpec
 from .distributions import distribution_from_json
 from .model import Model, ModelBuildError, build_model
 from .simulate import (
@@ -143,6 +143,9 @@ class ModelDocument:
                 a, b = resolve(corr["a"]), resolve(corr["b"])
                 if a not in cell_index or b not in cell_index:
                     raise KeyError(f"correlation names non-assumption cell {corr['a']}/{corr['b']}")
+                if a == b:
+                    raise CorrelationError(
+                        f"correlation: {model.label_of(a)} is paired with itself")
                 pairs[(cell_index[a], cell_index[b])] = corr["rho"]
             except KeyError as exc:
                 diagnostics.append(f"correlation: {exc}")

@@ -33,12 +33,30 @@ def npv(rate: float, cashflows) -> float:
         raise EvalFailure(ErrorKind.DOMAIN_ERROR, f"NPV rate {rate} <= -1")
     if not cashflows:
         raise EvalFailure(ErrorKind.DOMAIN_ERROR, "NPV needs at least one cashflow")
+    return discount(rate, cashflows)
+
+
+def discount(rate, cashflows):
+    """Sum of cashflows discounted from one period on, without checks.
+
+    The rate and the flows may be floats or numpy arrays: the same
+    divisions, products and sums run per element either way.
+    """
     total = 0.0
     factor = 1.0
     for cf in cashflows:
-        factor /= 1.0 + rate
-        total += cf * factor
+        factor = factor / (1.0 + rate)
+        total = total + cf * factor
     return total
+
+
+def fsum(values) -> float:
+    """Exact sum of floats (math.fsum); an intermediate overflow, or
+    inf plus -inf, is a DomainError."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError) as exc:
+        raise EvalFailure(ErrorKind.DOMAIN_ERROR, f"sum: {exc}") from None
 
 
 def _npv0(rate: float, cashflows) -> float:
@@ -88,7 +106,10 @@ def irr(cashflows, guess: float = 0.1) -> float:
         f = _npv0(r, cashflows)
         if abs(f) <= tol:
             return r
-        d = _npv0_derivative(r, cashflows)
+        try:
+            d = _npv0_derivative(r, cashflows)
+        except OverflowError:  # (1 + r) ** n past the float range
+            break
         if d == 0.0 or not math.isfinite(d):
             break
         step = f / d

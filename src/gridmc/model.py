@@ -1,16 +1,37 @@
-"""Cell model: build the dependency DAG and evaluate it deterministically.
+"""Cell model: build the dependency DAG and evaluate it over columns.
 
-Calculation errors are values (CalcError), not exceptions; evaluation
-stops at the first failing cell in topological order so an error trial
-is always reproducible.
+`build_model` compiles each cell's formula once into a function of the
+columns computed so far. `evaluate_batch` runs n trials through those
+functions in one pass, cell by cell in topological order: a cell's
+value is a numpy array with one entry per trial, or one Python float
+when every trial shares it (constants are never broadcast).
+`evaluate` is the same pass over a single trial.
+
+Calculation errors are values (CalcError), not exceptions. A failing
+sub-expression records (kind, detail) for the rows still live and takes
+them out of the pass, so later sub-expressions cannot overwrite a row's
+first error, and IF evaluates each branch only on the rows that take
+it. Sub-expressions run in the order a one-trial evaluation runs them,
+so each row's recorded error is the one that evaluation stops at.
+
+Values are bit-identical to evaluating each trial with Python floats:
++ - * /, the comparisons, ABS, SQRT, MIN, MAX and NPV are numpy
+operations that round exactly as the scalar ones do, and `^`, EXP, LN,
+SUM, AVERAGE, IRR and LOOKUP run the scalar Python code row by row over
+the live rows, because numpy's power, exp, log and pairwise sums may
+differ from `**`, `math.exp`, `math.log` and `math.fsum` in the last bit.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
+
+import numpy as np
 
 from . import functions as fn
 from .cells import CellRef, parse_cell
@@ -56,7 +77,7 @@ class CellDef:
 
 @dataclass
 class Model:
-    """Immutable after build_model; evaluate() is pure and reentrant."""
+    """Immutable after build_model; evaluation is pure and reentrant."""
 
     defs: dict  # CellRef -> CellDef, insertion order = definition order
     order: list  # topological evaluation order
@@ -82,6 +103,18 @@ class Model:
 
 
 EvalResult = Union[dict, CalcError]
+
+
+@dataclass
+class Batch:
+    """Result of evaluating n trials in one pass."""
+
+    values: dict  # CellRef -> array of n values, or one float every row shares
+    errors: dict  # row -> CalcError, the first error of each failed row
+
+    def value(self, ref: CellRef, row: int) -> float:
+        """A cell's value in one row, as a Python float."""
+        return _at(self.values[ref], row)
 
 
 def build_model(cell_defs) -> Model:
@@ -178,55 +211,169 @@ def _find_cycle(deps):
     return "no cycle"
 
 
-def evaluate(model: Model, overrides: Optional[dict] = None, order=None) -> EvalResult:
-    """Evaluate every cell; overridden cells take the override verbatim.
+def evaluate_batch(model: Model, columns: dict, n: int, order=None) -> Batch:
+    """Evaluate n trials in one pass; overridden cells take their column verbatim.
 
-    Returns the full CellRef -> value map, or the first CalcError in
-    topological order. A computed inf or nan is a DOMAIN_ERROR at the
-    cell that produced it.
+    columns maps cells to float arrays of length n. Each cell is computed
+    for all rows in topological order; a row's first error in that order
+    is kept in Batch.errors and the row takes no further part. A computed
+    inf or nan is a DOMAIN_ERROR at the cell that produced it.
     """
-    overrides = overrides or {}
-    for ref in overrides:
+    for ref in columns:
         if ref not in model.defs:
             raise KeyError(f"override targets unknown cell {ref}")
-    values = {}
-    for ref in order if order is not None else model.order:
-        if ref in overrides:
-            values[ref] = float(overrides[ref])
-            continue
+    ps = _Pass(n)
+    with np.errstate(all="ignore"):
+        for ref in order if order is not None else model.order:
+            if ref in columns:
+                ps.values[ref] = np.asarray(columns[ref], dtype=float)
+                continue
+            ps.cell = ref
+            value = model._compiled[ref](ps, None)
+            bad = (~np.isfinite(value) if isinstance(value, np.ndarray)
+                   else not math.isfinite(value))
+            ps.fail(None, bad, ErrorKind.DOMAIN_ERROR,
+                    lambda i: f"non-finite result {_at(value, i)!r}")
+            ps.values[ref] = value
+    return Batch(ps.values, ps.errors)
+
+
+def evaluate(model: Model, overrides: Optional[dict] = None, order=None) -> EvalResult:
+    """Evaluate one trial: the full CellRef -> value map, or its first
+    CalcError in topological order."""
+    columns = {ref: np.array([float(v)]) for ref, v in (overrides or {}).items()}
+    batch = evaluate_batch(model, columns, 1, order)
+    if batch.errors:
+        return batch.errors[0]
+    return {ref: _at(v, 0) for ref, v in batch.values.items()}
+
+
+class _Pass:
+    """Columns, live rows and first errors of one evaluation pass."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.values = {}  # CellRef -> column or float
+        self.alive = np.ones(n, dtype=bool)  # rows with no error yet
+        self.errors = {}  # row -> CalcError
+        self.cell = None  # the cell being computed
+
+    def live(self, rows):
+        """Live rows among `rows` (a mask, or None for every row)."""
+        return self.alive if rows is None else rows & self.alive
+
+    def fail(self, rows, bad, kind: ErrorKind, detail) -> None:
+        """Record (kind, detail) for the live rows of `rows` where `bad`
+        holds, and take them out of the pass. `detail` is a string or a
+        function of the row index."""
+        if bad is False:
+            return
+        hit = self.live(rows) & bad
+        if not hit.any():
+            return
+        for i in np.flatnonzero(hit).tolist():
+            self.fail_row(i, kind, detail(i) if callable(detail) else detail)
+
+    def fail_row(self, i: int, kind: ErrorKind, detail: str) -> None:
+        self.errors[i] = CalcError(kind, self.cell, detail)
+        self.alive[i] = False
+
+
+def _at(x, i: int) -> float:
+    """Row i of a column, or the float every row shares, as a Python float."""
+    return float(x[i]) if isinstance(x, np.ndarray) else x
+
+
+def _rowwise(ps: _Pass, rows, scalar_fn, *args):
+    """scalar_fn over the live rows, on Python floats; an EvalFailure
+    becomes that row's error. All-float arguments are one call."""
+    live = ps.live(rows)
+    if not any(isinstance(a, np.ndarray) for a in args):
+        if not live.any():
+            return math.nan
         try:
-            value = model._compiled[ref](values)
+            return scalar_fn(*args)
         except EvalFailure as exc:
-            return CalcError(exc.kind, ref, exc.detail)
-        if not math.isfinite(value):
-            return CalcError(ErrorKind.DOMAIN_ERROR, ref, f"non-finite result {value!r}")
-        values[ref] = value
-    return values
+            ps.fail(rows, True, exc.kind, exc.detail)
+            return math.nan
+    idx = np.flatnonzero(live).tolist()
+    lists = [a[idx].tolist() if isinstance(a, np.ndarray) else itertools.repeat(a)
+             for a in args]
+    results = []
+    for i, row in zip(idx, zip(*lists)):
+        try:
+            results.append(scalar_fn(*row))
+        except EvalFailure as exc:
+            ps.fail_row(i, exc.kind, exc.detail)
+            results.append(math.nan)
+    out = np.full(ps.n, math.nan)
+    out[idx] = results
+    return out
 
 
 # ---------------------------------------------------------------------------
-# AST -> closure compilation
+# Scalar semantics of the functions numpy cannot reproduce bit for bit
 
-def _flatten(parts):
-    out = []
-    for p in parts:
-        if isinstance(p, list):
-            out.extend(p)
-        else:
-            out.append(p)
-    return out
+def _power(base: float, exp: float) -> float:
+    if base == 0.0 and exp < 0.0:
+        raise EvalFailure(ErrorKind.DOMAIN_ERROR, "0 raised to a negative power")
+    try:
+        result = base ** exp
+    except (ValueError, OverflowError) as e:
+        raise EvalFailure(ErrorKind.DOMAIN_ERROR, f"{base}^{exp}: {e}") from None
+    if isinstance(result, complex):
+        raise EvalFailure(ErrorKind.DOMAIN_ERROR, f"{base}^{exp} is not a real number")
+    return result
 
+
+def _ln(x: float) -> float:
+    if x <= 0.0:
+        raise EvalFailure(ErrorKind.DOMAIN_ERROR, f"log of {x}")
+    return math.log(x)
+
+
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise EvalFailure(ErrorKind.DOMAIN_ERROR, "EXP overflow") from None
+
+
+def _sum(*xs: float) -> float:
+    return fn.fsum(xs)
+
+
+def _average(*xs: float) -> float:
+    return fn.fsum(xs) / len(xs)
+
+
+def _irr(guess: float, *flows: float) -> float:
+    return fn.irr(flows, guess)
+
+
+def _lookup(mode: float, key: float, *table: float) -> float:
+    pairs = list(zip(table[::2], table[1::2]))
+    return fn.lookup(pairs, key, "step" if mode != 0.0 else "exact")
+
+
+# ---------------------------------------------------------------------------
+# AST -> column function compilation
+#
+# A compiled node is f(ps, rows) -> column or float, where rows masks the
+# rows the node is evaluated for (None: every row). Sub-expressions run in
+# the order the formula language defines, so a row's first recorded error
+# is the one a one-row evaluation meets first.
 
 def _compile(node) -> Callable:
     if isinstance(node, Lit):
         v = node.value
-        return lambda values: v
+        return lambda ps, rows: v
     if isinstance(node, Ref):
         cell = node.cell
-        return lambda values: values[cell]
+        return lambda ps, rows: ps.values[cell]
     if isinstance(node, Neg):
         f = _compile(node.operand)
-        return lambda values: -f(values)
+        return lambda ps, rows: -f(ps, rows)
     if isinstance(node, Bin):
         return _compile_bin(node)
     if isinstance(node, Call):
@@ -234,56 +381,49 @@ def _compile(node) -> Callable:
     raise TypeError(f"cannot compile {node!r}")
 
 
-def _compile_arg(node) -> Callable:
-    # Range arguments yield a list of values in row-major order.
-    if isinstance(node, RangeRef):
-        cells = node.cells()
-        return lambda values: [values[c] for c in cells]
-    return _compile(node)
+def _compile_args(nodes) -> Callable:
+    """The values of several arguments, ranges expanded in row-major order."""
+    parts = []
+    for node in nodes:
+        if isinstance(node, RangeRef):
+            cells = node.cells()
+            parts.append(lambda ps, rows, cells=cells: [ps.values[c] for c in cells])
+        else:
+            f = _compile(node)
+            parts.append(lambda ps, rows, f=f: [f(ps, rows)])
+    return lambda ps, rows: [x for part in parts for x in part(ps, rows)]
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_COMPARISONS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 def _compile_bin(node: Bin) -> Callable:
     lf, rf = _compile(node.left), _compile(node.right)
     op = node.op
-    if op == "+":
-        return lambda v: lf(v) + rf(v)
-    if op == "-":
-        return lambda v: lf(v) - rf(v)
-    if op == "*":
-        return lambda v: lf(v) * rf(v)
+    if op in _ARITHMETIC:
+        apply = _ARITHMETIC[op]
+        return lambda ps, rows: apply(lf(ps, rows), rf(ps, rows))
     if op == "/":
-        def div(v):
-            d = rf(v)
-            if d == 0.0:
-                raise EvalFailure(ErrorKind.DIV_BY_ZERO, "division by zero")
-            return lf(v) / d
+        def div(ps, rows):
+            d = rf(ps, rows)  # the divisor is evaluated first
+            ps.fail(rows, d == 0.0, ErrorKind.DIV_BY_ZERO, "division by zero")
+            if not isinstance(d, np.ndarray) and d == 0.0:
+                return math.nan
+            return lf(ps, rows) / d
         return div
     if op == "^":
-        def power(v):
-            base, exp = lf(v), rf(v)
-            if base == 0.0 and exp < 0.0:
-                raise EvalFailure(ErrorKind.DOMAIN_ERROR, "0 raised to a negative power")
-            try:
-                result = base ** exp
-            except (ValueError, OverflowError) as e:
-                raise EvalFailure(ErrorKind.DOMAIN_ERROR, f"{base}^{exp}: {e}") from None
-            if isinstance(result, complex):
-                raise EvalFailure(
-                    ErrorKind.DOMAIN_ERROR, f"{base}^{exp} is not a real number")
-            return result
-        return power
-    if op == "=":
-        return lambda v: 1.0 if lf(v) == rf(v) else 0.0
-    if op == "<>":
-        return lambda v: 1.0 if lf(v) != rf(v) else 0.0
-    if op == "<":
-        return lambda v: 1.0 if lf(v) < rf(v) else 0.0
-    if op == "<=":
-        return lambda v: 1.0 if lf(v) <= rf(v) else 0.0
-    if op == ">":
-        return lambda v: 1.0 if lf(v) > rf(v) else 0.0
-    if op == ">=":
-        return lambda v: 1.0 if lf(v) >= rf(v) else 0.0
+        return lambda ps, rows: _rowwise(ps, rows, _power, lf(ps, rows), rf(ps, rows))
+    if op in _COMPARISONS:
+        compare = _COMPARISONS[op]
+
+        def indicator(ps, rows):
+            result = compare(lf(ps, rows), rf(ps, rows))
+            if isinstance(result, np.ndarray):
+                return result.astype(float)
+            return 1.0 if result else 0.0
+        return indicator
     raise ValueError(f"unknown operator {op}")
 
 
@@ -291,69 +431,91 @@ def _compile_call(node: Call) -> Callable:
     name = node.name
     if name == "IF":
         cf, tf, ff = (_compile(a) for a in node.args)
-        return lambda v: tf(v) if cf(v) != 0.0 else ff(v)
-    if name in ("SUM", "AVERAGE", "MIN", "MAX"):
-        arg_fns = [_compile_arg(a) for a in node.args]
-        if name == "SUM":
-            return lambda v: math.fsum(_flatten([f(v) for f in arg_fns]))
-        if name == "AVERAGE":
-            def average(v):
-                xs = _flatten([f(v) for f in arg_fns])
-                return math.fsum(xs) / len(xs)
-            return average
-        reducer = min if name == "MIN" else max
-        return lambda v: reducer(_flatten([f(v) for f in arg_fns]))
+
+        def if_(ps, rows):
+            cond = cf(ps, rows)
+            if not isinstance(cond, np.ndarray):
+                return tf(ps, rows) if cond != 0.0 else ff(ps, rows)
+            taken = cond != 0.0
+            t_rows = taken if rows is None else rows & taken
+            f_rows = ~taken if rows is None else rows & ~taken
+            return np.where(taken, tf(ps, t_rows), ff(ps, f_rows))
+        return if_
+    if name in ("SUM", "AVERAGE"):
+        args_fn = _compile_args(node.args)
+        scalar_fn = _sum if name == "SUM" else _average
+        return lambda ps, rows: _rowwise(ps, rows, scalar_fn, *args_fn(ps, rows))
+    if name in ("MIN", "MAX"):
+        args_fn = _compile_args(node.args)
+        # Python's min and max: a later value replaces the kept one only
+        # when strictly smaller (larger), so ties and -0.0 keep the first.
+        beats = operator.lt if name == "MIN" else operator.gt
+
+        def extreme(ps, rows):
+            acc, *rest = args_fn(ps, rows)
+            for x in rest:
+                if isinstance(x, np.ndarray) or isinstance(acc, np.ndarray):
+                    acc = np.where(beats(x, acc), x, acc)
+                elif beats(x, acc):
+                    acc = x
+            return acc
+        return extreme
     if name == "ABS":
         f = _compile(node.args[0])
-        return lambda v: abs(f(v))
+        return lambda ps, rows: abs(f(ps, rows))
     if name == "SQRT":
         f = _compile(node.args[0])
-        def sqrt(v):
-            x = f(v)
-            if x < 0.0:
-                raise EvalFailure(ErrorKind.DOMAIN_ERROR, f"square root of {x}")
-            return math.sqrt(x)
+
+        def sqrt(ps, rows):
+            x = f(ps, rows)
+            ps.fail(rows, x < 0.0, ErrorKind.DOMAIN_ERROR,
+                    lambda i: f"square root of {_at(x, i)}")
+            if isinstance(x, np.ndarray):
+                return np.sqrt(x)
+            return math.sqrt(x) if x >= 0.0 else math.nan
         return sqrt
-    if name == "LN":
+    if name in ("LN", "EXP"):
         f = _compile(node.args[0])
-        def ln(v):
-            x = f(v)
-            if x <= 0.0:
-                raise EvalFailure(ErrorKind.DOMAIN_ERROR, f"log of {x}")
-            return math.log(x)
-        return ln
-    if name == "EXP":
-        f = _compile(node.args[0])
-        def exp(v):
-            try:
-                return math.exp(f(v))
-            except OverflowError:
-                raise EvalFailure(ErrorKind.DOMAIN_ERROR, "EXP overflow") from None
-        return exp
+        scalar_fn = _ln if name == "LN" else _exp
+        return lambda ps, rows: _rowwise(ps, rows, scalar_fn, f(ps, rows))
     if name == "NPV":
         rate_fn = _compile(node.args[0])
-        flow_fns = [_compile_arg(a) for a in node.args[1:]]
-        return lambda v: fn.npv(rate_fn(v), _flatten([f(v) for f in flow_fns]))
+        flows_fn = _compile_args(node.args[1:])
+
+        def npv(ps, rows):
+            rate = rate_fn(ps, rows)
+            flows = flows_fn(ps, rows)
+            ps.fail(rows, rate <= -1.0, ErrorKind.DOMAIN_ERROR,
+                    lambda i: f"NPV rate {_at(rate, i)} <= -1")
+            if not isinstance(rate, np.ndarray) and rate <= -1.0:
+                return math.nan
+            return fn.discount(rate, flows)
+        return npv
     if name == "IRR":
-        flow_fn = _compile_arg(node.args[0])
-        guess_fn = _compile(node.args[1]) if len(node.args) == 2 else None
-        def irr_call(v):
-            flows = flow_fn(v)
-            if not isinstance(flows, list):
-                raise EvalFailure(ErrorKind.DOMAIN_ERROR, "IRR needs a range of cashflows")
-            guess = guess_fn(v) if guess_fn else 0.1
-            return fn.irr(flows, guess)
-        return irr_call
+        flow_arg = node.args[0]
+        if not isinstance(flow_arg, RangeRef):
+            f = _compile(flow_arg)
+
+            def not_a_range(ps, rows):
+                f(ps, rows)
+                ps.fail(rows, True, ErrorKind.DOMAIN_ERROR, "IRR needs a range of cashflows")
+                return math.nan
+            return not_a_range
+        cells = flow_arg.cells()
+        guess_fn = _compile(node.args[1]) if len(node.args) == 2 else (lambda ps, rows: 0.1)
+        return lambda ps, rows: _rowwise(
+            ps, rows, _irr, guess_fn(ps, rows), *[ps.values[c] for c in cells])
     if name == "LOOKUP":
         key_fn = _compile(node.args[0])
         table_arg = node.args[1]
         if not isinstance(table_arg, RangeRef) or table_arg.n_cols != 2:
             raise FormulaError("LOOKUP needs a two-column range", 0)
-        rows = [table_arg.cells()[i:i + 2] for i in range(0, 2 * table_arg.n_rows, 2)]
+        cells = table_arg.cells()  # row-major: key, value, key, value, ...
         mode_fn = _compile(node.args[2])
-        def lookup_call(v):
-            mode = "step" if mode_fn(v) != 0.0 else "exact"
-            table = [(v[a], v[b]) for a, b in rows]
-            return fn.lookup(table, key_fn(v), mode)
-        return lookup_call
+
+        def lookup(ps, rows):
+            mode = mode_fn(ps, rows)
+            return _rowwise(ps, rows, _lookup, mode, key_fn(ps, rows),
+                            *[ps.values[c] for c in cells])
+        return lookup
     raise ValueError(f"unknown function {name}")

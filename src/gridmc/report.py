@@ -29,11 +29,12 @@ def write_csv(path, header, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def forecast_report(store: TrialStore, forecast_label: str, torn=None) -> dict:
+def forecast_report(store: TrialStore, forecast_label: str, torn=None, sens=None) -> dict:
     """Analysis bundle for one forecast.
 
-    Sections that need more data than the store holds (stats below 2
-    trials, sensitivity below 10) are reported as null.
+    Stats and histogram are reported as null below 2 trials; the
+    tornado (torn) and the sensitivity entries (sens) as null when not
+    given.
     """
     spec = store.spec
     f = spec.forecasts[store.forecast_index(forecast_label)]
@@ -53,16 +54,15 @@ def forecast_report(store: TrialStore, forecast_label: str, torn=None) -> dict:
             "p": analytics.certainty(store, f.label, f.target_lo, f.target_hi),
         })
     out["certainty"] = certainties
-    if n >= 10 and len(spec.assumptions) > 0:
-        entries = analytics.sensitivity(store, f.label)
-        out["sensitivity"] = [e.to_json() for e in entries]
-    else:
-        out["sensitivity"] = None
+    out["sensitivity"] = [e.to_json() for e in sens] if sens is not None else None
     out["tornado"] = torn.to_json() if torn is not None else None
     return out
 
 
 def run_report(store: TrialStore, tornados: dict) -> dict:
+    # sensitivity needs 10 trials; it ranks each column once for every forecast
+    sens = (analytics.sensitivity(store)
+            if store.completed >= 10 and store.spec.assumptions else {})
     payload = {
         "model": None,  # filled by the CLI
         "seed": store.seed,
@@ -70,7 +70,7 @@ def run_report(store: TrialStore, tornados: dict) -> dict:
         "completed": store.completed,
         "errors": len(store.errors),
         "forecasts": [
-            forecast_report(store, f.label, tornados.get(f.label))
+            forecast_report(store, f.label, tornados.get(f.label), sens.get(f.label))
             for f in store.spec.forecasts
         ],
     }

@@ -14,7 +14,7 @@ import numpy as np
 from .cells import CellRef
 from .correlation import CorrelationSpec, induce_rank_correlation, validate_correlation
 from .distributions import Distribution
-from .model import CalcError, Model, evaluate
+from .model import Batch, CalcError, Model, evaluate, evaluate_batch
 from .rng import RandomSource
 
 DEFAULT_TRIALS = 5000
@@ -195,7 +195,7 @@ def sample_assumptions(spec: SimulationSpec) -> np.ndarray:
 
 
 def run(model: Model, spec: SimulationSpec) -> TrialStore:
-    """Execute the full simulation.
+    """Execute the full simulation: every trial in one evaluation pass.
 
     stop_on_error=True halts at the first calculation error, keeping all
     prior complete trials plus the dossier; otherwise erroneous trials
@@ -203,42 +203,45 @@ def run(model: Model, spec: SimulationSpec) -> TrialStore:
     """
     spec.validate(model)
     values = sample_assumptions(spec)
-    cells = spec.assumption_cells
-    forecast_cells = [f.cell for f in spec.forecasts]
-    limit_cells = [lim.cell for lim in spec.limits]
+    batch = evaluate_batch(
+        model, {c: values[:, j] for j, c in enumerate(spec.assumption_cells)}, spec.trials)
+    failed = sorted(batch.errors)
 
-    forecast_rows, monitored_rows, kept = [], [], []
     errors = []
     dossier = None
-    for t in range(spec.trials):
-        result = evaluate(model, {c: values[t, j] for j, c in enumerate(cells)})
-        if isinstance(result, CalcError):
-            vec = tuple(values[t].tolist())
-            if spec.stop_on_error:
-                dossier = CalcErrorDossier(result, t, vec)
-                break
-            errors.append(TrialError(t, result, vec))
-            continue
-        forecast_rows.append([result[c] for c in forecast_cells])
-        monitored_rows.append([result[c] for c in limit_cells])
-        kept.append(t)
+    if spec.stop_on_error:
+        if failed:
+            t = failed[0]
+            dossier = CalcErrorDossier(batch.errors[t], t, tuple(values[t].tolist()))
+        kept = np.arange(failed[0] if failed else spec.trials)
+    else:
+        errors = [TrialError(t, batch.errors[t], tuple(values[t].tolist())) for t in failed]
+        ok = np.ones(spec.trials, dtype=bool)
+        ok[failed] = False
+        kept = np.flatnonzero(ok)
+        if not len(kept):
+            raise SimulationError("every trial failed with a calculation error")
 
-    if not kept and not spec.stop_on_error:
-        raise SimulationError("every trial failed with a calculation error")
-
-    kept = np.array(kept, dtype=int)
-    n = len(kept)
     return TrialStore(
         model=model,
         spec=spec,
         seed=spec.seed,
         assumption_matrix=values[kept],
-        forecast_matrix=np.array(forecast_rows).reshape(n, len(forecast_cells)),
-        monitored_matrix=np.array(monitored_rows).reshape(n, len(limit_cells)),
+        forecast_matrix=_capture(batch, [f.cell for f in spec.forecasts], kept),
+        monitored_matrix=_capture(batch, [lim.cell for lim in spec.limits], kept),
         trial_indices=kept,
         errors=errors,
         dossier=dossier,
     )
+
+
+def _capture(batch: Batch, cells: list, kept: np.ndarray) -> np.ndarray:
+    """Kept rows x cells matrix of a batch's values."""
+    out = np.empty((len(kept), len(cells)))
+    for j, c in enumerate(cells):
+        v = batch.values[c]
+        out[:, j] = v[kept] if isinstance(v, np.ndarray) else v
+    return out
 
 
 def replay(model: Model, spec: SimulationSpec, assumptions):

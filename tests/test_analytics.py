@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from gridmc import analytics, report
 from gridmc.analytics import (
     certainty,
     forecast_stats,
@@ -22,10 +24,11 @@ from gridmc.analytics import (
     tornado,
 )
 from gridmc.cells import parse_cell
+from gridmc.document import ModelDocument
 from gridmc.distributions import Uniform
-from gridmc.model import build_model
+from gridmc.model import CalcError, build_model, evaluate, evaluate_batch
 from gridmc.report import trials_csv_rows
-from gridmc.simulate import Forecast, SimulationSpec, replay, run
+from gridmc.simulate import Forecast, SimulationError, SimulationSpec, replay, run
 
 
 def C(text):
@@ -215,6 +218,21 @@ class TestSensitivity:
         for label, col in zip(store.assumption_labels, store.assumption_matrix.T):
             assert by[label].spearman == spearman(col, fv)
 
+    def test_run_report_ranks_each_column_once(self, monkeypatch, project_doc):
+        # K = 4 assumptions and F = 2 forecasts: K + F ranks for the report
+        data = json.loads(json.dumps(project_doc.data))
+        data["forecasts"].append({"cell": "E14", "label": "Year5Cash"})
+        model, spec = ModelDocument.from_json(data).build(trials=200)
+        store = run(model, spec)
+        calls = []
+        monkeypatch.setattr(analytics, "rank_average",
+                            lambda v: calls.append(1) or rank_average(v))
+        payload = report.run_report(store, {})
+        assert len(calls) == 6
+        sens = sensitivity(store)
+        assert [f["sensitivity"] for f in payload["forecasts"]] == [
+            [e.to_json() for e in sens[label]] for label in ("ProjectNPV", "Year5Cash")]
+
     def test_requires_ten_trials(self):
         _, _, store = make_store(trials=5)
         with pytest.raises(ValueError):
@@ -272,6 +290,48 @@ class TestTornado:
         assert bad.error is not None and bad.low is None
         good = t.bar("y")
         assert good.error is None and good.swing == pytest.approx(0.8, abs=1e-9)
+
+    def test_one_batch_equals_a_one_row_evaluation_per_point(self, monkeypatch):
+        # bar x fails at its low point only, bar z at both, bar y nowhere
+        model = build_model([
+            ("A1", "x", 0.5), ("A2", "y", 0.5), ("A3", "z", 0.5),
+            ("A4", "f", "=SQRT(A1-0.2)+A2*A2+SQRT(0.0001-(A3-0.7)^2)*0+1/(A3-0.5)"),
+        ])
+        spec = SimulationSpec(
+            assumptions=[(C("A1"), Uniform(0, 1)), (C("A2"), Uniform(0, 1)),
+                         (C("A3"), Uniform(0.6, 0.8))],
+            forecasts=[Forecast(C("A4"), "f")], trials=20, seed=1)
+        medians = {c: d.median for c, d in spec.assumptions}
+
+        def one_row(cell, q):
+            result = evaluate(model, {**medians, cell: spec.distributions[
+                spec.assumption_cells.index(cell)].inverse_cdf(q)})
+            return result if isinstance(result, CalcError) else result[C("A4")]
+
+        calls = []
+        monkeypatch.setattr(analytics, "evaluate_batch",
+                            lambda *a: calls.append(a[2]) or evaluate_batch(*a))
+        t = tornado(model, spec, "f")
+        assert calls == [7]  # 2k+1 rows in one call
+        assert t.base == evaluate(model, medians)[C("A4")]
+        for cell, label in zip(spec.assumption_cells, ["x", "y", "z"]):
+            bar = t.bar(label)
+            lo, hi = one_row(cell, 0.1), one_row(cell, 0.9)
+            assert bar.low == (None if isinstance(lo, CalcError) else lo)
+            assert bar.high == (None if isinstance(hi, CalcError) else hi)
+            failed = [r for r in (hi, lo) if isinstance(r, CalcError)]
+            assert bar.error == (str(failed[0]) if failed else None)
+            for v in (t.base, bar.low, bar.high, bar.swing):
+                assert v is None or type(v) is float
+        assert t.bar("x").error.startswith("DomainError at A4: square root of -0.1")
+        assert t.bar("x").high is not None and t.bar("y").error is None
+        assert t.bar("z").low is None and t.bar("z").high is None
+
+    def test_base_case_failure_is_a_simulation_error(self):
+        model, spec, _ = make_store(formula="=1/(A1-0.5)")
+        with pytest.raises(SimulationError,
+                           match="tornado base case failed: DivByZero at A3"):
+            tornado(model, spec, "f")
 
     def test_unknown_forecast(self):
         model, spec, _ = make_store()

@@ -261,6 +261,28 @@ class TestErrorExits:
         assert main(["run", path, "--out", str(tmp_path)]) == 1
         one_error_line(capsys, "error:")
 
+    def test_self_paired_correlation_names_the_label(self, tmp_path, capsys):
+        doc = json.load(open(PROJECT))
+        doc["correlations"] = [{"a": "SalesGrowth", "b": "B3", "rho": 0.5}]
+        path = write_doc(tmp_path, doc)
+        assert main(["validate", path]) == 1
+        assert one_error_line(capsys, "error:") == (
+            "error: correlation: SalesGrowth is paired with itself")
+
+    @pytest.mark.parametrize("command", [["run", "--trials", "100"], ["tornado"],
+                                         ["audit", "--trials", "100"]])
+    def test_tornado_base_case_failure(self, tmp_path, capsys, command):
+        # the median of X is 0, so the tornado's base case divides by zero
+        doc = dict(ALL_FAIL, cells=[ALL_FAIL["cells"][0],
+                                    {"address": "A2", "label": "Inv", "formula": "=1/A1"}],
+                   assumptions=[{"cell": "X", "distribution":
+                                 {"type": "normal", "mean": 0, "sd": 1}}],
+                   forecasts=[{"cell": "A2", "label": "Inv"}])
+        path = write_doc(tmp_path, doc)
+        assert main([command[0], path, *command[1:], "--out", str(tmp_path)]) == 1
+        assert one_error_line(capsys, "error:") == (
+            "error: tornado base case failed: DivByZero at A2: division by zero")
+
     def test_too_few_trials_for_correlation(self, tmp_path, capsys):
         assert main(["run", CORRELATED, "--trials", "5", "--out", str(tmp_path)]) == 1
         assert "at least 40 trials" in one_error_line(capsys, "error:")

@@ -3,6 +3,7 @@ import copy
 import pytest
 
 from gridmc.cells import parse_cell
+from gridmc.correlation import CorrelationError
 from gridmc.distributions import Triangular, Uniform
 from gridmc.document import DocumentError, ModelDocument, validate_schema
 from gridmc.model import evaluate
@@ -114,6 +115,13 @@ class TestBuild:
         data = minimal_doc()
         data["correlations"][0]["a"] = "out"
         with pytest.raises(DocumentError, match="non-assumption"):
+            ModelDocument.from_json(data).build()
+
+    def test_correlation_pair_naming_one_cell_twice(self):
+        data = minimal_doc()
+        data["correlations"][0]["b"] = "A1"
+        with pytest.raises(CorrelationError,
+                           match="^correlation: x is paired with itself$"):
             ModelDocument.from_json(data).build()
 
     def test_all_build_diagnostics_collected(self):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gridmc.functions import ErrorKind, EvalFailure, irr, lookup, npv
+from gridmc.functions import ErrorKind, EvalFailure, fsum, irr, lookup, npv
 
 
 class TestNpv:
@@ -86,6 +86,24 @@ class TestIrr:
     def test_too_few_cashflows(self):
         with pytest.raises(EvalFailure):
             irr([-100])
+
+    def test_newton_overflow_falls_back_to_bisection(self):
+        # Newton's rate grows until (1 + r) ** n leaves the float range
+        flows = [-8.074509889662447e+51, 0.0, 0.0, 0.0, 1.0, -1.0]
+        with pytest.raises(EvalFailure) as exc:
+            irr(flows)
+        assert exc.value.kind is ErrorKind.NON_CONVERGENT
+
+
+class TestFsum:
+    def test_exact(self):
+        assert fsum([0.1] * 10) == 1.0
+
+    @pytest.mark.parametrize("values", [[1e308, 1e308], [math.inf, -math.inf]])
+    def test_overflow_is_a_domain_error(self, values):
+        with pytest.raises(EvalFailure) as exc:
+            fsum(values)
+        assert exc.value.kind is ErrorKind.DOMAIN_ERROR
 
 
 class TestLookup:
