@@ -26,9 +26,10 @@ from gridmc.analytics import (
 from gridmc.cells import parse_cell
 from gridmc.document import ModelDocument
 from gridmc.distributions import Uniform
-from gridmc.model import CalcError, build_model, evaluate, evaluate_batch
+from gridmc.model import CalcError, build_model, evaluate_batch
 from gridmc.report import trials_csv_rows
 from gridmc.simulate import Forecast, SimulationError, SimulationSpec, replay, run
+from tests.closure_oracle import Oracle
 
 
 def C(text):
@@ -291,7 +292,7 @@ class TestTornado:
         good = t.bar("y")
         assert good.error is None and good.swing == pytest.approx(0.8, abs=1e-9)
 
-    def test_one_batch_equals_a_one_row_evaluation_per_point(self, monkeypatch):
+    def test_one_batch_equals_the_oracle_per_point(self, monkeypatch):
         # bar x fails at its low point only, bar z at both, bar y nowhere
         model = build_model([
             ("A1", "x", 0.5), ("A2", "y", 0.5), ("A3", "z", 0.5),
@@ -303,8 +304,10 @@ class TestTornado:
             forecasts=[Forecast(C("A4"), "f")], trials=20, seed=1)
         medians = {c: d.median for c, d in spec.assumptions}
 
+        oracle = Oracle(model)
+
         def one_row(cell, q):
-            result = evaluate(model, {**medians, cell: spec.distributions[
+            result = oracle.evaluate({**medians, cell: spec.distributions[
                 spec.assumption_cells.index(cell)].inverse_cdf(q)})
             return result if isinstance(result, CalcError) else result[C("A4")]
 
@@ -313,7 +316,7 @@ class TestTornado:
                             lambda *a: calls.append(a[2]) or evaluate_batch(*a))
         t = tornado(model, spec, "f")
         assert calls == [7]  # 2k+1 rows in one call
-        assert t.base == evaluate(model, medians)[C("A4")]
+        assert t.base == oracle.evaluate(medians)[C("A4")]
         for cell, label in zip(spec.assumption_cells, ["x", "y", "z"]):
             bar = t.bar(label)
             lo, hi = one_row(cell, 0.1), one_row(cell, 0.9)
