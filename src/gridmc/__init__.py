@@ -19,7 +19,6 @@ from .distributions import (
     Normal,
     Triangular,
     Uniform,
-    sample_inverse,
 )
 from .document import DocumentError, ModelDocument
 from .formula import FormulaError, parse_formula, render_formula

@@ -15,9 +15,8 @@ from typing import Optional
 import numpy as np
 
 from . import analytics
-from .model import CalcError, Model
-from .rng import RandomSource
-from .simulate import SimulationSpec, TrialStore, replay, run
+from .model import Model, evaluate_batch
+from .simulate import SimulationSpec, TrialStore, run
 
 
 class FindingKind(str, Enum):
@@ -251,7 +250,7 @@ def check_intervals(store: TrialStore) -> list:
                 "forecast": f.label,
                 "declared": [interval.lo, interval.hi],
                 "observed": [lo, hi],
-                "exceedance_fraction": outside / len(values),
+                "exceedance_fraction": int(outside) / len(values),
             },
         ))
     return findings
@@ -292,14 +291,14 @@ class BackcastResult:
 
 
 def backcast(model: Model, spec: SimulationSpec, history,
-             observed: Optional[list] = None,
-             trials: Optional[int] = None) -> BackcastResult:
-    """Replay historical assumption rows through the model.
+             observed: Optional[list] = None) -> BackcastResult:
+    """Replay historical assumption rows through the model, once each, in
+    one batch evaluation.
 
     history: rows of assumption values matching spec's assumption order.
     observed: optional parallel rows of observed forecast values.
-    trials > len(history) switches to resampling rows uniformly from the
-    run's random source.
+    Findings come row by row: a row's CalcError, or else each breached
+    limit in spec order.
     """
     history = [list(r) for r in history]
     if not history:
@@ -311,29 +310,27 @@ def backcast(model: Model, spec: SimulationSpec, history,
     if observed is not None and len(observed) != len(history):
         raise ValueError("observed rows must match history rows")
 
-    if trials is not None and trials > len(history):
-        src = RandomSource(spec.seed)
-        row_ids = [int(src.uniform(t, 0) * len(history)) for t in range(trials)]
-    else:
-        row_ids = list(range(len(history)))
+    matrix = np.array(history, dtype=float)
+    batch = evaluate_batch(
+        model, {c: matrix[:, j] for j, c in enumerate(spec.assumption_cells)}, len(history))
 
     findings = []
     residual_rows = []
     abs_residuals = {f.label: [] for f in spec.forecasts}
-    for t, i in enumerate(row_ids):
-        result = replay(model, spec, history[i])
-        if isinstance(result, CalcError):
+    for i, row in enumerate(history):
+        error = batch.errors.get(i)
+        if error is not None:
             findings.append(AuditFinding(
                 kind=FindingKind.BACKCAST_FAILURE,
-                cells=(str(result.cell),),
+                cells=(str(error.cell),),
                 severity=_SEVERITY[FindingKind.BACKCAST_FAILURE],
-                evidence={"row": i, "error_kind": result.kind.value,
-                          "detail": result.detail},
-                witness=tuple(history[i]),
+                evidence={"row": i, "error_kind": error.kind.value,
+                          "detail": error.detail},
+                witness=tuple(row),
             ))
             continue
         for lim in spec.limits:
-            v = result[lim.cell]
+            v = batch.value(lim.cell, i)
             if (lim.min is not None and v < lim.min) or \
                (lim.max is not None and v > lim.max):
                 findings.append(AuditFinding(
@@ -342,15 +339,15 @@ def backcast(model: Model, spec: SimulationSpec, history,
                     severity=_SEVERITY[FindingKind.BACKCAST_FAILURE],
                     evidence={"row": i, "limit_cell": str(lim.cell), "value": v,
                               "declared_min": lim.min, "declared_max": lim.max},
-                    witness=tuple(history[i]),
+                    witness=tuple(row),
                 ))
         if observed is not None:
-            row = {"row": i}
+            residuals = {"row": i}
             for fi, f in enumerate(spec.forecasts):
-                residual = result[f.cell] - observed[i][fi]
-                row[f.label] = residual
+                residual = batch.value(f.cell, i) - observed[i][fi]
+                residuals[f.label] = residual
                 abs_residuals[f.label].append(abs(residual))
-            residual_rows.append(row)
+            residual_rows.append(residuals)
     mar = {label: (sum(v) / len(v) if v else None)
            for label, v in abs_residuals.items()}
     return BackcastResult(findings=findings, residuals=residual_rows,

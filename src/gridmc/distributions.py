@@ -61,6 +61,7 @@ class Distribution:
     """Base: subclasses implement inverse_cdf plus analytic mean/variance/cdf."""
 
     def inverse_cdf(self, u: float) -> float:
+        """F^{-1}(u) for 0 < u < 1; monotone non-decreasing in u."""
         raise NotImplementedError
 
     def mean(self) -> float:
@@ -284,13 +285,6 @@ class Custom(Distribution):
 
     def to_json(self):
         return {"type": "custom", "pairs": [[v, p] for v, p in self.pairs]}
-
-
-def sample_inverse(dist: Distribution, u: float) -> float:
-    """F^{-1}(u); monotone non-decreasing in u. Requires 0 < u < 1."""
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"u must lie strictly inside (0, 1), got {u}")
-    return dist.inverse_cdf(u)
 
 
 def distribution_from_json(obj: dict) -> Distribution:

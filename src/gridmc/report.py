@@ -9,13 +9,6 @@ from . import analytics
 from .simulate import TrialStore
 
 
-def _fmt(value) -> str:
-    # shortest round-trip decimal for floats, plain text otherwise
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_json(path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -26,7 +19,7 @@ def write_csv(path, header, rows) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def forecast_report(store: TrialStore, forecast_label: str, torn=None, sens=None) -> dict:
@@ -65,7 +58,7 @@ def run_report(store: TrialStore, tornados: dict) -> dict:
             if store.completed >= 10 and store.spec.assumptions else {})
     payload = {
         "model": None,  # filled by the CLI
-        "seed": store.seed,
+        "seed": store.spec.seed,
         "trials": store.spec.trials,
         "completed": store.completed,
         "errors": len(store.errors),

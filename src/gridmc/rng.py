@@ -32,10 +32,6 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 class RandomSource:
     seed: int
 
-    def uniform(self, trial: int, assumption: int) -> float:
-        """One variate in the open interval (0, 1)."""
-        return float(self.uniform_block(np.array([trial]), np.array([assumption]))[0, 0])
-
     def uniform_block(self, trials, assumptions) -> np.ndarray:
         """Matrix of variates for the trial x assumption grid."""
         with np.errstate(over="ignore"):

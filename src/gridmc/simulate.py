@@ -141,7 +141,6 @@ class TrialStore:
 
     model: Model
     spec: SimulationSpec
-    seed: int
     assumption_matrix: np.ndarray  # completed trials x assumptions
     forecast_matrix: np.ndarray  # completed trials x forecasts
     monitored_matrix: np.ndarray  # completed trials x limit cells
@@ -225,7 +224,6 @@ def run(model: Model, spec: SimulationSpec) -> TrialStore:
     return TrialStore(
         model=model,
         spec=spec,
-        seed=spec.seed,
         assumption_matrix=values[kept],
         forecast_matrix=_capture(batch, [f.cell for f in spec.forecasts], kept),
         monitored_matrix=_capture(batch, [lim.cell for lim in spec.limits], kept),
@@ -267,7 +265,6 @@ class TrialOutcome:
     assumptions: dict  # CellRef -> value
     forecasts: dict  # label -> value
     error: Optional[CalcError]
-    values: Optional[dict]  # full cell map when the trial succeeded
 
 
 class StepSession:
@@ -289,7 +286,6 @@ class StepSession:
 
     def reset(self) -> None:
         self.next_trial = 0
-        self.outcomes = []
         base = evaluate(self.model, {})
         self._current = base if not isinstance(base, CalcError) else None
 
@@ -308,15 +304,12 @@ class StepSession:
         overrides = {c: float(values[j])
                      for j, c in enumerate(self.spec.assumption_cells)}
         result = evaluate(self.model, overrides)
-        if isinstance(result, CalcError):
-            outcome = TrialOutcome(t, dict(overrides), {}, result, None)
-        else:
-            forecasts = {f.label: result[f.cell] for f in self.spec.forecasts}
-            outcome = TrialOutcome(t, dict(overrides), forecasts, None, result)
-            self._current = result
         self.next_trial = t + 1
-        self.outcomes.append(outcome)
-        return outcome
+        if isinstance(result, CalcError):
+            return TrialOutcome(t, overrides, {}, result)
+        self._current = result
+        forecasts = {f.label: result[f.cell] for f in self.spec.forecasts}
+        return TrialOutcome(t, overrides, forecasts, None)
 
     def run(self, n: int) -> list:
         return [self.step() for _ in range(n)]

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridmc import analytics
 from gridmc.audit import (
@@ -211,6 +212,9 @@ class TestIntervals:
         assert ev["observed"] == [float(v.min()), float(v.max())]
         expected_frac = float(np.mean((v < 0.2) | (v > 0.8)))
         assert ev["exceedance_fraction"] == expected_frac
+        # Python scalars only, so the evidence prints cleanly on stdout
+        assert type(ev["exceedance_fraction"]) is float
+        assert "np." not in repr(findings[0].evidence)
 
     def test_containing_interval_is_clean(self):
         assert check_intervals(self._store(-1.0, 2.0)) == []
@@ -308,15 +312,6 @@ class TestBackcast:
         with pytest.raises(ValueError, match="observed"):
             backcast(model, spec, [[0.5, 0.5]], observed=[])
 
-    def test_resampling_draws_from_history(self):
-        model, spec = self._linear()
-        history = [[0.1, 0.2], [0.5, 0.5]]
-        observed = [[3 * 0.1 - 2 * 0.2], [3 * 0.5 - 2 * 0.5]]
-        result = backcast(model, spec, history, observed, trials=50)
-        assert len(result.residuals) == 50
-        assert {row["row"] for row in result.residuals} <= {0, 1}
-        assert result.mean_abs_residual["f"] == 0.0
-
     def test_run_audit_includes_backcast(self):
         model, spec = self._linear()
         report = run_audit(model, spec, history=[[0.5, 0.5]],
@@ -330,6 +325,111 @@ class TestBackcast:
                                trials=200, seed=42)
         report2 = run_audit(model2, spec2, history=[[-2.0]])
         assert len(report2.by_kind(FindingKind.BACKCAST_FAILURE)) == 1
+
+
+def replay_oracle(model, spec, history, observed=None):
+    """Back-casting as one replay call per history row: the findings,
+    the residual rows and the mean absolute residuals."""
+    findings, residual_rows = [], []
+    abs_residuals = {f.label: [] for f in spec.forecasts}
+    for i, row in enumerate(history):
+        result = replay(model, spec, row)
+        if isinstance(result, CalcError):
+            findings.append(AuditFinding(
+                FindingKind.BACKCAST_FAILURE, (str(result.cell),), "error",
+                {"row": i, "error_kind": result.kind.value, "detail": result.detail},
+                tuple(row)))
+            continue
+        for lim in spec.limits:
+            v = result[lim.cell]
+            if (lim.min is not None and v < lim.min) or \
+               (lim.max is not None and v > lim.max):
+                findings.append(AuditFinding(
+                    FindingKind.BACKCAST_FAILURE, (str(lim.cell),), "error",
+                    {"row": i, "limit_cell": str(lim.cell), "value": v,
+                     "declared_min": lim.min, "declared_max": lim.max},
+                    tuple(row)))
+        if observed is not None:
+            residuals = {"row": i}
+            for fi, f in enumerate(spec.forecasts):
+                residuals[f.label] = result[f.cell] - observed[i][fi]
+                abs_residuals[f.label].append(abs(residuals[f.label]))
+            residual_rows.append(residuals)
+    mar = {label: (sum(v) / len(v) if v else None) for label, v in abs_residuals.items()}
+    return findings, residual_rows, mar
+
+
+class TestBackcastBatch:
+    """backcast evaluates every row in one batch; it must equal the
+    row-by-row replay oracle bit for bit."""
+
+    # clean, SQRT of a negative, A4 breach, B1 breach, SQRT(-0.0) with an
+    # A2 breach, two breaches in one row, B1 breach
+    MIXED = [[4.0, 1.0], [-1.0, 0.0], [1.0, 2.0], [9.0, 2.5],
+             [-0.0, -2.0], [0.25, 4.0], [16.0, 0.5]]
+
+    @staticmethod
+    def _model():
+        model = build_model([
+            ("A1", "x", 1.0), ("A2", "y", 0.5),
+            ("A3", "root", "=SQRT(A1)"), ("A4", "net", "=A3-A2"),
+            ("A5", "f", "=2*A4+A2"), ("B1", "g", "=A1*A2"),
+        ])
+        spec = SimulationSpec(
+            assumptions=[(C("A1"), Uniform(0, 1)), (C("A2"), Uniform(0, 1))],
+            forecasts=[Forecast(C("A5"), "f"), Forecast(C("B1"), "g")],
+            limits=[Limit(C("A4"), min=0.0), Limit(C("B1"), max=4.0),
+                    Limit(C("A2"), min=-1.0, max=3.0)],
+            trials=10, seed=1)
+        return model, spec
+
+    def _assert_matches_oracle(self, history, observed):
+        model, spec = self._model()
+        result = backcast(model, spec, history, observed)
+        findings, residuals, mar = replay_oracle(model, spec, history, observed)
+        # json text tells -0.0 from 0.0 and keeps the order of the findings
+        assert [json.dumps(f.to_json()) for f in result.findings] == \
+            [json.dumps(f.to_json()) for f in findings]
+        assert repr(result.residuals) == repr(residuals)
+        assert repr(result.mean_abs_residual) == repr(mar)
+        return result
+
+    @pytest.mark.parametrize("with_observed", [False, True])
+    def test_mixed_history_matches_replay_oracle(self, with_observed):
+        observed = ([[0.5 * i, -1.0 + i] for i in range(len(self.MIXED))]
+                    if with_observed else None)
+        result = self._assert_matches_oracle(self.MIXED, observed)
+        rows = [f.evidence["row"] for f in result.findings]
+        assert rows == [1, 2, 3, 4, 5, 5, 6]
+        assert "error_kind" in result.findings[0].evidence
+        assert [f.cells[0] for f in result.findings[4:6]] == ["A4", "A2"]
+        assert [r["row"] for r in result.residuals] == ([0, 2, 3, 4, 5, 6]
+                                                       if with_observed else [])
+
+    def test_witnesses_replay_to_the_finding(self):
+        model, spec = self._model()
+        for f in backcast(model, spec, self.MIXED).findings:
+            result = replay(model, spec, f.witness)
+            if "error_kind" in f.evidence:
+                assert isinstance(result, CalcError)
+                assert (result.kind.value, result.detail) == \
+                    (f.evidence["error_kind"], f.evidence["detail"])
+            else:
+                value = result[C(f.evidence["limit_cell"])]
+                assert repr(value) == repr(f.evidence["value"])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 4.0]),
+                  st.floats(-4.0, 25.0, allow_nan=False)),
+        st.floats(-3.0, 5.0, allow_nan=False),
+        st.floats(-10.0, 10.0, allow_nan=False),
+        st.floats(-10.0, 10.0, allow_nan=False),
+    ), min_size=1, max_size=12), st.booleans())
+    def test_random_histories_match_replay_oracle(self, rows, with_observed):
+        history = [[x, y] for x, y, _, _ in rows]
+        observed = [[f, g] for _, _, f, g in rows] if with_observed else None
+        self._assert_matches_oracle(history, observed)
 
 
 class TestFindingSerialization:

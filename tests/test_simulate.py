@@ -51,7 +51,8 @@ def overflowing_trials(spec):
     # plain-float oracle: the trials whose X * 1e308 * 10 is not finite
     src, dist = RandomSource(spec.seed), spec.distributions[0]
     return [t for t in range(spec.trials)
-            if not math.isfinite(dist.inverse_cdf(src.uniform(t, 0)) * 1e308 * 10)]
+            if not math.isfinite(
+                dist.inverse_cdf(float(src.uniform_block([t], [0])[0, 0])) * 1e308 * 10)]
 
 
 def linear_model(trials=500, seed=42, correlation=None):
@@ -82,7 +83,7 @@ class TestRun:
         # normal draw is negative, i.e. uniform < 0.5
         src = RandomSource(spec.seed)
         expected_trial = next(t for t in range(spec.trials)
-                              if src.uniform(t, 0) < 0.5)
+                              if src.uniform_block([t], [0])[0, 0] < 0.5)
         assert store.dossier is not None
         assert store.dossier.trial == expected_trial
         assert store.dossier.error.kind is ErrorKind.DOMAIN_ERROR
@@ -222,9 +223,8 @@ class TestStepSession:
         model, spec = linear_model(trials=10)
         store = run(model, spec)
         session = StepSession(model, spec)
-        session.step()
-        outcomes = session.run(9)
-        values = [session.outcomes[t].forecasts["f"] for t in range(10)]
+        outcomes = [session.step()] + session.run(9)
+        values = [o.forecasts["f"] for o in outcomes]
         assert values == list(store.forecast_matrix[:, 0])
 
     def test_step_hits_error_trial(self):
