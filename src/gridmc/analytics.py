@@ -218,7 +218,8 @@ def sensitivity(store: TrialStore, forecast: Optional[str] = None):
     descending, or just the list when a forecast is named.
     """
     if store.completed < 10:
-        raise ValueError("sensitivity needs at least 10 completed trials")
+        raise SimulationError(f"sensitivity needs at least 10 completed trials, "
+                              f"got {store.completed}")
     spec = store.spec
     corr = spec.correlation.as_array() if spec.correlation is not None else None
     columns = store.assumption_matrix.T

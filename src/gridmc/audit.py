@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analytics
 from .model import Model, evaluate_batch
-from .simulate import SimulationSpec, TrialStore, run
+from .simulate import SimulationError, SimulationSpec, TrialStore, run
 
 
 class FindingKind(str, Enum):
@@ -112,7 +112,8 @@ def detect_disconnected(store: TrialStore, sens: dict, torn: dict,
     """
     n = store.completed
     if n < 100:
-        raise ValueError("disconnection detection needs at least 100 trials")
+        raise SimulationError(f"disconnection detection needs at least 100 "
+                              f"completed trials, got {n}")
     rho_threshold = thresholds.z * math.sqrt(1.0 / n)
     spec = store.spec
     medians = [d.median for d in spec.distributions]

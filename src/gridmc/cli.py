@@ -2,8 +2,9 @@
 
 Exit codes: 0 clean, 1 calculation-error halt, model build error or a
 run that cannot complete (too few trials for the declared correlations,
-every trial failing), 2 audit findings with severity error, 3 usage,
-schema or history-file error.
+an audit with fewer than 100 completed trials, every trial failing),
+2 audit findings with severity error, 3 usage, schema or history-file
+error, or a document that is not strict JSON.
 """
 
 from __future__ import annotations

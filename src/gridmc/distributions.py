@@ -180,6 +180,11 @@ class Lognormal(Distribution):
     def __post_init__(self):
         if not self.log_sd > 0:
             raise ValueError(f"lognormal needs log_sd > 0, got {self.log_sd}")
+        try:
+            self.inverse_cdf(1.0 - 2.0 ** -53)  # the largest u the RNG draws
+        except OverflowError:
+            raise ValueError(f"lognormal(log_mean={self.log_mean}, log_sd={self.log_sd}) "
+                             f"draws variates beyond the float range") from None
 
     def inverse_cdf(self, u):
         return math.exp(self.log_mean + self.log_sd * norm_ppf(u))

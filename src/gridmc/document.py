@@ -4,15 +4,24 @@ A document holds the cell grid plus the simulation declarations
 (assumptions, correlations, forecasts, limits, expectations, expected
 intervals, run defaults). It validates against the shipped schema
 before any engine call.
+
+`schema.json` is the one definition of the format. A small interpreter
+below applies it: it knows exactly the draft 2020-12 keywords the schema
+uses, raises on any other, and words and orders its diagnostics as the
+reference Python validator (version 4.26) does; the test suite holds it
+to that validator as an oracle.
+
+Loading rejects the `NaN` and `Infinity` literals that `json.load`
+accepts, since no artifact may carry them.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
+import re
 from dataclasses import dataclass
 from importlib import resources
-
-import jsonschema
 
 from .cells import parse_cell
 from .correlation import CorrelationError, CorrelationSpec
@@ -38,18 +47,90 @@ class DocumentError(ValueError):
         self.diagnostics = diagnostics
 
 
-def _schema() -> dict:
-    with resources.files("gridmc").joinpath("schema.json").open("r") as fh:
-        return json.load(fh)
+_SCHEMA = json.loads(resources.files("gridmc").joinpath("schema.json").read_text())
+
+
+def _is_number(x):
+    return isinstance(x, numbers.Number) and not isinstance(x, bool)
+
+
+_IS_TYPE = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "null": lambda x: x is None,
+    "number": _is_number,
+    # draft 2020-12 counts 200.0 as an integer
+    "integer": lambda x: ((isinstance(x, int) and not isinstance(x, bool))
+                          or (isinstance(x, float) and x.is_integer())),
+}
+
+
+def _errors(schema, x, path):
+    """(path, message) for each way `x` breaks `schema`, depth first in
+    the order the schema's keywords are written."""
+    is_object, is_array, is_string = (isinstance(x, t) for t in (dict, list, str))
+    for key, value in schema.items():
+        if key in ("$schema", "title", "$defs"):
+            continue  # annotations
+        elif key == "$ref" and value.startswith("#/"):
+            target = _SCHEMA
+            for part in value[2:].split("/"):
+                target = target[part]
+            yield from _errors(target, x, path)
+        elif key == "type":
+            types = value if isinstance(value, list) else [value]
+            if not any(_IS_TYPE[t](x) for t in types):
+                yield path, f"{x!r} is not of type {', '.join(map(repr, types))}"
+        elif key == "required":
+            yield from ((path, f"{name!r} is a required property")
+                        for name in value if is_object and name not in x)
+        elif key == "properties":
+            for name, sub in value.items():
+                if is_object and name in x:
+                    yield from _errors(sub, x[name], path + (name,))
+        elif key == "additionalProperties" and value is False:
+            extras = sorted(set(x) - schema.get("properties", {}).keys()) if is_object else []
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, (f"Additional properties are not allowed "
+                             f"({', '.join(map(repr, extras))} {verb} unexpected)")
+        elif key == "items" and isinstance(value, dict):
+            for i, item in enumerate(x if is_array else ()):
+                yield from _errors(value, item, path + (i,))
+        elif key in ("minItems", "minLength"):
+            if (is_array if key == "minItems" else is_string) and len(x) < value:
+                yield path, f"{x!r} {'should be non-empty' if value == 1 else 'is too short'}"
+        elif key == "maxItems":
+            if is_array and len(x) > value:
+                yield path, f"{x!r} {'is expected to be empty' if value == 0 else 'is too long'}"
+        elif key == "pattern":
+            if is_string and not re.search(value, x):
+                yield path, f"{x!r} does not match {value!r}"
+        elif key == "enum":
+            # JSON equality: true is not 1
+            if not any(o == x and isinstance(o, bool) == isinstance(x, bool) for o in value):
+                yield path, f"{x!r} is not one of {value!r}"
+        elif key == "minimum":
+            if _is_number(x) and x < value:
+                yield path, f"{x!r} is less than the minimum of {value!r}"
+        elif key == "maximum":
+            if _is_number(x) and x > value:
+                yield path, f"{x!r} is greater than the maximum of {value!r}"
+        else:
+            raise NotImplementedError(f"schema keyword {key!r}: {value!r} is not implemented")
 
 
 def validate_schema(data: dict) -> None:
-    validator = jsonschema.Draft202012Validator(_schema())
-    errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
+    errors = sorted(_errors(_SCHEMA, data, ()), key=lambda e: e[0])
     if errors:
         raise DocumentError(
-            [f"{'/'.join(str(p) for p in e.absolute_path) or '<root>'}: {e.message}"
-             for e in errors])
+            [f"{'/'.join(map(str, path)) or '<root>'}: {message}"
+             for path, message in errors])
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
 
 
 @dataclass
@@ -68,7 +149,8 @@ class ModelDocument:
     @staticmethod
     def load(path) -> "ModelDocument":
         with open(path) as fh:
-            return ModelDocument.from_json(json.load(fh))
+            return ModelDocument.from_json(
+                json.load(fh, parse_constant=_reject_constant))
 
     def build_model(self) -> Model:
         cells = [(c["address"], c.get("label"), c["formula"])
@@ -163,8 +245,10 @@ class ModelDocument:
             limits=limits,
             expectations=expectations,
             expected_intervals=intervals,
-            trials=trials if trials is not None else run_defaults.get("trials", DEFAULT_TRIALS),
-            seed=seed if seed is not None else run_defaults.get("seed", DEFAULT_SEED),
+            # the schema lets 200.0 through as an integer
+            trials=int(trials if trials is not None
+                       else run_defaults.get("trials", DEFAULT_TRIALS)),
+            seed=int(seed if seed is not None else run_defaults.get("seed", DEFAULT_SEED)),
             stop_on_error=stop_on_error,
         )
         spec.validate(model)

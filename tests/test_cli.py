@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import shutil
 
@@ -113,6 +114,22 @@ class TestRun:
         with open(tmp_path / "trials.csv") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) - 1 == dossier["trial"]
+
+    @pytest.mark.parametrize("command", ["run", "audit"])
+    def test_integral_floats_in_run_block(self, tmp_path, capsys, command):
+        # the schema counts 200.0 as an integer; the run must too
+        doc = json.load(open(PROJECT))
+        results = []
+        for name, run_block in (("int", {"trials": 200, "seed": 3}),
+                                ("float", {"trials": 200.0, "seed": 3.0})):
+            out = tmp_path / name
+            out.mkdir()
+            path = write_doc(tmp_path, dict(doc, run=run_block), f"{name}.json")
+            code = main([command, path, "--out", str(out)])
+            files = {f: read(out / f) for f in sorted(os.listdir(out))}
+            results.append((code, capsys.readouterr(), files))
+        assert results[0] == results[1]
+        assert results[0][2]
 
     def test_continue_on_error_records_census(self, tmp_path):
         assert main(["run", SQRT_TRAP, "--trials", "400",
@@ -305,6 +322,48 @@ class TestErrorExits:
         assert "non-finite result inf" in capsys.readouterr().out
         dossier = json.loads(read(tmp_path / "dossier.json"))
         assert (dossier["kind"], dossier["cell"], dossier["trial"]) == ("DomainError", "A2", 0)
+
+    @pytest.mark.parametrize("command", ["run", "audit", "tornado", "step"])
+    def test_lognormal_overflow_is_a_build_error(self, tmp_path, capsys, monkeypatch,
+                                                 command):
+        doc = json.load(open(PROJECT))
+        doc["assumptions"][3]["distribution"] = {"type": "lognormal",
+                                                 "log_mean": 800, "log_sd": 1}
+        path = write_doc(tmp_path, doc)
+        monkeypatch.setattr("sys.stdin", io.StringIO("step\nquit\n"))
+        out = [] if command == "step" else ["--out", str(tmp_path)]
+        assert main([command, path, *out]) == 1
+        assert one_error_line(capsys, "build error: assumption OpexPct: lognormal")
+
+    def test_audit_with_under_10_completed_trials(self, tmp_path, capsys):
+        doc = json.load(open(SQRT_TRAP))
+        doc["assumptions"][0]["distribution"] = {"type": "normal", "mean": -3, "sd": 1}
+        path = write_doc(tmp_path, doc)
+        assert main(["audit", path, "--trials", "5000", "--out", str(tmp_path)]) == 1
+        assert one_error_line(capsys, "error:") == (
+            "error: sensitivity needs at least 10 completed trials, got 4")
+
+    def test_audit_with_under_100_completed_trials(self, tmp_path, capsys):
+        assert main(["audit", PROJECT, "--trials", "50", "--out", str(tmp_path)]) == 1
+        assert one_error_line(capsys, "error:") == (
+            "error: disconnection detection needs at least 100 completed trials, got 50")
+
+    @pytest.mark.parametrize("literal, edit", [
+        ("NaN", lambda d: d["correlations"][0].update(rho=math.nan)),
+        ("NaN", lambda d: d["assumptions"][0].update(distribution={
+            "type": "lognormal", "log_mean": math.nan, "log_sd": 0.1})),
+        ("Infinity", lambda d: d["assumptions"][3]["distribution"].update(max=math.inf)),
+        ("NaN", lambda d: d["forecasts"][0]["target"].update(lo=math.nan)),
+        ("-Infinity", lambda d: d["cells"][0].update(formula=-math.inf)),
+    ], ids=["rho", "log_mean", "uniform-max", "target-lo", "cell-formula"])
+    def test_non_finite_literal_is_not_json(self, tmp_path, capsys, literal, edit):
+        doc = json.load(open(CORRELATED))
+        edit(doc)
+        path = write_doc(tmp_path, doc)  # json.dumps writes NaN and Infinity
+        assert main(["run", path, "--out", str(tmp_path)]) == 3
+        assert one_error_line(capsys, "error:") == (
+            f"error: not valid JSON: {literal} is not a JSON number")
+        assert os.listdir(tmp_path) == ["doc.json"]
 
     @pytest.mark.parametrize("row", ["100,0.05,abc,0.25", "100,0.05,0.03"])
     def test_history_bad_row(self, tmp_path, capsys, row):

@@ -103,6 +103,14 @@ class TestParameterValidation:
     def test_custom_sum_tolerance(self):
         Custom([(1, 0.5), (2, 0.5 + 5e-10)])  # within 1e-9
 
+    def test_lognormal_whose_largest_variate_overflows(self):
+        # norm_ppf(1 - 2**-53) is 8.2095..., and exp overflows past 709.78
+        u_max = 1.0 - 2.0 ** -53
+        assert math.isfinite(Lognormal(701.5, 1).inverse_cdf(u_max))
+        for log_mean, log_sd in ((701.6, 1), (800, 1), (0, 87)):
+            with pytest.raises(ValueError, match="beyond the float range"):
+                Lognormal(log_mean, log_sd)
+
 
 def ks_statistic(samples, dist):
     """sup |F_n - F| for a possibly discontinuous CDF."""

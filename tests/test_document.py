@@ -1,13 +1,23 @@
 import copy
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridmc.cells import parse_cell
 from gridmc.correlation import CorrelationError
 from gridmc.distributions import Triangular, Uniform
-from gridmc.document import DocumentError, ModelDocument, validate_schema
+from gridmc.document import DocumentError, ModelDocument, _errors, validate_schema
 from gridmc.model import evaluate
 from gridmc.simulate import run
+from tests.conftest import EXAMPLES, example_path
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def C(text):
@@ -77,6 +87,122 @@ class TestSchema:
         data["correlations"][0]["rho"] = 1.5
         with pytest.raises(DocumentError):
             validate_schema(data)
+
+
+def _portfolio_documents(seeds):
+    path = os.path.join(ROOT, "benchmarks", "portfolio.py")
+    spec = importlib.util.spec_from_file_location("portfolio", path)
+    portfolio = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(portfolio)
+    return [portfolio.generate(seed)[0] for seed in seeds]
+
+
+SCHEMA = json.loads(resources.files("gridmc").joinpath("schema.json").read_text())
+BASE_DOCUMENTS = ([json.load(open(example_path(name))) for name in sorted(os.listdir(EXAMPLES))]
+                  + _portfolio_documents(range(3)))
+
+# values of every JSON type, some near the schema's edges
+SWAP_VALUES = [None, True, False, 0, 1, -1, 200.0, 2.5, -1.5, "", "x", "A1", "+",
+               "normal", [], [1], [[1, 2]], [[1, 2, 3]], {}, {"type": "custom"}]
+EXTRA_KEYS = ["bogus", "label", "type", "min", "rho", "zz"]
+
+
+def _nodes(x, path=()):
+    yield path, x
+    children = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A fixture or generated document with up to four random edits: a
+    key or element deleted, an unknown or known key added, or a value
+    swapped for one of another type."""
+    doc = copy.deepcopy(draw(st.sampled_from(BASE_DOCUMENTS)))
+    for _ in range(draw(st.integers(0, 4))):
+        path, node = draw(st.sampled_from(list(_nodes(doc))))
+        op = draw(st.sampled_from(["delete", "add", "swap"]))
+        if op == "delete" and isinstance(node, (dict, list)) and node:
+            keys = list(node) if isinstance(node, dict) else range(len(node))
+            del node[draw(st.sampled_from(keys))]
+        elif op == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(EXTRA_KEYS))] = draw(st.sampled_from(SWAP_VALUES))
+        elif path:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(SWAP_VALUES)))
+        else:
+            doc = copy.deepcopy(draw(st.sampled_from(SWAP_VALUES)))
+            break
+    return doc
+
+
+def _subschemas(schema):
+    yield schema
+    for key in ("properties", "$defs"):
+        for sub in schema.get(key, {}).values():
+            yield from _subschemas(sub)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+
+
+class TestValidatorAgainstReference:
+    """The interpreter of schema.json, held to jsonschema 4.26 as an oracle."""
+
+    def reference(self, data):
+        jsonschema = pytest.importorskip("jsonschema")
+        errors = sorted(jsonschema.Draft202012Validator(SCHEMA).iter_errors(data),
+                        key=lambda e: list(e.absolute_path))
+        return [f"{'/'.join(str(p) for p in e.absolute_path) or '<root>'}: {e.message}"
+                for e in errors]
+
+    @settings(max_examples=250, deadline=None)
+    @given(mutated_documents())
+    def test_diagnostics_match_reference(self, data):
+        expected = self.reference(data)
+        if expected:
+            with pytest.raises(DocumentError) as exc:
+                validate_schema(data)
+            assert exc.value.diagnostics == expected
+        else:
+            validate_schema(data)
+
+    def test_base_documents_valid_for_both(self):
+        for data in BASE_DOCUMENTS:
+            assert self.reference(data) == []
+            validate_schema(data)
+
+    def test_every_schema_keyword_is_implemented(self):
+        samples = [None, True, 0, -2, 1.5, "", "x", [], [0, "a"], {}, {"a": 1}]
+        keywords = set()
+        for sub in _subschemas(SCHEMA):
+            keywords.update(sub)
+            for x in samples:
+                list(_errors(sub, x, ()))  # an unknown keyword raises
+        assert {"$ref", "type", "required", "additionalProperties", "items",
+                "pattern", "enum", "minimum", "maximum"} <= keywords
+
+    @pytest.mark.parametrize("schema", [{"maxLength": 3}, {"format": "date"},
+                                        {"additionalProperties": {"type": "string"}}])
+    def test_unknown_keyword_fails_loudly(self, schema):
+        with pytest.raises(NotImplementedError):
+            list(_errors(schema, "text", ()))
+
+    def test_cli_runs_without_jsonschema(self, tmp_path):
+        code = ("import sys; sys.modules['jsonschema'] = None\n"
+                "from gridmc.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))")
+        path = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        project = example_path("project-npv.json")
+        for args in (["validate", project],
+                     ["run", project, "--trials", "50", "--out", str(tmp_path)]):
+            proc = subprocess.run([sys.executable, "-c", code, *args],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "report.json").exists()
 
 
 class TestBuild:
