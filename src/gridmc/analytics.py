@@ -278,7 +278,8 @@ def tornado(model: Model, spec: SimulationSpec, forecast: str,
         rows[2 * j + 1, j] = dist.inverse_cdf(q_low)
         rows[2 * j + 2, j] = dist.inverse_cdf(q_high)
     batch = evaluate_batch(
-        model, {c: rows[:, j] for j, c in enumerate(spec.assumption_cells)}, 2 * k + 1)
+        model, {c: rows[:, j] for j, c in enumerate(spec.assumption_cells)}, 2 * k + 1,
+        keep={fcell})
     if 0 in batch.errors:
         raise SimulationError(f"tornado base case failed: {batch.errors[0]}")
     base = batch.value(fcell, 0)

@@ -313,7 +313,8 @@ def backcast(model: Model, spec: SimulationSpec, history,
 
     matrix = np.array(history, dtype=float)
     batch = evaluate_batch(
-        model, {c: matrix[:, j] for j, c in enumerate(spec.assumption_cells)}, len(history))
+        model, {c: matrix[:, j] for j, c in enumerate(spec.assumption_cells)}, len(history),
+        keep={lim.cell for lim in spec.limits} | {f.cell for f in spec.forecasts})
 
     findings = []
     residual_rows = []

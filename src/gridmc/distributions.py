@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import U_MAX, U_MIN
+
 _PROB_TOL = 1e-9
 
 
@@ -89,6 +91,9 @@ class Uniform(Distribution):
     def __post_init__(self):
         if not self.min < self.max:
             raise ValueError(f"uniform needs min < max, got [{self.min}, {self.max}]")
+        if not math.isfinite(self.max - self.min):
+            raise ValueError(f"uniform(min={self.min}, max={self.max}) has a width "
+                             f"beyond the float range")
 
     def inverse_cdf(self, u):
         return self.min + u * (self.max - self.min)
@@ -153,6 +158,9 @@ class Normal(Distribution):
     def __post_init__(self):
         if not self.sd > 0:
             raise ValueError(f"normal needs sd > 0, got {self.sd}")
+        if not all(math.isfinite(self.inverse_cdf(u)) for u in (U_MIN, U_MAX)):
+            raise ValueError(f"normal(mean={self.mean_}, sd={self.sd}) "
+                             f"draws variates beyond the float range")
 
     def inverse_cdf(self, u):
         return self.mean_ + self.sd * norm_ppf(u)
@@ -181,7 +189,7 @@ class Lognormal(Distribution):
         if not self.log_sd > 0:
             raise ValueError(f"lognormal needs log_sd > 0, got {self.log_sd}")
         try:
-            self.inverse_cdf(1.0 - 2.0 ** -53)  # the largest u the RNG draws
+            self.inverse_cdf(U_MAX)
         except OverflowError:
             raise ValueError(f"lognormal(log_mean={self.log_mean}, log_sd={self.log_sd}) "
                              f"draws variates beyond the float range") from None

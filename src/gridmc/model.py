@@ -7,6 +7,12 @@ value is a numpy array with one entry per trial, or one Python float
 when every trial shares it (constants are never broadcast).
 `evaluate` is the same pass over a single trial.
 
+A pass keeps every column unless the caller names the cells it reads
+(`keep`). Then a column outside `keep` is dropped right after the last
+cell that reads it in the pass's order has run, or right after it is
+computed if no later cell reads it, so a pass holds only the columns it
+still needs and the ones it returns. Overridden cells read nothing.
+
 Calculation errors are values (CalcError), not exceptions. A failing
 sub-expression records (kind, detail) for the rows still live and takes
 them out of the pass, so later sub-expressions cannot overwrite a row's
@@ -83,6 +89,7 @@ class Model:
     order: list  # topological evaluation order
     labels: dict  # label -> CellRef
     _compiled: dict = field(default_factory=dict, repr=False)
+    _reads: dict = field(default_factory=dict, repr=False)  # CellRef -> precedents
 
     def cell_by_name(self, name: str) -> CellRef:
         """Resolve a label or an A1 address to a cell of the model."""
@@ -99,7 +106,7 @@ class Model:
 
     def precedents(self, ref: CellRef) -> list:
         """Direct precedent cells of a formula, in row-major order."""
-        return sorted(referenced_cells(self.defs[ref].ast), key=lambda c: c.row_major_key)
+        return sorted(self._reads[ref], key=lambda c: c.row_major_key)
 
 
 EvalResult = Union[dict, CalcError]
@@ -157,7 +164,7 @@ def build_model(cell_defs) -> Model:
     if order is None:
         raise ModelBuildError([f"cycle detected: {_find_cycle(deps)}"])
 
-    model = Model(defs=defs, order=order, labels=labels)
+    model = Model(defs=defs, order=order, labels=labels, _reads=deps)
     for ref, d in defs.items():
         model._compiled[ref] = _compile(d.ast)
     return model
@@ -211,31 +218,54 @@ def _find_cycle(deps):
     return "no cycle"
 
 
-def evaluate_batch(model: Model, columns: dict, n: int, order=None) -> Batch:
+def evaluate_batch(model: Model, columns: dict, n: int, order=None, keep=None) -> Batch:
     """Evaluate n trials in one pass; overridden cells take their column verbatim.
 
     columns maps cells to float arrays of length n. Each cell is computed
     for all rows in topological order; a row's first error in that order
     is kept in Batch.errors and the row takes no further part. A computed
-    inf or nan is a DOMAIN_ERROR at the cell that produced it.
+    inf or nan is a DOMAIN_ERROR at the cell that produced it. keep names
+    the cells left in Batch.values (None: every cell); the others are
+    dropped as soon as no later cell reads them.
     """
     for ref in columns:
         if ref not in model.defs:
             raise KeyError(f"override targets unknown cell {ref}")
+    order = model.order if order is None else order
+    drops = None if keep is None else _drop_schedule(model, columns, order, keep)
     ps = _Pass(n)
     with np.errstate(all="ignore"):
-        for ref in order if order is not None else model.order:
+        for pos, ref in enumerate(order):
             if ref in columns:
                 ps.values[ref] = np.asarray(columns[ref], dtype=float)
-                continue
-            ps.cell = ref
-            value = model._compiled[ref](ps, None)
-            bad = (~np.isfinite(value) if isinstance(value, np.ndarray)
-                   else not math.isfinite(value))
-            ps.fail(None, bad, ErrorKind.DOMAIN_ERROR,
-                    lambda i: f"non-finite result {_at(value, i)!r}")
-            ps.values[ref] = value
+            else:
+                ps.cell = ref
+                value = model._compiled[ref](ps, None)
+                bad = (~np.isfinite(value) if isinstance(value, np.ndarray)
+                       else not math.isfinite(value))
+                ps.fail(None, bad, ErrorKind.DOMAIN_ERROR,
+                        lambda i: f"non-finite result {_at(value, i)!r}")
+                ps.values[ref] = value
+            if drops is not None:
+                for dead in drops[pos]:
+                    del ps.values[dead]
     return Batch(ps.values, ps.errors)
+
+
+def _drop_schedule(model: Model, columns: dict, order: list, keep) -> list:
+    """For each position of `order`, the cells outside keep that no later
+    cell reads: the cell itself if nothing after it reads it, and the
+    cells it is the last reader of."""
+    last = {}
+    for i, ref in enumerate(order):
+        if ref not in columns:
+            for p in model._reads[ref]:
+                last[p] = i
+    drops = [[] for _ in order]
+    for i, ref in enumerate(order):
+        if ref not in keep:
+            drops[last.get(ref, i)].append(ref)
+    return drops
 
 
 def evaluate(model: Model, overrides: Optional[dict] = None, order=None) -> EvalResult:

@@ -1,4 +1,10 @@
-"""Report assembly and file export (JSON + plot-ready CSV)."""
+"""Report assembly and file export (JSON + plot-ready CSV).
+
+`export_trials` streams trials.csv rows to `write_csv`, converting them
+to Python values TRIALS_BLOCK rows at a time straight from the
+TrialStore's columns, so the export holds one block at a time, however
+many trials ran.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +13,8 @@ import os
 
 from . import analytics
 from .simulate import TrialStore
+
+TRIALS_BLOCK = 1024  # trials.csv rows converted and written at a time
 
 
 def write_json(path, payload) -> None:
@@ -70,17 +78,20 @@ def run_report(store: TrialStore, tornados: dict) -> dict:
     return payload
 
 
-def trials_csv_rows(store: TrialStore):
-    header = ["trial"] + store.assumption_labels + store.forecast_labels
-    rows = [[t] + a + f for t, a, f in zip(store.trial_indices.tolist(),
-                                           store.assumption_matrix.tolist(),
-                                           store.forecast_matrix.tolist())]
-    return header, rows
-
-
 def export_trials(store: TrialStore, path) -> None:
-    header, rows = trials_csv_rows(store)
-    write_csv(path, header, rows)
+    write_csv(path, ["trial"] + store.assumption_labels + store.forecast_labels,
+              _trial_rows(store))
+
+
+def _trial_rows(store: TrialStore):
+    """trials.csv rows, converted TRIALS_BLOCK at a time straight from the
+    store's columns."""
+    for start in range(0, store.completed, TRIALS_BLOCK):
+        block = slice(start, start + TRIALS_BLOCK)
+        for t, a, f in zip(store.trial_indices[block].tolist(),
+                           store.assumption_matrix[block].tolist(),
+                           store.forecast_matrix[block].tolist()):
+            yield [t, *a, *f]
 
 
 def export_errors(store: TrialStore, path) -> None:

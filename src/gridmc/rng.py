@@ -15,6 +15,8 @@ _MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = 0x9E3779B97F4A7C15
 _C1 = 0xBF58476D1CE4E5B9
 _C2 = 0x94D049BB133111EB
+U_MIN = 2.0 ** -54  # the smallest and largest variates uniform_block returns
+U_MAX = 1.0 - 2.0 ** -53
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -42,5 +44,14 @@ class RandomSource:
             s = _mix64(np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF) + np.uint64(_GOLDEN))
             x = _mix64(s ^ t[:, None])
             x = _mix64(x ^ k[None, :])
-        # top 53 bits, shifted into the open unit interval
-        return ((x >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+        return _unit(x)
+
+
+def _unit(x: np.ndarray) -> np.ndarray:
+    """The top 53 bits of x, shifted into the open unit interval.
+
+    The draw of all-ones bits, 1 - 2**-54, rounds to 1.0 in float64: it is
+    clamped to U_MAX, the largest draw below 1.
+    """
+    u = ((x >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    return np.minimum(u, U_MAX, out=u)

@@ -202,22 +202,27 @@ def run(model: Model, spec: SimulationSpec) -> TrialStore:
     """
     spec.validate(model)
     values = sample_assumptions(spec)
+    forecast_cells = [f.cell for f in spec.forecasts]
+    limit_cells = [lim.cell for lim in spec.limits]
     batch = evaluate_batch(
-        model, {c: values[:, j] for j, c in enumerate(spec.assumption_cells)}, spec.trials)
+        model, {c: values[:, j] for j, c in enumerate(spec.assumption_cells)}, spec.trials,
+        keep=set(forecast_cells + limit_cells))
     failed = sorted(batch.errors)
 
     errors = []
     dossier = None
     if spec.stop_on_error:
+        # the kept rows are a prefix: slices, not copies
         if failed:
             t = failed[0]
             dossier = CalcErrorDossier(batch.errors[t], t, tuple(values[t].tolist()))
-        kept = np.arange(failed[0] if failed else spec.trials)
+        kept = slice(failed[0] if failed else spec.trials)
+        trial_indices = np.arange(kept.stop)
     else:
         errors = [TrialError(t, batch.errors[t], tuple(values[t].tolist())) for t in failed]
         ok = np.ones(spec.trials, dtype=bool)
         ok[failed] = False
-        kept = np.flatnonzero(ok)
+        kept = trial_indices = np.flatnonzero(ok)
         if not len(kept):
             raise SimulationError("every trial failed with a calculation error")
 
@@ -225,17 +230,17 @@ def run(model: Model, spec: SimulationSpec) -> TrialStore:
         model=model,
         spec=spec,
         assumption_matrix=values[kept],
-        forecast_matrix=_capture(batch, [f.cell for f in spec.forecasts], kept),
-        monitored_matrix=_capture(batch, [lim.cell for lim in spec.limits], kept),
-        trial_indices=kept,
+        forecast_matrix=_capture(batch, forecast_cells, kept, len(trial_indices)),
+        monitored_matrix=_capture(batch, limit_cells, kept, len(trial_indices)),
+        trial_indices=trial_indices,
         errors=errors,
         dossier=dossier,
     )
 
 
-def _capture(batch: Batch, cells: list, kept: np.ndarray) -> np.ndarray:
-    """Kept rows x cells matrix of a batch's values."""
-    out = np.empty((len(kept), len(cells)))
+def _capture(batch: Batch, cells: list, kept, n: int) -> np.ndarray:
+    """n kept rows (a slice or row indices) x cells matrix of a batch's values."""
+    out = np.empty((n, len(cells)))
     for j, c in enumerate(cells):
         v = batch.values[c]
         out[:, j] = v[kept] if isinstance(v, np.ndarray) else v

@@ -1,5 +1,4 @@
 import csv
-import io
 import json
 import math
 
@@ -27,7 +26,7 @@ from gridmc.cells import parse_cell
 from gridmc.document import ModelDocument
 from gridmc.distributions import Uniform
 from gridmc.model import CalcError, build_model, evaluate_batch
-from gridmc.report import trials_csv_rows
+from gridmc.report import export_trials
 from gridmc.simulate import Forecast, SimulationError, SimulationSpec, replay, run
 from tests.closure_oracle import Oracle
 
@@ -313,7 +312,7 @@ class TestTornado:
 
         calls = []
         monkeypatch.setattr(analytics, "evaluate_batch",
-                            lambda *a: calls.append(a[2]) or evaluate_batch(*a))
+                            lambda *a, **kw: calls.append(a[2]) or evaluate_batch(*a, **kw))
         t = tornado(model, spec, "f")
         assert calls == [7]  # 2k+1 rows in one call
         assert t.base == oracle.evaluate(medians)[C("A4")]
@@ -348,27 +347,24 @@ class TestTornado:
 
 
 class TestScenario:
-    def brute_force(self, store, lo, hi):
+    def brute_force(self, csv_path, lo, hi):
         """Independent oracle: re-read the exported CSV and filter by hand."""
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        header, data = trials_csv_rows(store)
-        w.writerow(header)
-        w.writerows(data)
-        buf.seek(0)
-        rows = list(csv.DictReader(buf))
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
         keep = [r for r in rows if lo <= float(r["f"]) <= hi]
         return ([int(r["trial"]) for r in keep],
                 [(float(r["x"]), float(r["y"])) for r in keep])
 
-    def test_matches_csv_brute_force(self):
+    def test_matches_csv_brute_force(self, tmp_path):
         model, spec, store = make_store(trials=300)
+        csv_path = tmp_path / "trials.csv"
+        export_trials(store, csv_path)
         rng = np.random.default_rng(17)
         v = store.forecast_values("f")
         for _ in range(10):
             lo, hi = sorted(rng.uniform(v.min(), v.max(), size=2))
             sub = scenario_filter(store, "f", lo=lo, hi=hi)
-            exp_idx, exp_rows = self.brute_force(store, lo, hi)
+            exp_idx, exp_rows = self.brute_force(csv_path, lo, hi)
             assert sub.indices == exp_idx
             assert [tuple(r) for r in sub.assumptions] == exp_rows
 

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -140,6 +142,27 @@ class TestRun:
         assert all(r[1] == "DomainError" and r[2] == "A2" for r in rows[1:])
         payload = json.loads(read(tmp_path / "report.json"))
         assert payload["completed"] + payload["errors"] == 400
+
+
+    def test_outputs_do_not_depend_on_hash_order(self, tmp_path):
+        # the evaluator walks sets of cells to free columns, and PYTHONHASHSEED
+        # changes the iteration order of string-keyed sets: no byte may move
+        noclamp = example_path("project-npv-noclamp.json")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        seen = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.path.abspath(src))
+            outputs = {}
+            for command in ("run", "audit"):
+                out = tmp_path / f"{command}-{hash_seed}"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "gridmc", command, noclamp, "--trials", "2000",
+                     "--out", str(out)], capture_output=True, text=True, env=env)
+                outputs[command] = (proc.returncode, proc.stdout, proc.stderr,
+                                    {f: read(out / f) for f in sorted(os.listdir(out))})
+            seen.append(outputs)
+        assert seen[0] == seen[1]
+        assert seen[0]["run"][3] and seen[0]["audit"][3]
 
 
 class TestTornado:
@@ -335,6 +358,20 @@ class TestErrorExits:
         assert main([command, path, *out]) == 1
         assert one_error_line(capsys, "build error: assumption OpexPct: lognormal")
 
+    @pytest.mark.parametrize("index, dist, message", [
+        (2, {"type": "normal", "mean": 0, "sd": 1e308}, "COGSGrowth: normal"),
+        (3, {"type": "uniform", "min": -1e308, "max": 1e308}, "OpexPct: uniform"),
+    ], ids=["normal", "uniform"])
+    def test_overflowing_variates_are_a_build_error(self, tmp_path, capsys,
+                                                    index, dist, message):
+        doc = json.load(open(PROJECT))
+        doc["assumptions"][index]["distribution"] = dist
+        path = write_doc(tmp_path, doc)
+        assert main(["run", path, "--trials", "200", "--out", str(tmp_path)]) == 1
+        line = one_error_line(capsys, f"build error: assumption {message}")
+        assert line.endswith("beyond the float range")
+        assert not (tmp_path / "dossier.json").exists()
+
     def test_audit_with_under_10_completed_trials(self, tmp_path, capsys):
         doc = json.load(open(SQRT_TRAP))
         doc["assumptions"][0]["distribution"] = {"type": "normal", "mean": -3, "sd": 1}
@@ -411,7 +448,6 @@ class TestConsoleScript:
     @pytest.mark.skipif(shutil.which("gridmc") is None,
                         reason="gridmc console script is not installed on PATH")
     def test_entry_point_installed(self):
-        import subprocess
         proc = subprocess.run(["gridmc", "validate", PROJECT],
                               capture_output=True, text=True)
         assert proc.returncode == 0

@@ -97,9 +97,10 @@ def same(a, b) -> bool:
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
-def batch_of(model, matrix):
+def batch_of(model, matrix, keep=None):
     matrix = np.array(matrix, dtype=float)
-    return evaluate_batch(model, {c: matrix[:, j] for j, c in enumerate(INPUTS)}, len(matrix))
+    return evaluate_batch(model, {c: matrix[:, j] for j, c in enumerate(INPUTS)}, len(matrix),
+                          keep=keep)
 
 
 def assert_row_matches(batch, i, expected):
@@ -113,12 +114,20 @@ def assert_row_matches(batch, i, expected):
 
 
 @settings(max_examples=500, deadline=None)
-@given(models(), rows())
-def test_batch_equals_oracle(model, matrix):
+@given(models(), rows(), st.data())
+def test_batch_equals_oracle(model, matrix, data):
     batch = batch_of(model, matrix)
     oracle = Oracle(model)
     for i, row in enumerate(matrix):
         assert_row_matches(batch, i, oracle.evaluate(dict(zip(INPUTS, row))))
+    # a pass that keeps only some cells frees the rest and changes nothing kept
+    keep = data.draw(st.sets(st.sampled_from(model.order)), label="keep")
+    kept = batch_of(model, matrix, keep)
+    assert kept.errors == batch.errors
+    assert set(kept.values) == keep
+    for ref in keep:
+        for i in range(len(matrix)):
+            assert same(kept.value(ref, i), batch.value(ref, i)), (ref, i)
 
 
 @settings(max_examples=100, deadline=None)

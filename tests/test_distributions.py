@@ -15,7 +15,7 @@ from gridmc.distributions import (
     distribution_from_json,
     norm_ppf,
 )
-from gridmc.rng import RandomSource
+from gridmc.rng import U_MAX, U_MIN, RandomSource
 
 ALL = [
     Uniform(0, 8),
@@ -110,6 +110,19 @@ class TestParameterValidation:
         for log_mean, log_sd in ((701.6, 1), (800, 1), (0, 87)):
             with pytest.raises(ValueError, match="beyond the float range"):
                 Lognormal(log_mean, log_sd)
+
+
+    def test_normal_whose_extreme_variates_overflow(self):
+        assert math.isfinite(Normal(0, 1e307).inverse_cdf(U_MIN))
+        for mean, sd in ((0, 1e308), (1.79e308, 1e305), (-1.79e308, 1e305)):
+            with pytest.raises(ValueError, match="beyond the float range"):
+                Normal(mean, sd)
+
+    def test_uniform_whose_width_overflows(self):
+        assert math.isfinite(Uniform(-8e307, 8e307).inverse_cdf(U_MAX))
+        for lo, hi in ((-1e308, 1e308), (0, math.inf), (-math.inf, 0)):
+            with pytest.raises(ValueError, match="beyond the float range"):
+                Uniform(lo, hi)
 
 
 def ks_statistic(samples, dist):

@@ -127,7 +127,8 @@ def mutated_documents(draw):
             keys = list(node) if isinstance(node, dict) else range(len(node))
             del node[draw(st.sampled_from(keys))]
         elif op == "add" and isinstance(node, dict):
-            node[draw(st.sampled_from(EXTRA_KEYS))] = draw(st.sampled_from(SWAP_VALUES))
+            node[draw(st.sampled_from(EXTRA_KEYS))] = copy.deepcopy(
+                draw(st.sampled_from(SWAP_VALUES)))
         elif path:
             parent = doc
             for key in path[:-1]:

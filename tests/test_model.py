@@ -4,7 +4,7 @@ import pytest
 
 from gridmc.cells import CellRef, parse_cell
 from gridmc.functions import ErrorKind
-from gridmc.model import CalcError, ModelBuildError, build_model, evaluate
+from gridmc.model import CalcError, ModelBuildError, build_model, evaluate, evaluate_batch
 
 
 def C(text):
@@ -164,3 +164,7 @@ class TestTopologicalSoundness:
             alt = sorted(m.order, key=lambda r: (depth[r], -r.row), reverse=False)
             assert alt != m.order or len(m.order) <= 2
             assert evaluate(m, order=alt) == baseline
+            # columns are freed after their last reader in the order that runs
+            last = m.order[-1]
+            batch = evaluate_batch(m, {}, 1, order=alt, keep={last})
+            assert list(batch.values) == [last] and batch.value(last, 0) == baseline[last]

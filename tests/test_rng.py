@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from gridmc.rng import RandomSource
+from gridmc.rng import U_MAX, U_MIN, RandomSource, _unit
 
 
 def one(src, t, k):
@@ -45,6 +45,13 @@ class TestQuality:
         u = RandomSource(5).uniform_block(np.arange(self.N), np.arange(1))
         assert u.min() > 0.0
         assert u.max() < 1.0
+
+    def test_bits_to_unit_ends(self):
+        # all-ones bits would round to exactly 1.0 without the clamp
+        u = _unit(np.array([2**64 - 1, 2**64 - 2**11, 0], dtype=np.uint64))
+        assert u.tolist() == [U_MAX, U_MAX, U_MIN]
+        assert U_MAX == 1.0 - 2.0 ** -53 and U_MIN == 2.0 ** -54
+        assert U_MAX < 1.0
 
     def test_mean(self):
         u = RandomSource(42).uniform_block(np.arange(self.N), np.arange(1))[:, 0]
