@@ -10,6 +10,7 @@ error, or a document that is not strict JSON.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import analytics, report
@@ -36,6 +37,20 @@ def _positive_int(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
+def _positive_finite(text):
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("must be finite and > 0")
+    return value
+
+
+def _non_negative_finite(text):
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError("must be finite and >= 0")
     return value
 
 
@@ -77,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="run every logic-error detector")
     add_common(p)
     p.add_argument("--history", default=None, help="historical data CSV for back-casting")
-    p.add_argument("--z", type=float, default=Thresholds().z)
-    p.add_argument("--epsilon", type=float, default=Thresholds().epsilon)
+    p.add_argument("--z", type=_positive_finite, default=Thresholds().z)
+    p.add_argument("--epsilon", type=_non_negative_finite, default=Thresholds().epsilon)
 
     p = sub.add_parser("step", help="interactive single-step session")
     p.add_argument("path")
@@ -233,6 +248,9 @@ def _read_history(path, spec, model):
             values = [float(v) for v in row]
         except ValueError as exc:
             raise DocumentError([f"line {i}: {exc}"]) from None
+        for text, value in zip(row, values):
+            if not math.isfinite(value):
+                raise DocumentError([f"line {i}: non-finite value {text!r}"])
         history.append(values[:len(a_labels)])
         if observed_cols:
             observed.append(values[len(a_labels):])

@@ -3,6 +3,12 @@
 Rank reordering against a correlated Gaussian score matrix
 (Iman-Conover): marginals are preserved exactly because each output
 column is a permutation of the input column.
+
+The normal scores are drawn one column at a time and standardized in
+place, and the score matrix is freed as soon as it is decorrelated, so
+at most two n x k float matrices besides the input and the output are
+alive at once. The RNG is counter-based: a column drawn on its own is
+bit-identical to that column of the whole grid.
 """
 
 from __future__ import annotations
@@ -85,6 +91,29 @@ def _ranks(col: np.ndarray) -> np.ndarray:
     return np.argsort(np.argsort(col, kind="stable"), kind="stable")
 
 
+def _scores(n: int, spec: CorrelationSpec, src: RandomSource,
+            stream_offset: int) -> np.ndarray:
+    """n x k normal scores, correlated so that their ranks meet spec."""
+    # Spearman target -> Pearson target for the normal scores.
+    target = 2.0 * np.sin(np.pi * spec.as_array() / 6.0)
+    np.fill_diagonal(target, 1.0)
+
+    trials = np.arange(n)
+    z = np.empty((n, spec.size))
+    for j in range(spec.size):
+        z[:, j] = norm_ppf(src.uniform_block(trials, [stream_offset + j])[:, 0])
+    # both moments of the raw scores, as (z - z.mean()) / z.std() takes them
+    mean, sd = z.mean(axis=0), z.std(axis=0)
+    z -= mean
+    z /= sd
+    # Remove the sample correlation of the scores, then impose the target.
+    sample = (z.T @ z) / n
+    l_sample = np.linalg.cholesky(sample)
+    decorrelated = z @ np.linalg.inv(l_sample).T
+    del z
+    return decorrelated @ _psd_sqrt(target).T
+
+
 def induce_rank_correlation(columns: np.ndarray, spec: CorrelationSpec,
                             src: RandomSource, stream_offset: int = 0) -> np.ndarray:
     """Reorder each column so pairwise Spearman correlations approach spec.
@@ -101,18 +130,7 @@ def induce_rank_correlation(columns: np.ndarray, spec: CorrelationSpec,
     if n < 10 * k:
         raise CorrelationError(f"need at least {10 * k} trials for {k} columns, got {n}")
 
-    # Spearman target -> Pearson target for the normal scores.
-    target = 2.0 * np.sin(np.pi * spec.as_array() / 6.0)
-    np.fill_diagonal(target, 1.0)
-
-    u = src.uniform_block(np.arange(n), np.arange(stream_offset, stream_offset + k))
-    z = norm_ppf(u)
-    z = (z - z.mean(axis=0)) / z.std(axis=0)
-    # Remove the sample correlation of the scores, then impose the target.
-    sample = (z.T @ z) / n
-    l_sample = np.linalg.cholesky(sample)
-    scores = z @ np.linalg.inv(l_sample).T @ _psd_sqrt(target).T
-
+    scores = _scores(n, spec, src, stream_offset)
     out = np.empty_like(columns)
     for j in range(k):
         ranks = _ranks(scores[:, j])

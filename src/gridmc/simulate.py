@@ -177,9 +177,12 @@ def _sample_matrix(spec: SimulationSpec, n: int) -> np.ndarray:
     values = np.empty((n, k))
     if k == 0:
         return values
-    u = src.uniform_block(np.arange(n), np.arange(k))
+    trials = np.arange(n)
     for j, dist in enumerate(spec.distributions):
-        values[:, j] = [dist.inverse_cdf(x) for x in u[:, j]]
+        # one column of draws at a time: the RNG is counter-based, so the
+        # column equals that column of the whole n x k block
+        u = src.uniform_block(trials, [j])[:, 0]
+        values[:, j] = [dist.inverse_cdf(x) for x in u]
     return values
 
 

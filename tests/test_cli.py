@@ -410,6 +410,39 @@ class TestErrorExits:
                      "--out", str(tmp_path)]) == 3
         assert "line 2" in one_error_line(capsys, "history error:")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+    def test_history_non_finite_value(self, tmp_path, capsys, cell):
+        hist = tmp_path / "history.csv"
+        hist.write_text("Year1Sales,SalesGrowth,COGSGrowth,OpexPct\n"
+                        "100,0.05,0.03,0.25\n"
+                        f"100,0.05,{cell},0.25\n")
+        assert main(["audit", PROJECT, "--history", str(hist),
+                     "--out", str(tmp_path)]) == 3
+        assert one_error_line(capsys, "history error:") == (
+            f"history error: line 3: non-finite value '{cell}'")
+        assert not (tmp_path / "audit.json").exists()
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--z", "nan", "must be finite and > 0"),
+        ("--z", "inf", "must be finite and > 0"),
+        ("--z", "-1", "must be finite and > 0"),
+        ("--z", "0", "must be finite and > 0"),
+        ("--epsilon", "nan", "must be finite and >= 0"),
+        ("--epsilon", "inf", "must be finite and >= 0"),
+        ("--epsilon", "-0.5", "must be finite and >= 0"),
+    ])
+    def test_audit_threshold_out_of_range(self, tmp_path, capsys, option, value, message):
+        assert main(["audit", HARDCODE, option, value, "--out", str(tmp_path)]) == 3
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == [f"error: argument {option}: {message}"]
+        assert not (tmp_path / "audit.json").exists()
+
+    def test_audit_zero_epsilon_accepted(self, tmp_path):
+        # the hard-coded Year1Sales swings the forecast by exactly 0
+        assert main(["audit", HARDCODE, "--trials", "500", "--epsilon", "0",
+                     "--out", str(tmp_path)]) == 2
+
 
 class TestStep:
     def run_step(self, monkeypatch, script, path=PROJECT, extra=()):

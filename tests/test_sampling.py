@@ -1,0 +1,169 @@
+"""Column-at-a-time sampling and Iman-Conover scores against the whole-grid
+formulas they replace, and the memory that sampling holds."""
+
+import tracemalloc
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from gridmc.cells import parse_cell
+from gridmc.correlation import (
+    CorrelationSpec,
+    _psd_sqrt,
+    _ranks,
+    _scores,
+    induce_rank_correlation,
+)
+from gridmc.distributions import (
+    Custom,
+    DiscreteUniform,
+    Lognormal,
+    Normal,
+    Triangular,
+    Uniform,
+    norm_ppf,
+)
+from gridmc.document import ModelDocument
+from gridmc.rng import RandomSource
+from gridmc.simulate import SimulationSpec, _sample_matrix, sample_assumptions
+from tests.conftest import example_path
+
+KINDS = [
+    Uniform(-2.0, 3.0),
+    Triangular(80.0, 100.0, 130.0),
+    Normal(0.04, 0.02),
+    Lognormal(0.0, 0.5),
+    DiscreteUniform(1, 6),
+    Custom([(1.0, 0.2), (2.5, 0.5), (4.0, 0.3)]),
+]
+
+
+def reference_sample_matrix(spec, n):
+    """Pre-correlation values from one n x k block of uniforms."""
+    src = RandomSource(spec.seed)
+    k = len(spec.assumptions)
+    values = np.empty((n, k))
+    if k == 0:
+        return values
+    u = src.uniform_block(np.arange(n), np.arange(k))
+    for j, dist in enumerate(spec.distributions):
+        values[:, j] = [dist.inverse_cdf(x) for x in u[:, j]]
+    return values
+
+
+def reference_scores(n, spec, src, stream_offset):
+    """The Iman-Conover scores from one n x k block of uniforms."""
+    k = spec.size
+    target = 2.0 * np.sin(np.pi * spec.as_array() / 6.0)
+    np.fill_diagonal(target, 1.0)
+    u = src.uniform_block(np.arange(n), np.arange(stream_offset, stream_offset + k))
+    z = norm_ppf(u)
+    z = (z - z.mean(axis=0)) / z.std(axis=0)
+    sample = (z.T @ z) / n
+    l_sample = np.linalg.cholesky(sample)
+    return z @ np.linalg.inv(l_sample).T @ _psd_sqrt(target).T
+
+
+def reference_induce(columns, spec, src, stream_offset=0):
+    scores = reference_scores(columns.shape[0], spec, src, stream_offset)
+    out = np.empty_like(columns)
+    for j in range(columns.shape[1]):
+        out[:, j] = np.sort(columns[:, j])[_ranks(scores[:, j])]
+    return out
+
+
+def reference_sample_assumptions(spec):
+    values = reference_sample_matrix(spec, spec.trials)
+    if spec.has_correlation() and len(spec.assumptions) > 0:
+        values = reference_induce(values, spec.correlation, RandomSource(spec.seed),
+                                  stream_offset=len(spec.assumptions))
+    return values
+
+
+def bits_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def spec_for(dists, trials, seed, correlation=None):
+    cells = [parse_cell(f"A{j + 1}") for j in range(len(dists))]
+    return SimulationSpec(assumptions=list(zip(cells, dists)), forecasts=[],
+                          correlation=correlation, trials=trials, seed=seed)
+
+
+def random_correlation(k, seed):
+    """A symmetric, unit-diagonal, positive semi-definite matrix."""
+    a = np.random.default_rng(seed).normal(size=(k, k + 2))
+    gram = a @ a.T
+    d = np.sqrt(np.diag(gram))
+    m = gram / np.outer(d, d)
+    m = (m + m.T) / 2
+    np.fill_diagonal(m, 1.0)
+    return CorrelationSpec(tuple(tuple(row) for row in m))
+
+
+def banded(k, rho):
+    return CorrelationSpec.from_pairs(k, {(j, j + 1): rho for j in range(k - 1)})
+
+
+SEEDS = st.integers(0, 2 ** 64 - 1)
+
+
+class TestAgainstWholeGrid:
+    @settings(max_examples=40, deadline=None)
+    @given(kinds=st.lists(st.integers(0, len(KINDS) - 1), min_size=1, max_size=30),
+           n=st.integers(0, 40), seed=SEEDS)
+    def test_sample_matrix(self, kinds, n, seed):
+        spec = spec_for([KINDS[i] for i in kinds], n, seed)
+        assert bits_equal(_sample_matrix(spec, n), reference_sample_matrix(spec, n))
+
+    @settings(max_examples=80, deadline=None)
+    @given(k=st.integers(1, 30), extra=st.integers(0, 300), seed=SEEDS,
+           offset=st.integers(0, 2 ** 32), matrix_seed=st.integers(0, 2 ** 32))
+    def test_induce_rank_correlation(self, k, extra, seed, offset, matrix_seed):
+        n = 10 * k + extra
+        columns = np.random.default_rng(matrix_seed).normal(size=(n, k))
+        spec = random_correlation(k, matrix_seed)
+        # the output is read off the scores' ranks, which hide a last-bit
+        # difference: the scores themselves must be equal too
+        assert bits_equal(_scores(n, spec, RandomSource(seed), offset),
+                          reference_scores(n, spec, RandomSource(seed), offset))
+        got = induce_rank_correlation(columns, spec, RandomSource(seed), offset)
+        assert bits_equal(got, reference_induce(columns, spec, RandomSource(seed), offset))
+
+    @settings(max_examples=15, deadline=None)
+    @given(kinds=st.lists(st.integers(0, len(KINDS) - 1), min_size=2, max_size=12),
+           extra=st.integers(0, 50), seed=SEEDS, rho=st.floats(-0.45, 0.45))
+    def test_sample_assumptions_every_kind(self, kinds, extra, seed, rho):
+        k = len(kinds)
+        spec = spec_for([KINDS[i] for i in kinds], 10 * k + extra, seed, banded(k, rho))
+        assert bits_equal(sample_assumptions(spec), reference_sample_assumptions(spec))
+
+    def test_correlated_fixture(self):
+        _, spec = ModelDocument.load(example_path("project-npv-correlated.json")).build(
+            trials=2000)
+        assert spec.has_correlation()
+        assert bits_equal(sample_assumptions(spec), reference_sample_assumptions(spec))
+
+
+class TestMemory:
+    """Sampling holds a few columns beside the matrix it returns, not
+    several n x k grids of draws and scores."""
+
+    def peak_ratio(self, spec):
+        tracemalloc.start()
+        try:
+            values = sample_assumptions(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / values.nbytes
+
+    def test_24_assumptions_at_5000_trials(self):
+        dists = [Uniform(0.0, 1.0 + j) if j % 2 else Triangular(0.0, j, 2.0 * j + 1)
+                 for j in range(24)]
+        assert self.peak_ratio(spec_for(dists, 5000, 3, banded(24, 0.3))) <= 4.5
+
+    def test_4_assumptions_at_20000_trials(self):
+        dists = [Uniform(0.0, 1.0), Triangular(-1.0, 0.0, 2.0),
+                 Uniform(5.0, 6.0), Triangular(10.0, 11.0, 13.0)]
+        assert self.peak_ratio(spec_for(dists, 20000, 4, banded(4, 0.5))) <= 4.5
