@@ -211,11 +211,11 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
 
 
-def sensitivity(store: TrialStore, forecast: Optional[str] = None):
+def sensitivity(store: TrialStore) -> dict:
     """Ranked correlation of each assumption against each forecast.
 
-    Returns {forecast label: [SensitivityEntry...]} sorted by |spearman|
-    descending, or just the list when a forecast is named.
+    Returns {forecast label: [SensitivityEntry...]}, each list sorted by
+    |spearman| descending.
     """
     if store.completed < 10:
         raise SimulationError(f"sensitivity needs at least 10 completed trials, "
@@ -247,27 +247,20 @@ def sensitivity(store: TrialStore, forecast: Optional[str] = None):
                                            correlated, degenerate))
         result.sort(key=lambda e: -abs(e.spearman))
         out[f.label] = result
-    if forecast is not None:
-        key = forecast
-        if key not in out:
-            key = store.spec.forecasts[store.forecast_index(forecast)].label
-        return out[key]
     return out
 
 
-def tornado(model: Model, spec: SimulationSpec, forecast: str,
-            q_low: float = 0.10, q_high: float = 0.90) -> TornadoResult:
+def tornado(model: Model, spec: SimulationSpec,
+            q_low: float = 0.10, q_high: float = 0.90) -> dict:
     """One-at-a-time sweep: each assumption moved to its low/high quantile
     while every other assumption sits at its median.
 
-    Declared correlations are deliberately ignored; isolation is the point.
+    The sweep's rows do not depend on the forecast, so one batch serves
+    every forecast. Returns {forecast label: TornadoResult}. Declared
+    correlations are deliberately ignored; isolation is the point.
     """
     if not (0.0 < q_low < q_high < 1.0):
         raise ValueError("need 0 < q_low < q_high < 1")
-    fcell = next((f.cell for f in spec.forecasts
-                  if f.label == forecast or str(f.cell) == forecast), None)
-    if fcell is None:
-        raise KeyError(f"unknown forecast {forecast!r}")
 
     # Row 0 holds every median; rows 2j+1 and 2j+2 move assumption j to
     # its low and its high quantile.
@@ -279,27 +272,26 @@ def tornado(model: Model, spec: SimulationSpec, forecast: str,
         rows[2 * j + 2, j] = dist.inverse_cdf(q_high)
     batch = evaluate_batch(
         model, {c: rows[:, j] for j, c in enumerate(spec.assumption_cells)}, 2 * k + 1,
-        keep={fcell})
+        keep={f.cell for f in spec.forecasts})
     if 0 in batch.errors:
         raise SimulationError(f"tornado base case failed: {batch.errors[0]}")
-    base = batch.value(fcell, 0)
-
-    bars = []
-    for j, cell in enumerate(spec.assumption_cells):
-        lo_row, hi_row = 2 * j + 1, 2 * j + 2
-        lo = None if lo_row in batch.errors else batch.value(fcell, lo_row)
-        hi = None if hi_row in batch.errors else batch.value(fcell, hi_row)
-        failure = batch.errors.get(hi_row) or batch.errors.get(lo_row)
-        if failure is None:
-            error = None
-            swing = abs(hi - lo)
-            direction = 0 if hi == lo else (1 if hi > lo else -1)
-        else:
-            error = str(failure)
-            swing, direction = 0.0, 0
-        bars.append(TornadoBar(model.label_of(cell), lo, hi, swing, direction, error))
-    bars.sort(key=lambda b: -b.swing)
-    return TornadoResult(base=base, bars=bars)
+    torn = {}
+    for f in spec.forecasts:
+        bars = []
+        for j, cell in enumerate(spec.assumption_cells):
+            lo_row, hi_row = 2 * j + 1, 2 * j + 2
+            lo = None if lo_row in batch.errors else batch.value(f.cell, lo_row)
+            hi = None if hi_row in batch.errors else batch.value(f.cell, hi_row)
+            failure = batch.errors.get(hi_row) or batch.errors.get(lo_row)
+            if failure is None:
+                error, swing = None, abs(hi - lo)
+                direction = 0 if hi == lo else (1 if hi > lo else -1)
+            else:
+                error, swing, direction = str(failure), 0.0, 0
+            bars.append(TornadoBar(model.label_of(cell), lo, hi, swing, direction, error))
+        bars.sort(key=lambda b: -b.swing)
+        torn[f.label] = TornadoResult(base=batch.value(f.cell, 0), bars=bars)
+    return torn
 
 
 @dataclass(frozen=True)

@@ -159,9 +159,7 @@ def check_signs(sens: dict, torn: dict, store: TrialStore) -> list:
     forecast_by_cell = {f.cell: f for f in spec.forecasts}
     findings = []
     for e in spec.expectations:
-        f = forecast_by_cell.get(e.forecast)
-        if f is None:
-            raise KeyError(f"expectation names unknown forecast {e.forecast}")
+        f = forecast_by_cell[e.forecast]  # spec.validate checked it
         a_label = store.model.label_of(e.assumption)
         bar = torn[f.label].bar(a_label)
         entry = next(s for s in sens[f.label] if s.label == a_label)
@@ -366,7 +364,7 @@ def run_audit(model: Model, spec: SimulationSpec,
     """
     store = run(model, replace(spec, stop_on_error=False))
     sens = analytics.sensitivity(store)
-    torn = {f.label: analytics.tornado(model, spec, f.label) for f in spec.forecasts}
+    torn = analytics.tornado(model, spec)
 
     findings = []
     findings.extend(detect_disconnected(store, sens, torn, thresholds))

@@ -33,25 +33,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+def _checked(kind, test, rule):
+    """An argparse type: text that kind parses and whose value passes test."""
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise argparse.ArgumentTypeError(f"not {what}: {text!r}") from None
+        if not test(value):
+            raise argparse.ArgumentTypeError(rule)
+        return value
+    return parse
 
 
-def _positive_finite(text):
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError("must be finite and > 0")
-    return value
-
-
-def _non_negative_finite(text):
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError("must be finite and >= 0")
-    return value
+_positive_int = _checked(int, lambda v: v >= 1, "must be >= 1")
+_finite = _checked(float, math.isfinite, "must be finite")
+_positive_finite = _checked(float, lambda v: math.isfinite(v) and v > 0,
+                            "must be finite and > 0")
+_non_negative_finite = _checked(float, lambda v: math.isfinite(v) and v >= 0,
+                                "must be finite and >= 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scenario", help="extract trials in a forecast range")
     add_common(p)
     p.add_argument("--forecast", default=None)
-    p.add_argument("--min", type=float, default=None, dest="lo")
-    p.add_argument("--max", type=float, default=None, dest="hi")
+    p.add_argument("--min", type=_finite, default=None, dest="lo")
+    p.add_argument("--max", type=_finite, default=None, dest="hi")
     p.add_argument("--apply", type=int, default=None, metavar="TRIAL",
                    help="bake this trial's inputs into a copy of the document")
 
@@ -131,6 +132,17 @@ def _build(doc: ModelDocument, args, stop_on_error=True):
         raise SystemExit(EXIT_CALC_ERROR)
 
 
+def _forecast_name(spec, name):
+    """--forecast as typed, or the first forecast's label; exit 3 if unknown."""
+    name = name or spec.forecasts[0].label
+    try:
+        spec.forecast(name)
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    return name
+
+
 def cmd_validate(args) -> int:
     doc = _load(args.path)
     _build(doc, args)
@@ -153,10 +165,7 @@ def cmd_run(args) -> int:
         print(f"assumption vector: {list(d.assumptions)}")
         return EXIT_CALC_ERROR
 
-    tornados = {}
-    if spec.assumptions:
-        for f in spec.forecasts:
-            tornados[f.label] = analytics.tornado(model, spec, f.label)
+    tornados = analytics.tornado(model, spec) if spec.assumptions else {}
     payload = report.run_report(store, tornados)
     payload["model"] = doc.name
     report.write_json(report.out_path(args.out, "report.json"), payload)
@@ -173,11 +182,11 @@ def cmd_run(args) -> int:
 def cmd_tornado(args) -> int:
     doc = _load(args.path)
     model, spec = _build(doc, args)
-    label = args.forecast or spec.forecasts[0].label
+    label = _forecast_name(spec, args.forecast)
     if not (0.0 < args.low < args.high < 1.0):
         print("error: need 0 < --low < --high < 1", file=sys.stderr)
         return EXIT_USAGE
-    torn = analytics.tornado(model, spec, label, args.low, args.high)
+    torn = analytics.tornado(model, spec, args.low, args.high)[spec.forecast(label).label]
     report.write_json(report.out_path(args.out, "tornado.json"),
                       {"forecast": label, **torn.to_json()})
     report.export_tornado(torn, report.out_path(args.out, "tornado.csv"))
@@ -190,7 +199,7 @@ def cmd_tornado(args) -> int:
 def cmd_scenario(args) -> int:
     doc = _load(args.path)
     model, spec = _build(doc, args)
-    label = args.forecast or spec.forecasts[0].label
+    label = _forecast_name(spec, args.forecast)
     if args.lo is not None and args.hi is not None and args.lo > args.hi:
         print("error: --min must be <= --max", file=sys.stderr)
         return EXIT_USAGE

@@ -12,7 +12,7 @@ import json
 import os
 
 from . import analytics
-from .simulate import TrialStore
+from .simulate import Forecast, TrialStore
 
 TRIALS_BLOCK = 1024  # trials.csv rows converted and written at a time
 
@@ -30,15 +30,13 @@ def write_csv(path, header, rows) -> None:
             fh.write(",".join(map(str, row)) + "\n")
 
 
-def forecast_report(store: TrialStore, forecast_label: str, torn=None, sens=None) -> dict:
-    """Analysis bundle for one forecast.
+def forecast_report(store: TrialStore, f: Forecast, torn=None, sens=None) -> dict:
+    """Analysis bundle for one of the store's forecasts.
 
     Stats and histogram are reported as null below 2 trials; the
     tornado (torn) and the sensitivity entries (sens) as null when not
     given.
     """
-    spec = store.spec
-    f = spec.forecasts[store.forecast_index(forecast_label)]
     n = store.completed
     out = {"forecast": f.label, "cell": str(f.cell)}
     if n >= 2:
@@ -61,6 +59,7 @@ def forecast_report(store: TrialStore, forecast_label: str, torn=None, sens=None
 
 
 def run_report(store: TrialStore, tornados: dict) -> dict:
+    """report.json's payload; tornados is analytics.tornado's result, or {}."""
     # sensitivity needs 10 trials; it ranks each column once for every forecast
     sens = (analytics.sensitivity(store)
             if store.completed >= 10 and store.spec.assumptions else {})
@@ -71,7 +70,7 @@ def run_report(store: TrialStore, tornados: dict) -> dict:
         "completed": store.completed,
         "errors": len(store.errors),
         "forecasts": [
-            forecast_report(store, f.label, tornados.get(f.label), sens.get(f.label))
+            forecast_report(store, f, tornados.get(f.label), sens.get(f.label))
             for f in store.spec.forecasts
         ],
     }

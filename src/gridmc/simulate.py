@@ -100,6 +100,13 @@ class SimulationSpec:
                 raise SimulationError("correlation matrix size != assumption count")
             validate_correlation(self.correlation)
 
+    def forecast(self, name: str) -> Forecast:
+        """The first forecast whose label or A1 address is name."""
+        for f in self.forecasts:
+            if f.label == name or str(f.cell) == name:
+                return f
+        raise KeyError(f"unknown forecast {name!r}")
+
     @property
     def assumption_cells(self) -> list:
         return [c for c, _ in self.assumptions]
@@ -160,14 +167,8 @@ class TrialStore:
     def forecast_labels(self) -> list:
         return [f.label for f in self.spec.forecasts]
 
-    def forecast_index(self, name: str) -> int:
-        for i, f in enumerate(self.spec.forecasts):
-            if f.label == name or str(f.cell) == name:
-                return i
-        raise KeyError(f"unknown forecast {name!r}")
-
     def forecast_values(self, name: str) -> np.ndarray:
-        return self.forecast_matrix[:, self.forecast_index(name)]
+        return self.forecast_matrix[:, self.spec.forecasts.index(self.spec.forecast(name))]
 
 
 def _sample_matrix(spec: SimulationSpec, n: int) -> np.ndarray:

@@ -122,7 +122,7 @@ def test_04_tornado_exactness(capsys):
     spec = SimulationSpec(
         assumptions=[(C("A1"), Uniform(0, 1)), (C("A2"), Uniform(0, 1))],
         forecasts=[Forecast(C("A3"), "f")], trials=100, seed=42)
-    t = analytics.tornado(model, spec, "f")
+    t = analytics.tornado(model, spec)["f"]
     a, b = t.bar("a"), t.bar("b")
     ok = (abs(t.base - 0.5) < 1e-9
           and abs(a.swing - 2.4) < 1e-9 and a.direction == 1
@@ -222,9 +222,9 @@ def test_07_defect_detection(project_doc, hardcode_doc, signflip_doc,
 def test_08_correlation_masking(correlated_doc, capsys):
     model, spec = correlated_doc.build(seed=42)
     store = run(model, replace(spec, stop_on_error=False))
-    entry = next(e for e in analytics.sensitivity(store, "ProjectNPV")
+    entry = next(e for e in analytics.sensitivity(store)["ProjectNPV"]
                  if e.label == "COGSGrowth")
-    torn = analytics.tornado(model, spec, "ProjectNPV")
+    torn = analytics.tornado(model, spec)["ProjectNPV"]
     report = run_audit(model, spec)
     maskings = report.by_kind(FindingKind.CORRELATION_MASKING)
     ok = (entry.spearman > 0

@@ -23,6 +23,7 @@ from gridmc.analytics import (
     tornado,
 )
 from gridmc.cells import parse_cell
+from gridmc.cli import main
 from gridmc.document import ModelDocument
 from gridmc.distributions import Uniform
 from gridmc.model import CalcError, build_model, evaluate_batch
@@ -194,7 +195,7 @@ class TestSensitivity:
     def test_signs_and_ordering(self):
         # f = X1 + 0.1*X2: X1 dominates, both positive
         _, _, store = make_store(formula="=A1+0.1*A2", trials=2000)
-        entries = sensitivity(store, "f")
+        entries = sensitivity(store)["f"]
         assert entries[0].label == "x"
         assert entries[0].spearman > 0.9
         assert 0 < entries[1].spearman < 0.4
@@ -204,7 +205,7 @@ class TestSensitivity:
 
     def test_negative_relationship(self):
         _, _, store = make_store(formula="=-A1", trials=500)
-        entries = sensitivity(store, "f")
+        entries = sensitivity(store)["f"]
         by = {e.label: e for e in entries}
         assert by["x"].spearman == pytest.approx(-1.0)
         assert by["x"].contribution < 0
@@ -214,7 +215,7 @@ class TestSensitivity:
         # the forecast is 0 on half the trials: a large tie group
         _, _, store = make_store(formula="=MAX(0,A1-0.5)*A2", trials=300)
         fv = store.forecast_values("f")
-        by = {e.label: e for e in sensitivity(store, "f")}
+        by = {e.label: e for e in sensitivity(store)["f"]}
         for label, col in zip(store.assumption_labels, store.assumption_matrix.T):
             assert by[label].spearman == spearman(col, fv)
 
@@ -236,7 +237,7 @@ class TestSensitivity:
     def test_requires_ten_trials(self):
         _, _, store = make_store(trials=5)
         with pytest.raises(ValueError):
-            sensitivity(store, "f")
+            sensitivity(store)
 
     def test_all_forecasts_dict(self):
         _, _, store = make_store()
@@ -246,7 +247,7 @@ class TestSensitivity:
 
     def test_uncorrelated_flag_false(self):
         _, _, store = make_store()
-        assert all(not e.correlated for e in sensitivity(store, "f"))
+        assert all(not e.correlated for e in sensitivity(store)["f"])
 
 
 class TestTornado:
@@ -254,7 +255,7 @@ class TestTornado:
         # f = 3a - 2b with a, b ~ Uniform(0,1): swings 3*0.8 and 2*0.8,
         # base at medians 3*0.5 - 2*0.5 = 0.5
         model, spec, _ = make_store()
-        t = tornado(model, spec, "f")
+        t = tornado(model, spec)["f"]
         assert t.base == pytest.approx(0.5, abs=1e-9)
         a, b = t.bar("x"), t.bar("y")
         assert a.swing == pytest.approx(2.4, abs=1e-9)
@@ -267,7 +268,7 @@ class TestTornado:
     def test_linearity_property(self):
         # for linear models swing scales with the coefficient
         model, spec, _ = make_store(formula="=5*A1+0*A2")
-        t = tornado(model, spec, "f")
+        t = tornado(model, spec)["f"]
         assert t.bar("x").swing == pytest.approx(5 * 0.8, abs=1e-9)
         zero = t.bar("y")
         assert zero.swing == pytest.approx(0.0, abs=1e-12)
@@ -275,7 +276,7 @@ class TestTornado:
 
     def test_custom_quantiles(self):
         model, spec, _ = make_store()
-        t = tornado(model, spec, "f", q_low=0.25, q_high=0.75)
+        t = tornado(model, spec, q_low=0.25, q_high=0.75)["f"]
         assert t.bar("x").swing == pytest.approx(3 * 0.5, abs=1e-9)
 
     def test_bar_error_nonfatal(self):
@@ -285,46 +286,52 @@ class TestTornado:
         spec = SimulationSpec(
             assumptions=[(C("A1"), Uniform(0, 1)), (C("A2"), Uniform(0, 1))],
             forecasts=[Forecast(C("A3"), "f")], trials=20, seed=1)
-        t = tornado(model, spec, "f")
+        t = tornado(model, spec)["f"]
         bad = t.bar("x")
         assert bad.error is not None and bad.low is None
         good = t.bar("y")
         assert good.error is None and good.swing == pytest.approx(0.8, abs=1e-9)
 
     def test_one_batch_equals_the_oracle_per_point(self, monkeypatch):
-        # bar x fails at its low point only, bar z at both, bar y nowhere
+        # bar x fails at its low point only, bar z at both, bar y nowhere;
+        # g is a second forecast read from the same batch
         model = build_model([
             ("A1", "x", 0.5), ("A2", "y", 0.5), ("A3", "z", 0.5),
             ("A4", "f", "=SQRT(A1-0.2)+A2*A2+SQRT(0.0001-(A3-0.7)^2)*0+1/(A3-0.5)"),
+            ("A5", "g", "=A2-A3*A1"),
         ])
         spec = SimulationSpec(
             assumptions=[(C("A1"), Uniform(0, 1)), (C("A2"), Uniform(0, 1)),
                          (C("A3"), Uniform(0.6, 0.8))],
-            forecasts=[Forecast(C("A4"), "f")], trials=20, seed=1)
+            forecasts=[Forecast(C("A4"), "f"), Forecast(C("A5"), "g")], trials=20, seed=1)
         medians = {c: d.median for c, d in spec.assumptions}
 
         oracle = Oracle(model)
 
-        def one_row(cell, q):
+        def one_row(cell, q, fcell):
             result = oracle.evaluate({**medians, cell: spec.distributions[
                 spec.assumption_cells.index(cell)].inverse_cdf(q)})
-            return result if isinstance(result, CalcError) else result[C("A4")]
+            return result if isinstance(result, CalcError) else result[fcell]
 
         calls = []
         monkeypatch.setattr(analytics, "evaluate_batch",
                             lambda *a, **kw: calls.append(a[2]) or evaluate_batch(*a, **kw))
-        t = tornado(model, spec, "f")
-        assert calls == [7]  # 2k+1 rows in one call
-        assert t.base == oracle.evaluate(medians)[C("A4")]
-        for cell, label in zip(spec.assumption_cells, ["x", "y", "z"]):
-            bar = t.bar(label)
-            lo, hi = one_row(cell, 0.1), one_row(cell, 0.9)
-            assert bar.low == (None if isinstance(lo, CalcError) else lo)
-            assert bar.high == (None if isinstance(hi, CalcError) else hi)
-            failed = [r for r in (hi, lo) if isinstance(r, CalcError)]
-            assert bar.error == (str(failed[0]) if failed else None)
-            for v in (t.base, bar.low, bar.high, bar.swing):
-                assert v is None or type(v) is float
+        torn = tornado(model, spec)
+        assert calls == [7]  # 2k+1 rows in one call for both forecasts
+        assert list(torn) == ["f", "g"]
+        for f in spec.forecasts:
+            t = torn[f.label]
+            assert t.base == oracle.evaluate(medians)[f.cell]
+            for cell, label in zip(spec.assumption_cells, ["x", "y", "z"]):
+                bar = t.bar(label)
+                lo, hi = one_row(cell, 0.1, f.cell), one_row(cell, 0.9, f.cell)
+                assert bar.low == (None if isinstance(lo, CalcError) else lo)
+                assert bar.high == (None if isinstance(hi, CalcError) else hi)
+                failed = [r for r in (hi, lo) if isinstance(r, CalcError)]
+                assert bar.error == (str(failed[0]) if failed else None)
+                for v in (t.base, bar.low, bar.high, bar.swing):
+                    assert v is None or type(v) is float
+        t = torn["f"]
         assert t.bar("x").error.startswith("DomainError at A4: square root of -0.1")
         assert t.bar("x").high is not None and t.bar("y").error is None
         assert t.bar("z").low is None and t.bar("z").high is None
@@ -333,17 +340,39 @@ class TestTornado:
         model, spec, _ = make_store(formula="=1/(A1-0.5)")
         with pytest.raises(SimulationError,
                            match="tornado base case failed: DivByZero at A3"):
-            tornado(model, spec, "f")
+            tornado(model, spec)
 
-    def test_unknown_forecast(self):
-        model, spec, _ = make_store()
-        with pytest.raises(KeyError):
-            tornado(model, spec, "nope")
+    def test_each_forecast_equals_a_one_forecast_document(self, tmp_path, signflip_doc):
+        # the sign flip contradicts COGSGrowth's declared sign on both forecasts
+        data = json.loads(json.dumps(signflip_doc.data))
+        data["forecasts"].append({"cell": "E14", "label": "Year5Cash"})
+        data["expectations"].append(
+            {"assumption": "COGSGrowth", "forecast": "Year5Cash", "sign": "-"})
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(data))
+        torn = tornado(*ModelDocument.from_json(data).build(trials=500))
+        assert main(["run", str(path), "--trials", "500", "--out", str(tmp_path)]) == 0
+        assert main(["audit", str(path), "--trials", "500", "--out", str(tmp_path)]) == 2
+        reported = json.loads((tmp_path / "report.json").read_text())["forecasts"]
+        findings = json.loads((tmp_path / "audit.json").read_text())["findings"]
+
+        for i, f in enumerate(data["forecasts"]):
+            one = dict(data, forecasts=[f], expectations=[
+                e for e in data["expectations"] if e["forecast"] == f["label"]])
+            alone = tornado(*ModelDocument.from_json(one).build(trials=500))[f["label"]]
+            assert torn[f["label"]] == alone
+            assert reported[i]["tornado"] == alone.to_json()
+            bar = alone.bar("COGSGrowth")
+            [mismatch] = [g["evidence"] for g in findings
+                          if g["kind"] == "SignMismatch"
+                          and g["evidence"]["forecast"] == f["label"]]
+            assert (mismatch["tornado_direction"], mismatch["tornado_low"],
+                    mismatch["tornado_high"]) == (bar.direction, bar.low, bar.high)
 
     def test_bad_quantiles(self):
         model, spec, _ = make_store()
         with pytest.raises(ValueError):
-            tornado(model, spec, "f", q_low=0.9, q_high=0.1)
+            tornado(model, spec, q_low=0.9, q_high=0.1)
 
 
 class TestScenario:

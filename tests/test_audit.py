@@ -150,7 +150,7 @@ class TestDisconnected:
         store = run(model, replace(spec, stop_on_error=False))
         sens = analytics.sensitivity(store)
         assert abs(sens["f"][0].spearman) > 2.58 / math.sqrt(store.completed)
-        torn = analytics.tornado(model, spec, "f")
+        torn = analytics.tornado(model, spec)["f"]
         assert torn.bar("x").swing == 0.0
         report = run_audit(model, spec)
         assert report.by_kind(FindingKind.DISCONNECTED) == []
@@ -181,7 +181,7 @@ class TestDisconnected:
                               trials=50, seed=1)
         store = run(model, spec)
         sens = analytics.sensitivity(store)
-        torn = {"f": analytics.tornado(model, spec, "f")}
+        torn = analytics.tornado(model, spec)
         with pytest.raises(ValueError, match="at least 100"):
             detect_disconnected(store, sens, torn)
 

@@ -443,6 +443,39 @@ class TestErrorExits:
         assert main(["audit", HARDCODE, "--trials", "500", "--epsilon", "0",
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command", ["tornado", "scenario"])
+    def test_unknown_forecast(self, tmp_path, capsys, monkeypatch, command):
+        # the name is resolved before any simulation or sweep runs
+        def never(*args, **kwargs):
+            raise AssertionError("simulated an unknown forecast")
+        monkeypatch.setattr("gridmc.cli.run", never)
+        monkeypatch.setattr("gridmc.analytics.tornado", never)
+        assert main([command, PROJECT, "--forecast", "Nope", "--out", str(tmp_path)]) == 3
+        assert one_error_line(capsys, "error:") == "error: unknown forecast 'Nope'"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("option", ["--min", "--max"])
+    def test_scenario_bound_not_finite(self, tmp_path, capsys, option, value):
+        assert main(["scenario", PROJECT, f"{option}={value}", "--out", str(tmp_path)]) == 3
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == [f"error: argument {option}: must be finite"]
+        assert not os.path.exists(tmp_path / "scenario.csv")
+
+    @pytest.mark.parametrize("command, option, message", [
+        ("run", "--trials", "not an integer: 'abc'"),
+        ("audit", "--z", "not a number: 'abc'"),
+        ("audit", "--epsilon", "not a number: 'abc'"),
+        ("scenario", "--min", "not a number: 'abc'"),
+    ])
+    def test_unparseable_option_names_the_text(self, tmp_path, capsys,
+                                               command, option, message):
+        assert main([command, PROJECT, option, "abc", "--out", str(tmp_path)]) == 3
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == [f"error: argument {option}: {message}"]
+
 
 class TestStep:
     def run_step(self, monkeypatch, script, path=PROJECT, extra=()):

@@ -172,6 +172,13 @@ class TestRun:
         with pytest.raises(SimulationError, match="distinct"):
             run(model, spec)
 
+    def test_forecast_lookup(self):
+        model, spec = linear_model()
+        assert spec.forecast("f") is spec.forecasts[0]
+        assert spec.forecast("A3") is spec.forecasts[0]
+        with pytest.raises(KeyError, match="unknown forecast 'nope'"):
+            spec.forecast("nope")
+
     def test_monitored_cells_captured(self):
         from gridmc.simulate import Limit
         model, spec = linear_model(trials=50)
@@ -200,7 +207,7 @@ class TestReplay:
         model, spec = linear_model()
         medians = [d.median for d in spec.distributions]
         result = replay(model, spec, medians)
-        torn = tornado(model, spec, "f")
+        torn = tornado(model, spec)["f"]
         assert result[C("A3")] == torn.base
 
     def test_length_mismatch(self):
