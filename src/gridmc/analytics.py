@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .model import Model, evaluate_batch
-from .simulate import SimulationError, SimulationSpec, TrialStore
+from .simulate import SimulationError, SimulationSpec, TrialStore, check_bounds, in_bounds
 
 PERCENTILE_LEVELS = (1, 5, 10, 25, 50, 75, 90, 95, 99)
 MAX_HISTOGRAM_BINS = 100
@@ -170,20 +170,8 @@ def histogram(store: TrialStore, forecast: str, bins: Optional[int] = None) -> H
 def certainty(store: TrialStore, forecast: str,
               lo: Optional[float] = None, hi: Optional[float] = None) -> float:
     """Fraction of completed trials with lo <= value <= hi (closed interval)."""
-    return float(_in_bounds(store.forecast_values(forecast), lo, hi, "certainty").mean())
-
-
-def _in_bounds(values: np.ndarray, lo: Optional[float], hi: Optional[float],
-               what: str) -> np.ndarray:
-    """Mask of values in the closed interval [lo, hi]; a None side is open."""
-    if lo is not None and hi is not None and lo > hi:
-        raise ValueError(f"{what} bounds out of order")
-    mask = np.ones(len(values), dtype=bool)
-    if lo is not None:
-        mask &= values >= lo
-    if hi is not None:
-        mask &= values <= hi
-    return mask
+    check_bounds(lo, hi, "certainty")
+    return float(in_bounds(store.forecast_values(forecast), lo, hi).mean())
 
 
 def rank_average(values: np.ndarray) -> np.ndarray:
@@ -306,8 +294,9 @@ def scenario_filter(store: TrialStore, forecast: str,
                     hi: Optional[float] = None) -> ScenarioSubset:
     """Trials whose forecast lies in [lo, hi]; vectors replay to their
     forecasts bit-exactly (paste-back guarantee)."""
+    check_bounds(lo, hi, "scenario")
     values = store.forecast_values(forecast)
-    mask = _in_bounds(values, lo, hi, "scenario")
+    mask = in_bounds(values, lo, hi)
     return ScenarioSubset(
         indices=store.trial_indices[mask].tolist(),
         assumptions=store.assumption_matrix[mask],

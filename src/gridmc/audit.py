@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analytics
 from .model import Model, evaluate_batch
-from .simulate import SimulationError, SimulationSpec, TrialStore, run
+from .simulate import SimulationError, SimulationSpec, TrialStore, in_bounds, run
 
 
 class FindingKind(str, Enum):
@@ -205,15 +205,11 @@ def check_limits(store: TrialStore) -> list:
     findings = []
     for j, lim in enumerate(store.spec.limits):
         col = store.monitored_matrix[:, j]
-        exceed = np.zeros(len(col))
-        if lim.min is not None:
-            exceed = np.maximum(exceed, lim.min - col)
-        if lim.max is not None:
-            exceed = np.maximum(exceed, col - lim.max)
-        violating = np.nonzero(exceed > 0)[0]
+        violating = np.flatnonzero(~in_bounds(col, lim.min, lim.max))
         if len(violating) == 0:
             continue
-        worst = violating[int(np.argmax(exceed[violating]))]
+        outside = col[violating]  # worst: the first trial farthest from [min, max]
+        worst = violating[int(np.argmax(np.abs(outside - np.clip(outside, lim.min, lim.max))))]
         findings.append(AuditFinding(
             kind=FindingKind.LIMIT_VIOLATION,
             cells=(str(lim.cell),),
@@ -237,10 +233,9 @@ def check_intervals(store: TrialStore) -> list:
     for interval in store.spec.expected_intervals:
         f = next(f for f in store.spec.forecasts if f.cell == interval.forecast)
         values = store.forecast_values(f.label)
-        lo, hi = float(values.min()), float(values.max())
-        if lo >= interval.lo and hi <= interval.hi:
+        outside = np.count_nonzero(~in_bounds(values, interval.lo, interval.hi))
+        if not outside:
             continue
-        outside = np.count_nonzero((values < interval.lo) | (values > interval.hi))
         findings.append(AuditFinding(
             kind=FindingKind.INTERVAL_BREACH,
             cells=(str(interval.forecast),),
@@ -248,7 +243,7 @@ def check_intervals(store: TrialStore) -> list:
             evidence={
                 "forecast": f.label,
                 "declared": [interval.lo, interval.hi],
-                "observed": [lo, hi],
+                "observed": [float(values.min()), float(values.max())],
                 "exceedance_fraction": int(outside) / len(values),
             },
         ))
@@ -331,8 +326,7 @@ def backcast(model: Model, spec: SimulationSpec, history,
             continue
         for lim in spec.limits:
             v = batch.value(lim.cell, i)
-            if (lim.min is not None and v < lim.min) or \
-               (lim.max is not None and v > lim.max):
+            if not in_bounds(v, lim.min, lim.max):
                 findings.append(AuditFinding(
                     kind=FindingKind.BACKCAST_FAILURE,
                     cells=(str(lim.cell),),

@@ -14,7 +14,9 @@ Grammar (whitespace-insensitive, function names case-insensitive):
     args    := (expr | range) ("," (expr | range))*
     range   := cellref ":" cellref
 
-Ranges are only legal as function arguments.
+A range may stand only where FUNCTIONS allows: in SUM, AVERAGE, MIN, MAX and
+NPV's cashflows; IRR's cashflows must be a range, and LOOKUP's table a range of
+two columns. An argument of the wrong shape is a FormulaError at its position.
 """
 
 from __future__ import annotations
@@ -86,21 +88,24 @@ class Call:
 
 Node = Lit | Ref | Neg | Bin | Call
 
-# name -> (min arity, max arity or None for variadic)
+# name -> (min arity, max arity or None for variadic, argument shapes).
+# The shapes go by position, the last one repeating: "x" a number, "a" a
+# number or a range, "r" a range, "t" a range of two columns.
 FUNCTIONS = {
-    "IF": (3, 3),
-    "SUM": (1, None),
-    "AVERAGE": (1, None),
-    "MIN": (1, None),
-    "MAX": (1, None),
-    "ABS": (1, 1),
-    "SQRT": (1, 1),
-    "LN": (1, 1),
-    "EXP": (1, 1),
-    "NPV": (2, None),
-    "IRR": (1, 2),
-    "LOOKUP": (3, 3),
+    "IF": (3, 3, "xxx"),
+    "SUM": (1, None, "a"),
+    "AVERAGE": (1, None, "a"),
+    "MIN": (1, None, "a"),
+    "MAX": (1, None, "a"),
+    "ABS": (1, 1, "x"),
+    "SQRT": (1, 1, "x"),
+    "LN": (1, 1, "x"),
+    "EXP": (1, 1, "x"),
+    "NPV": (2, None, "xa"),
+    "IRR": (1, 2, "rx"),
+    "LOOKUP": (3, 3, "xtx"),
 }
+_NEEDS = {"r": "a range of cashflows", "t": "a two-column range"}
 
 
 # ---------------------------------------------------------------------------
@@ -223,23 +228,30 @@ class _Parser:
             raise FormulaError(f"expected '(' after function name {name}", self.peek()[2])
         if name not in FUNCTIONS:
             raise FormulaError(f"unknown function {name}", pos)
-        self.next()
-        args = [self.parse_arg()]
-        while self.peek()[1] == ",":
-            self.next()
+        args, starts = [], []
+        while not args or self.peek()[1] == ",":
+            self.next()  # "(" or ","
+            starts.append(self.peek()[2])
             args.append(self.parse_arg())
         self.expect(")")
-        lo, hi = FUNCTIONS[name]
+        lo, hi, shapes = FUNCTIONS[name]
         if len(args) < lo or (hi is not None and len(args) > hi):
             raise FormulaError(
                 f"{name} takes {lo}{'' if hi == lo else ('+' if hi is None else f'..{hi}')}"
                 f" arguments, got {len(args)}",
                 pos,
             )
+        for i, (arg, start) in enumerate(zip(args, starts)):
+            shape = shapes[min(i, len(shapes) - 1)]
+            is_range = isinstance(arg, RangeRef)
+            if shape == "x" and is_range:
+                raise FormulaError(f"{name} takes no range as argument {i + 1}", start)
+            if shape in _NEEDS and not (is_range and (shape == "r" or arg.n_cols == 2)):
+                raise FormulaError(f"{name} needs {_NEEDS[shape]}", start)
         return Call(name, tuple(args))
 
     def parse_arg(self):
-        # A range is only valid here: cellref ":" cellref.
+        # A range is only valid here (cellref ":" cellref); parse_ident checks its place.
         kind, val, pos = self.peek()
         if kind == "ident" and _CELLREF_RE.match(val) and self.tokens[self.i + 1][1] == ":":
             self.next()

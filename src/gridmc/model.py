@@ -406,9 +406,7 @@ def _compile(node) -> Callable:
         return lambda ps, rows: -f(ps, rows)
     if isinstance(node, Bin):
         return _compile_bin(node)
-    if isinstance(node, Call):
-        return _compile_call(node)
-    raise TypeError(f"cannot compile {node!r}")
+    return _compile_call(node)
 
 
 def _compile_args(nodes) -> Callable:
@@ -521,26 +519,15 @@ def _compile_call(node: Call) -> Callable:
                 return math.nan
             return fn.discount(rate, flows)
         return npv
+    # the parser has checked the shapes: IRR's flows and LOOKUP's table are ranges
     if name == "IRR":
-        flow_arg = node.args[0]
-        if not isinstance(flow_arg, RangeRef):
-            f = _compile(flow_arg)
-
-            def not_a_range(ps, rows):
-                f(ps, rows)
-                ps.fail(rows, True, ErrorKind.DOMAIN_ERROR, "IRR needs a range of cashflows")
-                return math.nan
-            return not_a_range
-        cells = flow_arg.cells()
+        cells = node.args[0].cells()
         guess_fn = _compile(node.args[1]) if len(node.args) == 2 else (lambda ps, rows: 0.1)
         return lambda ps, rows: _rowwise(
             ps, rows, _irr, guess_fn(ps, rows), *[ps.values[c] for c in cells])
     if name == "LOOKUP":
         key_fn = _compile(node.args[0])
-        table_arg = node.args[1]
-        if not isinstance(table_arg, RangeRef) or table_arg.n_cols != 2:
-            raise FormulaError("LOOKUP needs a two-column range", 0)
-        cells = table_arg.cells()  # row-major: key, value, key, value, ...
+        cells = node.args[1].cells()  # row-major: key, value, key, value, ...
         mode_fn = _compile(node.args[2])
 
         def lookup(ps, rows):

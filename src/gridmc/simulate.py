@@ -80,9 +80,17 @@ class SimulationSpec:
         for f in self.forecasts:
             if f.cell not in model.defs:
                 raise SimulationError(f"forecast cell {f.cell} is not in the model")
+            if [g.label for g in self.forecasts].count(f.label) > 1:
+                raise SimulationError(f"duplicate forecast label {f.label!r}")
+            check_bounds(f.target_lo, f.target_hi, f"forecast {f.label} target")
         for lim in self.limits:
             if lim.cell not in model.defs:
                 raise SimulationError(f"limit cell {lim.cell} is not in the model")
+            check_bounds(lim.min, lim.max, f"limit {lim.cell}")
+        for iv in self.expected_intervals:
+            if iv.forecast not in {f.cell for f in self.forecasts}:
+                raise SimulationError(f"expected interval names unknown forecast {iv.forecast}")
+            check_bounds(iv.lo, iv.hi, f"expected interval {iv.forecast}")
         seen = set()
         for e in self.expectations:
             if (e.assumption, e.forecast) in seen:
@@ -119,6 +127,22 @@ class SimulationSpec:
         return self.correlation is not None and not self.correlation.is_identity()
 
 
+def check_bounds(lo: Optional[float], hi: Optional[float], what: str) -> None:
+    """Reject a closed interval [lo, hi] whose sides are both set and out of order."""
+    if lo is not None and hi is not None and lo > hi:
+        raise SimulationError(f"{what} bounds out of order: {lo} > {hi}")
+
+
+def in_bounds(values, lo: Optional[float], hi: Optional[float]):
+    """Mask of values in the closed interval [lo, hi]; a None side is open."""
+    mask = np.ones(np.shape(values), dtype=bool)
+    if lo is not None:
+        mask &= values >= lo
+    if hi is not None:
+        mask &= values <= hi
+    return mask
+
+
 @dataclass(frozen=True)
 class CalcErrorDossier:
     error: CalcError
@@ -135,13 +159,6 @@ class CalcErrorDossier:
         }
 
 
-@dataclass(frozen=True)
-class TrialError:
-    trial: int
-    error: CalcError
-    assumptions: tuple
-
-
 @dataclass
 class TrialStore:
     """Per-trial assumption, forecast, and monitored-cell values."""
@@ -152,7 +169,7 @@ class TrialStore:
     forecast_matrix: np.ndarray  # completed trials x forecasts
     monitored_matrix: np.ndarray  # completed trials x limit cells
     trial_indices: np.ndarray  # original trial index of each row
-    errors: list  # of TrialError (continue mode)
+    errors: list  # of CalcErrorDossier, one per failed trial (continue mode)
     dossier: Optional[CalcErrorDossier] = None
 
     @property
@@ -223,7 +240,7 @@ def run(model: Model, spec: SimulationSpec) -> TrialStore:
         kept = slice(failed[0] if failed else spec.trials)
         trial_indices = np.arange(kept.stop)
     else:
-        errors = [TrialError(t, batch.errors[t], tuple(values[t].tolist())) for t in failed]
+        errors = [CalcErrorDossier(batch.errors[t], t, tuple(values[t].tolist())) for t in failed]
         ok = np.ones(spec.trials, dtype=bool)
         ok[failed] = False
         kept = trial_indices = np.flatnonzero(ok)

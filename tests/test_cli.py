@@ -477,6 +477,52 @@ class TestErrorExits:
         assert errors == [f"error: argument {option}: {message}"]
 
 
+    @pytest.mark.parametrize("formula, message", [
+        ("=ABS(A1:A1)", "ABS takes no range as argument 1 (at position 5)"),
+        ("=NPV(A1:A1,1)", "NPV takes no range as argument 1 (at position 5)"),
+        ("=IF(A1:A1,1,2)", "IF takes no range as argument 1 (at position 4)"),
+        ("=IRR(A1:A1,A1:A1)", "IRR takes no range as argument 2 (at position 11)"),
+        ("=LOOKUP(A1:A1,B1:C1,0)", "LOOKUP takes no range as argument 1 (at position 8)"),
+        ("=LOOKUP(A1,A1,0)", "LOOKUP needs a two-column range (at position 11)"),
+        ("=IRR(A1)", "IRR needs a range of cashflows (at position 5)"),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "run", "audit"])
+    def test_formula_argument_shape(self, tmp_path, capsys, command, formula, message):
+        doc = dict(ALL_FAIL, cells=[ALL_FAIL["cells"][0],
+                                    {"address": "B1", "formula": 2},
+                                    {"address": "C1", "formula": 3},
+                                    {"address": "A2", "label": "Y", "formula": formula}])
+        path = write_doc(tmp_path, doc)
+        out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+        assert main([command, path, *out]) == 1
+        assert one_error_line(capsys, "build error:") == f"build error: A2: {message}"
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(expected_intervals=[{"forecast": "A10", "lo": -100, "hi": 100}]),
+         "expected interval names unknown forecast A10"),
+        (lambda d: d["forecasts"][0].update(target={"lo": 5, "hi": 0}),
+         "forecast ProjectNPV target bounds out of order: 5 > 0"),
+        (lambda d: d["limits"][0].update(min=1, max=0),
+         "limit A15 bounds out of order: 1 > 0"),
+        (lambda d: d.update(expected_intervals=[{"forecast": "ProjectNPV",
+                                                 "lo": 100, "hi": -100}]),
+         "expected interval B16 bounds out of order: 100 > -100"),
+        (lambda d: d["forecasts"].append({"cell": "E14", "label": "ProjectNPV"}),
+         "duplicate forecast label 'ProjectNPV'"),
+    ], ids=["interval-on-non-forecast", "inverted-target", "inverted-limit",
+            "inverted-interval", "duplicate-forecast-label"])
+    @pytest.mark.parametrize("command", ["validate", "run", "audit"])
+    def test_declaration_out_of_shape(self, tmp_path, capsys, command, edit, message):
+        doc = json.load(open(PROJECT))
+        edit(doc)
+        path = write_doc(tmp_path, doc)
+        out = [] if command == "validate" else ["--trials", "300", "--out", str(tmp_path / "out")]
+        assert main([command, path, *out]) == 1
+        assert one_error_line(capsys, "build error:") == f"build error: {message}"
+        assert not os.path.exists(tmp_path / "out")
+
+
 class TestStep:
     def run_step(self, monkeypatch, script, path=PROJECT, extra=()):
         monkeypatch.setattr("sys.stdin", io.StringIO(script))

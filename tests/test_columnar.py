@@ -55,7 +55,7 @@ def _functions(children):
         st.builds(lambda x: Call("EXP", (x,)), children),
         st.builds(lambda r, a: Call("NPV", (r, *a)), children, args),
         st.builds(lambda r, g: Call("IRR", (r,) if g is None else (r, g)),
-                  st.one_of(ranges, children), st.one_of(st.none(), children)),
+                  ranges, st.one_of(st.none(), children)),
         st.builds(lambda k, t, m: Call("LOOKUP", (k, t, m)),
                   children, st.sampled_from(_TABLES), children),
     )

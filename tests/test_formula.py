@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gridmc.cells import CellRef, parse_cell
 from gridmc.formula import (
+    FUNCTIONS,
     Bin,
     Call,
     FormulaError,
@@ -13,6 +14,7 @@ from gridmc.formula import (
     parse_formula,
     render_formula,
 )
+from gridmc.model import CalcError, ModelBuildError, build_model, evaluate
 
 
 def ref(text):
@@ -153,3 +155,104 @@ def _exprs(children):
 @given(st.recursive(_atoms, _exprs, max_leaves=25))
 def test_render_round_trip_random_ast(ast):
     assert parse_formula(render_formula(ast)) == ast
+
+
+# One valid call of every function, and the argument positions (0-based)
+# where a one-column range may stand. LOOKUP's table is a two-column range.
+VALID_CALLS = {
+    "IF": ["1", "2", "3"],
+    "SUM": ["1", "2"],
+    "AVERAGE": ["1", "2"],
+    "MIN": ["1", "2"],
+    "MAX": ["1", "2"],
+    "ABS": ["1"],
+    "SQRT": ["1"],
+    "LN": ["1"],
+    "EXP": ["1"],
+    "NPV": ["0.1", "1", "2"],
+    "IRR": ["A1:A3", "0.1"],
+    "LOOKUP": ["1", "B1:C3", "0"],
+}
+RANGE_ALLOWED = {("SUM", 0), ("SUM", 1), ("AVERAGE", 0), ("AVERAGE", 1), ("MIN", 0),
+                 ("MIN", 1), ("MAX", 0), ("MAX", 1), ("NPV", 1), ("NPV", 2), ("IRR", 0)}
+POSITIONS = [(name, i) for name, args in VALID_CALLS.items() for i in range(len(args))]
+
+
+def call_with(name, i, arg):
+    """Formula text of VALID_CALLS[name] with argument i replaced, and the
+    character position of that argument."""
+    args = list(VALID_CALLS[name])
+    args[i] = arg
+    return f"={name}({','.join(args)})", len(f"={name}(") + sum(len(a) + 1 for a in args[:i])
+
+
+def test_every_function_has_a_valid_call():
+    assert set(VALID_CALLS) == set(FUNCTIONS)
+    for name, args in VALID_CALLS.items():
+        parse_formula(f"={name}({','.join(args)})")
+
+
+@pytest.mark.parametrize("name, i", POSITIONS, ids=[f"{n}-{i + 1}" for n, i in POSITIONS])
+def test_range_argument_positions(name, i):
+    text, position = call_with(name, i, "A1:A3")
+    if (name, i) in RANGE_ALLOWED:
+        assert parse_formula(text).args[i] == RangeRef(parse_cell("A1"), parse_cell("A3"))
+        return
+    with pytest.raises(FormulaError) as exc:
+        parse_formula(text)
+    assert exc.value.position == position
+    expected = ("LOOKUP needs a two-column range" if (name, i) == ("LOOKUP", 1)
+                else f"{name} takes no range as argument {i + 1}")
+    assert str(exc.value) == f"{expected} (at position {position})"
+
+
+@pytest.mark.parametrize("arg", ["A1", "1", "-A1", "SUM(A1:A3)", "(A1)"])
+def test_irr_cashflows_must_be_a_range(arg):
+    text, position = call_with("IRR", 0, arg)
+    with pytest.raises(FormulaError, match="IRR needs a range of cashflows") as exc:
+        parse_formula(text)
+    assert exc.value.position == position
+
+
+@pytest.mark.parametrize("arg", ["B1:B3", "B1:D3", "B3:B1", "D1:B3", "B1", "0"])
+def test_lookup_table_must_have_two_columns(arg):
+    text, position = call_with("LOOKUP", 1, arg)
+    with pytest.raises(FormulaError, match="LOOKUP needs a two-column range") as exc:
+        parse_formula(text)
+    assert exc.value.position == position
+
+
+def test_arity_is_checked_before_shapes():
+    with pytest.raises(FormulaError, match="SQRT takes 1 arguments, got 2"):
+        parse_formula("=SQRT(1,A1:A3)")
+
+
+# Arity-valid calls of every function over the input cells A1:C3, each
+# argument a scalar atom or a range of one to three columns.
+_INPUT_CELLS = [CellRef(c, r) for c in range(3) for r in (1, 2, 3)]
+_call_args = st.one_of(
+    st.builds(Lit, st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e308])),
+    st.builds(Ref, st.sampled_from(_INPUT_CELLS)),
+    st.builds(RangeRef, st.sampled_from(_INPUT_CELLS), st.sampled_from(_INPUT_CELLS)),
+)
+
+
+@st.composite
+def _calls(draw):
+    name = draw(st.sampled_from(sorted(FUNCTIONS)))
+    lo, hi, _ = FUNCTIONS[name]
+    n = draw(st.integers(lo, lo + 2 if hi is None else hi))
+    return Call(name, tuple(draw(_call_args) for _ in range(n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_calls(), st.lists(st.sampled_from([0.0, -1.0, 0.5, 3.0, 1e308]),
+                          min_size=len(_INPUT_CELLS), max_size=len(_INPUT_CELLS)))
+def test_any_call_builds_or_is_a_build_error(call, values):
+    cells = [(ref, None, repr(v)) for ref, v in zip(_INPUT_CELLS, values)]
+    try:
+        model = build_model(cells + [("D1", None, render_formula(call))])
+    except ModelBuildError as exc:
+        assert len(exc.diagnostics) == 1 and exc.diagnostics[0].startswith("D1: ")
+        return
+    assert isinstance(evaluate(model), (dict, CalcError))

@@ -11,6 +11,7 @@ from gridmc.functions import ErrorKind
 from gridmc.model import CalcError, build_model, evaluate
 from gridmc.rng import RandomSource
 from gridmc.simulate import (
+    CalcErrorDossier,
     Forecast,
     SimulationError,
     SimulationSpec,
@@ -100,6 +101,10 @@ class TestRun:
         # error indices and completed indices are disjoint and exhaustive
         all_idx = sorted(list(store.trial_indices) + [te.trial for te in store.errors])
         assert all_idx == list(range(spec.trials))
+        # each failed trial is a dossier that replays to its error
+        for te in store.errors[:5]:
+            assert isinstance(te, CalcErrorDossier)
+            assert replay(model, spec, te.assumptions) == te.error
 
     def test_single_trial_no_assumptions(self):
         model = build_model([("A1", None, 2), ("A2", "out", "=A1*3")])
