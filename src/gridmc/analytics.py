@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,8 +22,8 @@ class ForecastStats:
     median: float
     sd: float
     variance: float
-    skewness: Optional[float]  # None when sd == 0
-    kurtosis: Optional[float]  # excess; None when sd == 0
+    skewness: Optional[float]  # None when sd ** 3 is 0 or overflows
+    kurtosis: Optional[float]  # excess; None when sd ** 4 is 0 or overflows
     coeff_variation: Optional[float]  # None when mean == 0
     min: float
     max: float
@@ -32,21 +32,10 @@ class ForecastStats:
     percentiles: dict  # level -> value
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "mean": self.mean,
-            "median": self.median,
-            "sd": self.sd,
-            "variance": self.variance,
-            "skewness": self.skewness,
-            "kurtosis": self.kurtosis,
-            "coeff_variation": self.coeff_variation,
-            "min": self.min,
-            "max": self.max,
-            "range_width": self.range_width,
-            "standard_error": self.standard_error,
-            "percentiles": {str(k): v for k, v in self.percentiles.items()},
-        }
+        """Every field; null for one that is not a finite float (sd near 1e160)."""
+        out = {k: _finite(v) for k, v in asdict(self).items()}
+        out["percentiles"] = {str(k): _finite(v) for k, v in self.percentiles.items()}
+        return out
 
 
 @dataclass(frozen=True)
@@ -128,31 +117,41 @@ def stats_of(values: np.ndarray) -> ForecastStats:
     n = len(values)
     if n < 2:
         raise ValueError("need at least 2 values for statistics")
-    mean = float(values.mean())
-    centered = values - mean
-    variance = float((centered ** 2).mean())
-    sd = math.sqrt(variance)
-    if sd > 0:
-        skew = float((centered ** 3).mean()) / sd ** 3
-        kurt = float((centered ** 4).mean()) / sd ** 4 - 3.0
-    else:
-        skew = kurt = None
-    lo, hi = float(values.min()), float(values.max())
-    return ForecastStats(
-        n=n,
-        mean=mean,
-        median=percentile(values, 50),
-        sd=sd,
-        variance=variance,
-        skewness=skew,
-        kurtosis=kurt,
-        coeff_variation=(sd / mean if mean != 0 else None),
-        min=lo,
-        max=hi,
-        range_width=hi - lo,
-        standard_error=sd / math.sqrt(n),
-        percentiles={lvl: percentile(values, lvl) for lvl in PERCENTILE_LEVELS},
-    )
+    with np.errstate(all="ignore"):  # values near the ends of the float range
+        mean = float(values.mean())
+        centered = values - mean
+        variance = float((centered ** 2).mean())
+        sd = math.sqrt(variance)
+        skew = _standardized_moment(centered, sd, 3)
+        kurt = _standardized_moment(centered, sd, 4)
+        lo, hi = float(values.min()), float(values.max())
+        return ForecastStats(
+            n=n,
+            mean=mean,
+            median=percentile(values, 50),
+            sd=sd,
+            variance=variance,
+            skewness=skew,
+            kurtosis=kurt - 3.0 if kurt is not None else None,
+            coeff_variation=(sd / mean if mean != 0 else None),
+            min=lo,
+            max=hi,
+            range_width=hi - lo,
+            standard_error=sd / math.sqrt(n),
+            percentiles={lvl: percentile(values, lvl) for lvl in PERCENTILE_LEVELS},
+        )
+
+
+def _standardized_moment(centered: np.ndarray, sd: float, k: int) -> Optional[float]:
+    """mean(centered ** k) / sd ** k, or None where sd ** k is 0 or overflows."""
+    try:
+        return float((centered ** k).mean()) / sd ** k
+    except (OverflowError, ZeroDivisionError):
+        return None
+
+
+def _finite(x):
+    return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
 def histogram(store: TrialStore, forecast: str, bins: Optional[int] = None) -> Histogram:
@@ -193,10 +192,14 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float:
 def pearson(x: np.ndarray, y: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    sx, sy = x.std(), y.std()
-    if sx == 0.0 or sy == 0.0:
-        return 0.0
-    return float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
+    with np.errstate(all="ignore"):
+        sx, sy = x.std(), y.std()
+        if sx == 0.0 or sy == 0.0:
+            return 0.0
+        if not np.finfo(float).tiny <= sx * sy < math.inf:
+            # values near the ends of the float range; scaling keeps the correlation
+            return pearson(x / np.abs(x).max(), y / np.abs(y).max())
+        return float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
 
 
 def sensitivity(store: TrialStore) -> dict:

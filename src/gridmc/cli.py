@@ -132,15 +132,14 @@ def _build(doc: ModelDocument, args, stop_on_error=True):
         raise SystemExit(EXIT_CALC_ERROR)
 
 
-def _forecast_name(spec, name):
-    """--forecast as typed, or the first forecast's label; exit 3 if unknown."""
+def _forecast_name(model, spec, name):
+    """(--forecast as typed or the first forecast's label, its forecast); exit 3 if none."""
     name = name or spec.forecasts[0].label
     try:
-        spec.forecast(name)
+        return name, spec.forecasts[spec.forecast_index(model, name)]
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-    return name
 
 
 def cmd_validate(args) -> int:
@@ -169,11 +168,10 @@ def cmd_run(args) -> int:
     payload = report.run_report(store, tornados)
     payload["model"] = doc.name
     report.write_json(report.out_path(args.out, "report.json"), payload)
-    for f in spec.forecasts:
-        if store.completed >= 2:
-            hist = analytics.histogram(store, f.label)
-            report.export_histogram(
-                hist, report.out_path(args.out, f"histogram-{report.safe_label(f.label)}.csv"))
+    for f, entry in zip(spec.forecasts, payload["forecasts"]):
+        if entry["histogram"] is not None:
+            name = f"histogram-{report.safe_label(f.label)}.csv"
+            report.export_histogram(entry["histogram"], report.out_path(args.out, name))
     print(f"completed {store.completed}/{spec.trials} trials"
           + (f" ({len(store.errors)} errors recorded)" if store.errors else ""))
     return EXIT_OK
@@ -182,11 +180,11 @@ def cmd_run(args) -> int:
 def cmd_tornado(args) -> int:
     doc = _load(args.path)
     model, spec = _build(doc, args)
-    label = _forecast_name(spec, args.forecast)
+    label, forecast = _forecast_name(model, spec, args.forecast)
     if not (0.0 < args.low < args.high < 1.0):
         print("error: need 0 < --low < --high < 1", file=sys.stderr)
         return EXIT_USAGE
-    torn = analytics.tornado(model, spec, args.low, args.high)[spec.forecast(label).label]
+    torn = analytics.tornado(model, spec, args.low, args.high)[forecast.label]
     report.write_json(report.out_path(args.out, "tornado.json"),
                       {"forecast": label, **torn.to_json()})
     report.export_tornado(torn, report.out_path(args.out, "tornado.csv"))
@@ -199,7 +197,7 @@ def cmd_tornado(args) -> int:
 def cmd_scenario(args) -> int:
     doc = _load(args.path)
     model, spec = _build(doc, args)
-    label = _forecast_name(spec, args.forecast)
+    label, _ = _forecast_name(model, spec, args.forecast)
     if args.lo is not None and args.hi is not None and args.lo > args.hi:
         print("error: --min must be <= --max", file=sys.stderr)
         return EXIT_USAGE
@@ -300,26 +298,21 @@ _STEP_HELP = """commands:
   quit      leave the session"""
 
 
-def _print_outcome(session, outcome):
+def _print_outcome(outcome):
+    assumptions = ", ".join(f"{c}={v!r}" for c, v in outcome.assumptions.items())
     if outcome.error is not None:
         print(f"trial {outcome.trial}: {outcome.error}")
-        parts = [f"{c}={v!r}" for c, v in outcome.assumptions.items()]
-        print("  assumptions: " + ", ".join(parts))
-        return
-    parts = [f"{c}={v!r}" for c, v in outcome.assumptions.items()]
-    print(f"trial {outcome.trial}: " + ", ".join(parts))
-    parts = [f"{k}={v!r}" for k, v in outcome.forecasts.items()]
-    print("  forecasts: " + ", ".join(parts))
+        print("  assumptions: " + assumptions)
+    else:
+        print(f"trial {outcome.trial}: " + assumptions)
+        print("  forecasts: " + ", ".join(f"{k}={v!r}" for k, v in outcome.forecasts.items()))
 
 
-def cmd_step(args, stdin=None) -> int:
+def cmd_step(args) -> int:
     doc = _load(args.path)
     model, spec = _build(doc, args)
     session = StepSession(model, spec)
-    if session.notice:
-        print(session.notice)
-    stream = stdin if stdin is not None else sys.stdin
-    for line in stream:
+    for line in sys.stdin:
         words = line.split()
         if not words:
             continue
@@ -328,10 +321,10 @@ def cmd_step(args, stdin=None) -> int:
             if cmd == "quit":
                 return EXIT_OK
             elif cmd == "step" and not rest:
-                _print_outcome(session, session.step())
+                _print_outcome(session.step())
             elif cmd == "run" and len(rest) == 1 and rest[0].isdigit():
-                for outcome in session.run(int(rest[0])):
-                    _print_outcome(session, outcome)
+                for _ in range(int(rest[0])):
+                    _print_outcome(session.step())
             elif cmd == "show" and len(rest) == 1:
                 print(f"{rest[0]} = {session.show(rest[0])!r}")
             elif cmd == "trace" and len(rest) == 1:
@@ -344,7 +337,7 @@ def cmd_step(args, stdin=None) -> int:
                 print("reset to trial 0")
             else:
                 print(_STEP_HELP)
-        except KeyError as exc:
+        except (KeyError, IndexError) as exc:
             print(f"error: {exc.args[0]}")
     return EXIT_OK
 

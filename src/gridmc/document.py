@@ -35,6 +35,7 @@ from .simulate import (
     Forecast,
     Limit,
     SimulationSpec,
+    check_labels,
 )
 
 
@@ -160,43 +161,31 @@ class ModelDocument:
     def build(self, trials=None, seed=None, stop_on_error=True):
         """Build the (Model, SimulationSpec) pair this document declares."""
         model = self.build_model()
-        forecast_labels = {}
-
-        def resolve(name):
-            # forecast labels resolve too, not only cell labels/addresses
-            if name in forecast_labels:
-                return forecast_labels[name]
-            try:
-                return model.cell_by_name(name)
-            except ValueError:
-                raise KeyError(f"unknown cell or label {name!r}") from None
-
         diagnostics = []
 
         assumptions = []
         for a in self.data.get("assumptions", []):
             try:
-                cell = resolve(a["cell"])
-                dist = distribution_from_json(a["distribution"])
-                assumptions.append((cell, dist))
+                assumptions.append((model.cell_by_name(a["cell"]),
+                                    distribution_from_json(a["distribution"])))
             except (KeyError, ValueError) as exc:
                 diagnostics.append(f"assumption {a.get('cell')}: {exc}")
 
-        forecasts = []
+        forecasts = []  # their labels name cells to the declarations after them
         for f in self.data.get("forecasts", []):
             try:
                 target = f.get("target") or {}
-                cell = resolve(f["cell"])
-                forecasts.append(Forecast(cell, f["label"],
-                                          target.get("lo"), target.get("hi")))
-                forecast_labels[f["label"]] = cell
+                forecasts.append(Forecast(model.cell_by_name(f["cell"], forecasts),
+                                          f["label"], target.get("lo"), target.get("hi")))
             except KeyError as exc:
                 diagnostics.append(f"forecast {f.get('cell')}: {exc}")
+        check_labels(model, forecasts)
 
         limits = []
         for lim in self.data.get("limits", []):
             try:
-                limits.append(Limit(resolve(lim["cell"]), lim.get("min"), lim.get("max")))
+                limits.append(Limit(model.cell_by_name(lim["cell"], forecasts),
+                                    lim.get("min"), lim.get("max")))
             except KeyError as exc:
                 diagnostics.append(f"limit {lim.get('cell')}: {exc}")
 
@@ -204,7 +193,8 @@ class ModelDocument:
         for e in self.data.get("expectations", []):
             try:
                 expectations.append(Expectation(
-                    resolve(e["assumption"]), resolve(e["forecast"]),
+                    model.cell_by_name(e["assumption"], forecasts),
+                    model.cell_by_name(e["forecast"], forecasts),
                     1 if e["sign"] == "+" else -1))
             except KeyError as exc:
                 diagnostics.append(f"expectation: {exc}")
@@ -212,17 +202,16 @@ class ModelDocument:
         intervals = []
         for iv in self.data.get("expected_intervals", []):
             try:
-                intervals.append(ExpectedInterval(resolve(iv["forecast"]),
+                intervals.append(ExpectedInterval(model.cell_by_name(iv["forecast"], forecasts),
                                                   iv["lo"], iv["hi"]))
             except KeyError as exc:
                 diagnostics.append(f"expected_interval: {exc}")
 
-        correlation = None
         pairs = {}
         cell_index = {c: i for i, (c, _) in enumerate(assumptions)}
         for corr in self.data.get("correlations", []):
             try:
-                a, b = resolve(corr["a"]), resolve(corr["b"])
+                a, b = (model.cell_by_name(corr[k], forecasts) for k in "ab")
                 if a not in cell_index or b not in cell_index:
                     raise KeyError(f"correlation names non-assumption cell {corr['a']}/{corr['b']}")
                 if a == b:
@@ -231,8 +220,7 @@ class ModelDocument:
                 pairs[(cell_index[a], cell_index[b])] = corr["rho"]
             except KeyError as exc:
                 diagnostics.append(f"correlation: {exc}")
-        if pairs:
-            correlation = CorrelationSpec.from_pairs(len(assumptions), pairs)
+        correlation = CorrelationSpec.from_pairs(len(assumptions), pairs) if pairs else None
 
         if diagnostics:
             raise DocumentError(diagnostics)

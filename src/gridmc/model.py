@@ -91,14 +91,25 @@ class Model:
     _compiled: dict = field(default_factory=dict, repr=False)
     _reads: dict = field(default_factory=dict, repr=False)  # CellRef -> precedents
 
-    def cell_by_name(self, name: str) -> CellRef:
-        """Resolve a label or an A1 address to a cell of the model."""
+    def cell_by_name(self, name: str, forecasts=()) -> CellRef:
+        """The one cell a name means: the label of one of `forecasts`, a cell
+        label, or a defined cell's A1 address in any letter case. A name that
+        means no cell, or two, is a KeyError; see simulate.check_labels."""
+        cells = {f.cell for f in forecasts if f.label == name}
         if name in self.labels:
-            return self.labels[name]
-        ref = parse_cell(name)
-        if ref not in self.defs:
-            raise KeyError(f"unknown cell {name}")
-        return ref
+            cells.add(self.labels[name])
+        try:
+            ref = parse_cell(name)
+        except ValueError:
+            ref = None
+        if ref in self.defs:
+            cells.add(ref)
+        if len(cells) == 1:
+            return cells.pop()
+        if cells:
+            listed = ", ".join(map(str, sorted(cells, key=lambda c: c.row_major_key)))
+            raise KeyError(f"{name!r} names {len(cells)} cells: {listed}")
+        raise KeyError(f"unknown cell {name}" if ref else f"unknown cell or label {name!r}")
 
     def label_of(self, ref: CellRef) -> str:
         d = self.defs[ref]
@@ -218,7 +229,7 @@ def _find_cycle(deps):
     return "no cycle"
 
 
-def evaluate_batch(model: Model, columns: dict, n: int, order=None, keep=None) -> Batch:
+def evaluate_batch(model: Model, columns: dict, n: int, keep=None) -> Batch:
     """Evaluate n trials in one pass; overridden cells take their column verbatim.
 
     columns maps cells to float arrays of length n. Each cell is computed
@@ -231,11 +242,10 @@ def evaluate_batch(model: Model, columns: dict, n: int, order=None, keep=None) -
     for ref in columns:
         if ref not in model.defs:
             raise KeyError(f"override targets unknown cell {ref}")
-    order = model.order if order is None else order
-    drops = None if keep is None else _drop_schedule(model, columns, order, keep)
+    drops = None if keep is None else _drop_schedule(model, columns, keep)
     ps = _Pass(n)
     with np.errstate(all="ignore"):
-        for pos, ref in enumerate(order):
+        for pos, ref in enumerate(model.order):
             if ref in columns:
                 ps.values[ref] = np.asarray(columns[ref], dtype=float)
             else:
@@ -252,27 +262,27 @@ def evaluate_batch(model: Model, columns: dict, n: int, order=None, keep=None) -
     return Batch(ps.values, ps.errors)
 
 
-def _drop_schedule(model: Model, columns: dict, order: list, keep) -> list:
-    """For each position of `order`, the cells outside keep that no later
-    cell reads: the cell itself if nothing after it reads it, and the
-    cells it is the last reader of."""
+def _drop_schedule(model: Model, columns: dict, keep) -> list:
+    """For each position of the model's order, the cells outside keep that
+    no later cell reads: the cell itself if nothing after it reads it, and
+    the cells it is the last reader of."""
     last = {}
-    for i, ref in enumerate(order):
+    for i, ref in enumerate(model.order):
         if ref not in columns:
             for p in model._reads[ref]:
                 last[p] = i
-    drops = [[] for _ in order]
-    for i, ref in enumerate(order):
+    drops = [[] for _ in model.order]
+    for i, ref in enumerate(model.order):
         if ref not in keep:
             drops[last.get(ref, i)].append(ref)
     return drops
 
 
-def evaluate(model: Model, overrides: Optional[dict] = None, order=None) -> EvalResult:
+def evaluate(model: Model, overrides: Optional[dict] = None) -> EvalResult:
     """Evaluate one trial: the full CellRef -> value map, or its first
     CalcError in topological order."""
     columns = {ref: np.array([float(v)]) for ref, v in (overrides or {}).items()}
-    batch = evaluate_batch(model, columns, 1, order)
+    batch = evaluate_batch(model, columns, 1)
     if batch.errors:
         return batch.errors[0]
     return {ref: _at(v, 0) for ref, v in batch.values.items()}

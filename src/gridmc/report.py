@@ -18,9 +18,10 @@ TRIALS_BLOCK = 1024  # trials.csv rows converted and written at a time
 
 
 def write_json(path, payload) -> None:
+    """Strict JSON: a NaN or an infinity is a ValueError, and no file is written."""
+    text = json.dumps(payload, indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_csv(path, header, rows) -> None:
@@ -37,14 +38,10 @@ def forecast_report(store: TrialStore, f: Forecast, torn=None, sens=None) -> dic
     tornado (torn) and the sensitivity entries (sens) as null when not
     given.
     """
-    n = store.completed
-    out = {"forecast": f.label, "cell": str(f.cell)}
-    if n >= 2:
-        out["stats"] = analytics.forecast_stats(store, f.label).to_json()
-        out["histogram"] = analytics.histogram(store, f.label).to_json()
-    else:
-        out["stats"] = None
-        out["histogram"] = None
+    enough = store.completed >= 2
+    out = {"forecast": f.label, "cell": str(f.cell),
+           "stats": analytics.forecast_stats(store, f.label).to_json() if enough else None,
+           "histogram": analytics.histogram(store, f.label).to_json() if enough else None}
     certainties = []
     if f.target_lo is not None or f.target_hi is not None:
         certainties.append({
@@ -99,9 +96,9 @@ def export_errors(store: TrialStore, path) -> None:
                for te in store.errors])
 
 
-def export_histogram(hist, path) -> None:
-    # one row per bin: left edge, count
-    rows = list(zip(hist.edges[:-1], hist.counts))
+def export_histogram(hist: dict, path) -> None:
+    """hist is a report entry's "histogram": one row per bin, left edge and count."""
+    rows = list(zip(hist["edges"][:-1], hist["counts"]))
     write_csv(path, ["edge", "count"], rows)
 
 

@@ -77,11 +77,10 @@ class SimulationSpec:
                 raise SimulationError(f"assumption cell {c} is not in the model")
         if not self.forecasts:
             raise SimulationError("at least one forecast is required")
+        check_labels(model, self.forecasts)
         for f in self.forecasts:
             if f.cell not in model.defs:
                 raise SimulationError(f"forecast cell {f.cell} is not in the model")
-            if [g.label for g in self.forecasts].count(f.label) > 1:
-                raise SimulationError(f"duplicate forecast label {f.label!r}")
             check_bounds(f.target_lo, f.target_hi, f"forecast {f.label} target")
         for lim in self.limits:
             if lim.cell not in model.defs:
@@ -108,12 +107,13 @@ class SimulationSpec:
                 raise SimulationError("correlation matrix size != assumption count")
             validate_correlation(self.correlation)
 
-    def forecast(self, name: str) -> Forecast:
-        """The first forecast whose label or A1 address is name."""
-        for f in self.forecasts:
-            if f.label == name or str(f.cell) == name:
-                return f
-        raise KeyError(f"unknown forecast {name!r}")
+    def forecast_index(self, model: Model, name: str) -> int:
+        """Index of the first forecast on the cell name means (Model.cell_by_name)."""
+        try:
+            cell = model.cell_by_name(name, self.forecasts)
+            return [f.cell for f in self.forecasts].index(cell)
+        except (KeyError, ValueError):
+            raise KeyError(f"unknown forecast {name!r}") from None
 
     @property
     def assumption_cells(self) -> list:
@@ -125,6 +125,19 @@ class SimulationSpec:
 
     def has_correlation(self) -> bool:
         return self.correlation is not None and not self.correlation.is_identity()
+
+
+def check_labels(model: Model, forecasts: list) -> None:
+    """Reject a label that names two cells: a cell label spelling another cell's
+    address, or a forecast label naming another forecast's or cell's cell."""
+    labels = [f.label for f in forecasts]
+    for label in [*labels, *model.labels]:
+        if labels.count(label) > 1:
+            raise SimulationError(f"duplicate forecast label {label!r}")
+        try:
+            model.cell_by_name(label, forecasts)
+        except KeyError as exc:
+            raise SimulationError(f"label {exc.args[0]}") from None
 
 
 def check_bounds(lo: Optional[float], hi: Optional[float], what: str) -> None:
@@ -185,7 +198,7 @@ class TrialStore:
         return [f.label for f in self.spec.forecasts]
 
     def forecast_values(self, name: str) -> np.ndarray:
-        return self.forecast_matrix[:, self.spec.forecasts.index(self.spec.forecast(name))]
+        return self.forecast_matrix[:, self.spec.forecast_index(self.model, name)]
 
 
 def _sample_matrix(spec: SimulationSpec, n: int) -> np.ndarray:
@@ -296,18 +309,16 @@ class TrialOutcome:
 class StepSession:
     """Interactive single-trial stepping over the run's RNG stream.
 
-    Stepping then running is equivalent to running: the only session
-    state is the next trial index. Draws are uncorrelated; when the
-    spec declares correlations, `notice` says so.
+    Stepping then running is equivalent to running: step t draws row t of
+    the run's assumptions. A correlated run's rows are sampled once, at the
+    start, so its session ends at the run's last trial.
     """
 
     def __init__(self, model: Model, spec: SimulationSpec):
         spec.validate(model)
         self.model = model
         self.spec = spec
-        self.notice = (
-            "note: single-step trials use uncorrelated draws; declared "
-            "correlations apply only to full runs" if spec.has_correlation() else None)
+        self._correlated = sample_assumptions(spec) if spec.has_correlation() else None
         self.reset()
 
     def reset(self) -> None:
@@ -315,18 +326,16 @@ class StepSession:
         base = evaluate(self.model, {})
         self._current = base if not isinstance(base, CalcError) else None
 
-    def _resolve(self, name: str) -> "CellRef":
-        for f in self.spec.forecasts:
-            if f.label == name:
-                return f.cell
-        try:
-            return self.model.cell_by_name(name)
-        except ValueError:
-            raise KeyError(f"unknown cell or label {name!r}") from None
-
     def step(self) -> TrialOutcome:
+        """The next trial; an IndexError past a correlated run's last trial."""
         t = self.next_trial
-        values = _sample_matrix(self.spec, t + 1)[t]
+        if self._correlated is None:
+            values = _sample_matrix(self.spec, t + 1)[t]
+        elif t < self.spec.trials:
+            values = self._correlated[t]
+        else:
+            raise IndexError(f"trial {t} is past the {self.spec.trials} trials of the "
+                             "correlated run; reset to step again")
         overrides = {c: float(values[j])
                      for j, c in enumerate(self.spec.assumption_cells)}
         result = evaluate(self.model, overrides)
@@ -342,14 +351,14 @@ class StepSession:
 
     def show(self, name: str) -> float:
         """Current value of a cell (latest successful evaluation)."""
-        ref = self._resolve(name)
+        ref = self.model.cell_by_name(name, self.spec.forecasts)
         if self._current is None:
             raise KeyError("no successful evaluation yet")
         return self._current[ref]
 
     def trace(self, name: str):
         """Formula text of a cell plus (precedent, current value) pairs."""
-        ref = self._resolve(name)
+        ref = self.model.cell_by_name(name, self.spec.forecasts)
         source = self.model.defs[ref].source
         precedents = self.model.precedents(ref)
         current = self._current or {}

@@ -75,6 +75,24 @@ class TestStats:
         with pytest.raises(ValueError):
             stats_of(np.array([1.0]))
 
+    @pytest.mark.parametrize("scale, missing", [
+        (1e80, {"kurtosis"}),  # sd ** 4 overflows
+        (1e-100, {"kurtosis"}),  # sd ** 4 underflows to 0
+        (1e160, {"sd", "variance", "skewness", "kurtosis", "coeff_variation",
+                 "standard_error"}),  # the variance overflows
+    ])
+    def test_unrepresentable_statistics_are_none(self, scale, missing):
+        values = np.array([1.0, 1.25, 2.0, 1.5]) * scale
+        got = stats_of(values).to_json()
+        assert {k for k, v in got.items() if v is None} == missing
+        # every statistic that is a float is the one the formulas give
+        centered = values - values.mean()
+        if "skewness" not in missing:
+            sd = math.sqrt((centered ** 2).mean())
+            assert got["skewness"] == float((centered ** 3).mean()) / sd ** 3
+        assert got["mean"] == float(values.mean())
+        assert got["range_width"] == float(values.max() - values.min())
+
     def test_uniform_identity_model_moments(self):
         # forecast == Uniform(0,1) assumption, so moments are known analytically
         model = build_model([("A1", "x", 0.5), ("A2", "f", "=A1")])
@@ -181,6 +199,14 @@ class TestRankCorrelation:
 
     def test_constant_input_is_zero(self):
         assert pearson(np.ones(10), np.arange(10.0)) == 0.0
+
+    @pytest.mark.parametrize("sx, sy", [(1e160, 1.0), (1e307, 1.0), (1e160, 1e160),
+                                        (1e-160, 1e-160)])
+    def test_pearson_of_values_at_the_ends_of_the_float_range(self, sx, sy):
+        # the product of the two sds overflows, or is not a normal float
+        x = np.array([1.0, 1.25, 2.0, 1.5, 1.1])
+        y = np.array([0.5, 0.2, 0.9, 0.1, 0.4])
+        assert pearson(x * sx, y * sy) == pytest.approx(pearson(x, y), abs=1e-12)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=60, unique=True))
     @settings(max_examples=50, deadline=None)

@@ -7,9 +7,13 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from gridmc import report
+from gridmc.cells import parse_cell
 from gridmc.cli import main
+from gridmc.document import ModelDocument
 from tests.conftest import example_path
 
 PROJECT = example_path("project-npv.json")
@@ -84,6 +88,35 @@ class TestRun:
         for name in ("trials.csv", "report.json", "histogram-ProjectNPV.csv"):
             assert (out1 / name).exists()
             assert read(out1 / name) == read(out2 / name)
+
+    def test_moment_too_large_for_a_float_is_null(self, tmp_path, capsys):
+        # the kurtosis of values near 1e80 needs sd ** 4, past the float range
+        doc = {"name": "huge",
+               "cells": [{"address": "A1", "label": "X", "formula": 1.5},
+                         {"address": "A2", "label": "Big", "formula": "=A1*1e80"}],
+               "assumptions": [{"cell": "X", "distribution":
+                                {"type": "uniform", "min": 1, "max": 2}}],
+               "forecasts": [{"cell": "A2", "label": "Big"}]}
+        path = write_doc(tmp_path, doc)
+        assert main(["run", path, "--trials", "300", "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        with open(tmp_path / "out" / "report.json") as fh:
+            stats = json.load(fh, parse_constant=pytest.fail)["forecasts"][0]["stats"]
+        assert stats["kurtosis"] is None
+        with open(tmp_path / "out" / "trials.csv") as fh:
+            values = np.array([float(row[2]) for row in list(csv.reader(fh))[1:]])
+        centered = values - values.mean()
+        sd = math.sqrt(float((centered ** 2).mean()))
+        assert stats["sd"] == sd
+        assert stats["skewness"] == float((centered ** 3).mean()) / sd ** 3
+
+    def test_artifact_with_nan_is_not_written(self, tmp_path, monkeypatch):
+        real = report.forecast_report
+        monkeypatch.setattr(report, "forecast_report",
+                            lambda *args: {**real(*args), "stats": math.nan})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            main(["run", PROJECT, "--trials", "300", "--out", str(tmp_path)])
+        assert not (tmp_path / "report.json").exists()
 
     def test_report_contents(self, tmp_path):
         assert main(["run", PROJECT, "--trials", "300", "--seed", "9",
@@ -523,6 +556,47 @@ class TestErrorExits:
         assert not os.path.exists(tmp_path / "out")
 
 
+# A3's label spells the address of A2, so "A2" would name two cells
+SHADOWED = {
+    "name": "shadowed",
+    "cells": [{"address": "A1", "label": "In", "formula": 1},
+              {"address": "A2", "formula": "=A1*2"},
+              {"address": "A3", "label": "A2", "formula": 3}],
+    "assumptions": [{"cell": "A1", "distribution": {"type": "uniform", "min": 0, "max": 1}}],
+    "forecasts": [{"cell": "A2", "label": "Out"}],
+}
+
+
+class TestNameMeaningTwoCells:
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: None, "label 'A2' names 2 cells: A2, A3"),
+        (lambda d: d["cells"][2].update(label="a2"), "label 'a2' names 2 cells: A2, A3"),
+        (lambda d: d["cells"][2].update(label="Out"),
+         "label 'Out' names 2 cells: A2, A3"),
+        (lambda d: d["cells"][2].update(label="C3") or d["forecasts"][0].update(label="A3"),
+         "label 'A3' names 2 cells: A2, A3"),
+    ], ids=["label-spells-address", "label-spells-lower-address",
+            "forecast-label-is-a-cell-label", "forecast-label-is-an-address"])
+    @pytest.mark.parametrize("command", ["validate", "run", "audit", "tornado", "step"])
+    def test_build_error(self, tmp_path, capsys, monkeypatch, command, edit, message):
+        doc = json.loads(json.dumps(SHADOWED))
+        edit(doc)
+        path = write_doc(tmp_path, doc)
+        monkeypatch.setattr("sys.stdin", io.StringIO("step\nquit\n"))
+        out = [] if command in ("validate", "step") else ["--out", str(tmp_path / "out")]
+        assert main([command, path, *out]) == 1
+        assert one_error_line(capsys, "build error:") == f"build error: {message}"
+        assert capsys.readouterr().out == ""
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_address_shaped_label_of_an_undefined_cell(self, capsys):
+        # the portfolio labels A10..A24 as X10..X24 and defines no X cell
+        doc = json.loads(json.dumps(SHADOWED))
+        doc["cells"][2]["label"] = "X2"
+        _, spec = ModelDocument(doc).build()
+        assert spec.forecasts[0].cell == parse_cell("A2")
+
+
 class TestStep:
     def run_step(self, monkeypatch, script, path=PROJECT, extra=()):
         monkeypatch.setattr("sys.stdin", io.StringIO(script))
@@ -548,12 +622,109 @@ class TestStep:
         assert self.run_step(monkeypatch, "show Nope\nquit\n") == 0
         assert "error:" in capsys.readouterr().out
 
+    def test_correlated_steps_equal_run_rows(self, monkeypatch, capsys, tmp_path):
+        args = ["--trials", "200", "--seed", "7"]
+        assert main(["run", CORRELATED, *args, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "trials.csv") as fh:
+            rows = [[float(v) for v in row[1:]] for row in list(csv.reader(fh))[1:]]
+        assert len(rows) == 200
+        capsys.readouterr()
+        assert self.run_step(monkeypatch, "run 199\nstep\nstep\nreset\nstep\nquit\n",
+                             path=CORRELATED, extra=args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[400:402] == [("error: trial 200 is past the 200 trials of the "
+                                   "correlated run; reset to step again"),
+                                  "reset to trial 0"]
+        del lines[400:402]
+        steps = [lines[i:i + 2] for i in range(0, len(lines), 2)]
+        assert len(steps) == 201
+        for t, (trial, forecasts) in enumerate(steps):
+            assert trial.startswith(f"trial {t % 200}: ")
+            values = [float(part.split("=")[1])
+                      for line in (trial.split(": ", 1)[1], forecasts.split(": ", 1)[1])
+                      for part in line.split(", ")]
+            assert values == rows[t % 200]
+
     def test_correlated_notice(self, monkeypatch, capsys):
-        assert self.run_step(monkeypatch, "quit\n", path=CORRELATED) == 0
-        assert "uncorrelated" in capsys.readouterr().out
+        assert self.run_step(monkeypatch, "run 200\nstep\nstep\nquit\n",
+                             path=CORRELATED, extra=["--trials", "200"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 402
+        assert lines[398].startswith("trial 199: ")
+        assert lines[400:] == 2 * [("error: trial 200 is past the 200 trials of the "
+                                    "correlated run; reset to step again")]
+
+    def test_correlated_session_needs_the_run_trials(self, monkeypatch, capsys, tmp_path):
+        assert main(["run", CORRELATED, "--trials", "20", "--out", str(tmp_path)]) == 1
+        line = one_error_line(capsys, "error:")
+        assert self.run_step(monkeypatch, "step\nquit\n", path=CORRELATED,
+                             extra=["--trials", "20"]) == 1
+        assert one_error_line(capsys, "error:") == line
+        assert capsys.readouterr().out == ""
 
     def test_eof_ends_session(self, monkeypatch):
         assert self.run_step(monkeypatch, "step\n") == 0
+
+
+def npv_named_doc():
+    """project-npv with a forecast label ("NPV") that differs from the
+    label of its cell B16 ("ProjectNPV")."""
+    doc = json.load(open(PROJECT))
+    doc["forecasts"][0]["label"] = "NPV"
+    return doc
+
+
+class TestNames:
+    """Each name form means B16 wherever a name is read, and giving the
+    name to another cell is a build error."""
+
+    @pytest.mark.parametrize("name, give_away", [
+        ("NPV", lambda d: d["cells"][32].update(label="NPV")),
+        ("ProjectNPV", lambda d: d["forecasts"].append({"cell": "E14", "label": "ProjectNPV"})),
+        ("B16", lambda d: d["cells"][32].update(label="B16")),
+        ("b16", lambda d: d["cells"][32].update(label="b16")),
+    ], ids=["forecast-label", "cell-label", "address", "lower-address"])
+    def test_name_means_one_cell(self, tmp_path, monkeypatch, capsys, name, give_away):
+        doc = npv_named_doc()
+        path = write_doc(tmp_path, doc)
+
+        declared = json.loads(json.dumps(doc))
+        for e in declared["expectations"]:
+            e["forecast"] = name
+        declared["expected_intervals"] = [{"forecast": name, "lo": -1e9, "hi": 1e9}]
+        declared["limits"] = [{"cell": name, "min": -1e12}]
+        _, spec = ModelDocument(declared).build()
+        assert {e.forecast for e in spec.expectations} == {parse_cell("B16")}
+        assert spec.expected_intervals[0].forecast == parse_cell("B16")
+        assert spec.limits[0].cell == parse_cell("B16")
+
+        outputs = {}
+        for tag, forecast in (("default", []), ("named", ["--forecast", name])):
+            out = tmp_path / tag
+            assert main(["tornado", path, *forecast, "--out", str(out)]) == 0
+            assert main(["scenario", path, "--trials", "200", "--min", "0",
+                         *forecast, "--out", str(out)]) == 0
+            with open(out / "scenario.csv") as fh:
+                scenario = list(csv.reader(fh))
+            outputs[tag] = (read(out / "tornado.csv"), scenario[0][:-1], scenario[1:])
+        assert outputs["named"] == outputs["default"]
+        assert scenario[0][-1] == name
+
+        capsys.readouterr()
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            f"step\nshow {name}\ntrace {name}\nshow B16\ntrace B16\nquit\n"))
+        assert main(["step", path]) == 0
+        lines = capsys.readouterr().out.splitlines()[2:]
+        half = len(lines) // 2
+        assert half >= 2 and lines[0].startswith(f"{name} = ")
+        strip = [line.removeprefix(name).removeprefix("B16") for line in lines]
+        assert strip[:half] == strip[half:]
+
+        assert doc["cells"][32]["address"] == "E14"
+        give_away(doc)
+        assert main(["validate", write_doc(tmp_path, doc, "given-away.json")]) == 1
+        line = one_error_line(capsys, "build error:")
+        assert line.endswith(f"'{name}' names 2 cells: E14, B16")
 
 
 class TestConsoleScript:

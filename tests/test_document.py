@@ -268,6 +268,16 @@ class TestBuild:
         assert len(spec.expectations) == 4
 
 
+    def test_every_shipped_and_generated_document_builds(self):
+        # the build rejects a label that names another defined cell, but not
+        # every address-shaped label: the portfolio labels A10..A24 X10..X24
+        docs = ([json.load(open(example_path(name))) for name in sorted(os.listdir(EXAMPLES))]
+                + _portfolio_documents(range(1, 201)))
+        assert len(docs) == 206
+        for data in docs:
+            ModelDocument.from_json(data).build(trials=300)
+
+
 class TestBakeScenario:
     def test_bakes_constants_and_drops_sampling(self):
         doc = ModelDocument.from_json(minimal_doc())

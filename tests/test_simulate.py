@@ -179,10 +179,23 @@ class TestRun:
 
     def test_forecast_lookup(self):
         model, spec = linear_model()
-        assert spec.forecast("f") is spec.forecasts[0]
-        assert spec.forecast("A3") is spec.forecasts[0]
-        with pytest.raises(KeyError, match="unknown forecast 'nope'"):
-            spec.forecast("nope")
+        for name in ("f", "A3", "a3"):
+            assert spec.forecast_index(model, name) == 0
+        for name in ("nope", "A1", "Z99"):
+            with pytest.raises(KeyError, match=f"unknown forecast '{name}'"):
+                spec.forecast_index(model, name)
+
+    @pytest.mark.parametrize("label, message", [
+        ("A1", "label 'A1' names 2 cells: A1, A3"),
+        ("a2", "label 'a2' names 2 cells: A2, A3"),
+        ("x", "label 'x' names 2 cells: A1, A3"),
+    ])
+    def test_forecast_label_naming_another_cell(self, label, message):
+        model, spec = linear_model()
+        spec.forecasts = [Forecast(C("A3"), label)]
+        with pytest.raises(SimulationError) as exc:
+            run(model, spec)
+        assert str(exc.value) == message
 
     def test_monitored_cells_captured(self):
         from gridmc.simulate import Limit
@@ -277,7 +290,16 @@ class TestStepSession:
 
     def test_notice_when_correlated(self):
         corr = CorrelationSpec.from_pairs(2, {(0, 1): 0.8})
-        model, spec = linear_model(correlation=corr)
-        assert StepSession(model, spec).notice is not None
-        model, spec = linear_model()
-        assert StepSession(model, spec).notice is None
+        model, spec = linear_model(trials=50, correlation=corr)
+        store = run(model, spec)
+        session = StepSession(model, spec)
+        outcomes = session.run(50)
+        assert [o.assumptions[C("A1")] for o in outcomes] == list(store.assumption_matrix[:, 0])
+        for _ in range(2):
+            with pytest.raises(IndexError, match="^trial 50 is past the 50 trials of the "
+                                                 "correlated run; reset to step again$"):
+                session.step()
+            assert session.next_trial == 50
+        model, spec = linear_model(trials=50)
+        session = StepSession(model, spec)
+        assert session.run(51)[-1].trial == 50
