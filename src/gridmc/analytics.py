@@ -17,22 +17,25 @@ MAX_HISTOGRAM_BINS = 100
 
 @dataclass(frozen=True)
 class ForecastStats:
+    """A moment is None where its value lies outside the float range (the
+    variance of values near 1e160 or 1e-170)."""
+
     n: int
-    mean: float
+    mean: Optional[float]
     median: float
-    sd: float
-    variance: float
-    skewness: Optional[float]  # None when sd ** 3 is 0 or overflows
-    kurtosis: Optional[float]  # excess; None when sd ** 4 is 0 or overflows
+    sd: Optional[float]
+    variance: Optional[float]
+    skewness: Optional[float]  # also None when sd ** 3 is 0
+    kurtosis: Optional[float]  # excess; also None when sd ** 4 is 0
     coeff_variation: Optional[float]  # None when mean == 0
     min: float
     max: float
     range_width: float
-    standard_error: float
+    standard_error: Optional[float]
     percentiles: dict  # level -> value
 
     def to_json(self) -> dict:
-        """Every field; null for one that is not a finite float (sd near 1e160)."""
+        """Every field; null for one that is not a finite float."""
         out = {k: _finite(v) for k, v in asdict(self).items()}
         out["percentiles"] = {str(k): _finite(v) for k, v in self.percentiles.items()}
         return out
@@ -118,8 +121,9 @@ def stats_of(values: np.ndarray) -> ForecastStats:
     if n < 2:
         raise ValueError("need at least 2 values for statistics")
     with np.errstate(all="ignore"):  # values near the ends of the float range
-        mean = float(values.mean())
-        centered = values - mean
+        scaled, k = _pow2_scaled(values)
+        mean = float(scaled.mean())
+        centered = scaled - mean
         variance = float((centered ** 2).mean())
         sd = math.sqrt(variance)
         skew = _standardized_moment(centered, sd, 3)
@@ -127,26 +131,51 @@ def stats_of(values: np.ndarray) -> ForecastStats:
         lo, hi = float(values.min()), float(values.max())
         return ForecastStats(
             n=n,
-            mean=mean,
+            mean=_unscaled(mean, k),
             median=percentile(values, 50),
-            sd=sd,
-            variance=variance,
+            sd=_unscaled(sd, k),
+            variance=_unscaled(variance, 2 * k),
             skewness=skew,
             kurtosis=kurt - 3.0 if kurt is not None else None,
             coeff_variation=(sd / mean if mean != 0 else None),
             min=lo,
             max=hi,
             range_width=hi - lo,
-            standard_error=sd / math.sqrt(n),
+            standard_error=_unscaled(sd / math.sqrt(n), k),
             percentiles={lvl: percentile(values, lvl) for lvl in PERCENTILE_LEVELS},
         )
 
 
+# Moments up to the fourth of values whose largest magnitude lies within
+# 2**+-_PLAIN_EXP neither overflow nor lose a deviation above 2**-50 of that
+# magnitude to underflow, so they are taken as they are.
+_PLAIN_EXP = 200
+
+
+def _pow2_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(values * 2**k, k): k = 0 within the plain band (or for 0, inf, nan),
+    else the k that brings the largest magnitude into [0.5, 1). A power of
+    two scales sums, products, quotients and square roots exactly."""
+    e = math.frexp(float(np.abs(values).max()))[1]
+    if abs(e) <= _PLAIN_EXP:
+        return values, 0
+    return np.ldexp(values, -e), -e
+
+
+def _unscaled(x: float, k: int) -> Optional[float]:
+    """x * 2**-k, or None where that lies outside the float range."""
+    try:
+        y = math.ldexp(x, -k)
+    except OverflowError:
+        return None
+    return None if y == 0.0 and x != 0.0 else y
+
+
 def _standardized_moment(centered: np.ndarray, sd: float, k: int) -> Optional[float]:
-    """mean(centered ** k) / sd ** k, or None where sd ** k is 0 or overflows."""
+    """mean(centered ** k) / sd ** k, or None where sd ** k is 0."""
     try:
         return float((centered ** k).mean()) / sd ** k
-    except (OverflowError, ZeroDivisionError):
+    except ZeroDivisionError:
         return None
 
 
@@ -190,15 +219,13 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    # values near the ends of the float range are scaled by a power of two,
+    # which keeps the correlation
+    (x, _), (y, _) = (_pow2_scaled(np.asarray(v, dtype=float)) for v in (x, y))
     with np.errstate(all="ignore"):
         sx, sy = x.std(), y.std()
         if sx == 0.0 or sy == 0.0:
             return 0.0
-        if not np.finfo(float).tiny <= sx * sy < math.inf:
-            # values near the ends of the float range; scaling keeps the correlation
-            return pearson(x / np.abs(x).max(), y / np.abs(y).max())
         return float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
 
 

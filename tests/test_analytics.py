@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
@@ -76,22 +76,53 @@ class TestStats:
             stats_of(np.array([1.0]))
 
     @pytest.mark.parametrize("scale, missing", [
-        (1e80, {"kurtosis"}),  # sd ** 4 overflows
-        (1e-100, {"kurtosis"}),  # sd ** 4 underflows to 0
-        (1e160, {"sd", "variance", "skewness", "kurtosis", "coeff_variation",
-                 "standard_error"}),  # the variance overflows
+        (1e80, set()),  # sd ** 4 would overflow unscaled
+        (1e-100, set()),  # sd ** 4 would underflow to 0 unscaled
+        (1e160, {"variance"}),  # the variance overflows
+        (1e-170, {"variance"}),  # the squares underflow; the variance is below 5e-324
+        (1e-300, {"variance"}),
     ])
     def test_unrepresentable_statistics_are_none(self, scale, missing):
-        values = np.array([1.0, 1.25, 2.0, 1.5]) * scale
+        base = np.array([1.0, 1.25, 2.0, 1.5])
+        values = base * scale
         got = stats_of(values).to_json()
         assert {k for k, v in got.items() if v is None} == missing
-        # every statistic that is a float is the one the formulas give
-        centered = values - values.mean()
-        if "skewness" not in missing:
-            sd = math.sqrt((centered ** 2).mean())
-            assert got["skewness"] == float((centered ** 3).mean()) / sd ** 3
+        # every statistic that is a float is the one the formulas give on
+        # values near 1, scaled back
+        centered = base - base.mean()
+        variance = float((centered ** 2).mean())
+        sd = math.sqrt(variance)
+        expect = {"sd": sd * scale, "variance": variance * scale * scale,
+                  "skewness": float((centered ** 3).mean()) / sd ** 3,
+                  "kurtosis": float((centered ** 4).mean()) / sd ** 4 - 3.0,
+                  "standard_error": sd * scale / 2.0,
+                  "coeff_variation": sd / base.mean()}
+        for key, value in expect.items():
+            if key not in missing:
+                assert got[key] == pytest.approx(value, rel=1e-12), key
         assert got["mean"] == float(values.mean())
         assert got["range_width"] == float(values.max() - values.min())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=40), st.integers(-199, 199))
+    # scaled by 2**-13 and 2**-18 first, these two give another last bit of
+    # the kurtosis and of the skewness: Python's float ** is not exact
+    @example([0.484, 0.275, 0.555, 0.89], 13)
+    @example([0.56, 0.328, 0.868, 0.703], 18)
+    def test_values_in_the_plain_band_keep_the_bits_of_the_formulas(self, xs, e):
+        values = np.ldexp(np.array(xs), e)
+        if abs(math.frexp(float(np.abs(values).max()))[1]) > 200:
+            return  # beyond 2**+-200, where the moments are taken on scaled values
+        got = stats_of(values)
+        mean = float(values.mean())
+        centered = values - mean
+        variance = float((centered ** 2).mean())
+        sd = math.sqrt(variance)
+        skew = analytics._standardized_moment(centered, sd, 3)
+        kurt = analytics._standardized_moment(centered, sd, 4)
+        assert (got.mean, got.variance, got.sd, got.skewness) == (mean, variance, sd, skew)
+        assert got.kurtosis == (kurt - 3.0 if kurt is not None else None)
+        assert got.standard_error == sd / math.sqrt(len(xs))
 
     def test_uniform_identity_model_moments(self):
         # forecast == Uniform(0,1) assumption, so moments are known analytically

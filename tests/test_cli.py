@@ -90,25 +90,23 @@ class TestRun:
             assert read(out1 / name) == read(out2 / name)
 
     def test_moment_too_large_for_a_float_is_null(self, tmp_path, capsys):
-        # the kurtosis of values near 1e80 needs sd ** 4, past the float range
-        doc = {"name": "huge",
-               "cells": [{"address": "A1", "label": "X", "formula": 1.5},
-                         {"address": "A2", "label": "Big", "formula": "=A1*1e80"}],
-               "assumptions": [{"cell": "X", "distribution":
-                                {"type": "uniform", "min": 1, "max": 2}}],
-               "forecasts": [{"cell": "A2", "label": "Big"}]}
-        path = write_doc(tmp_path, doc)
-        assert main(["run", path, "--trials", "300", "--out", str(tmp_path / "out")]) == 0
-        assert capsys.readouterr().err == ""
+        # the variance of values near 1e160 is past the float range; the other
+        # moments are not, and are taken on values scaled by a power of two
+        stats, x, values = run_scaled(tmp_path, capsys, "1e160")
+        assert stats["variance"] is None
+        assert_moments_follow(stats, x, values, 1e160)
+
+    @pytest.mark.parametrize("scale", ["1e-170", "1e-300"])
+    def test_tiny_forecast_has_its_moments(self, tmp_path, capsys, scale):
+        # unscaled, the squares of deviations near 1e-170 underflow to 0:
+        # sd 0.0 beside a range width of 1e-170, and a pearson of 0.0
+        stats, x, values = run_scaled(tmp_path, capsys, scale)
+        assert stats["variance"] is None  # below the smallest float
+        assert_moments_follow(stats, x, values, float(scale))
         with open(tmp_path / "out" / "report.json") as fh:
-            stats = json.load(fh, parse_constant=pytest.fail)["forecasts"][0]["stats"]
-        assert stats["kurtosis"] is None
-        with open(tmp_path / "out" / "trials.csv") as fh:
-            values = np.array([float(row[2]) for row in list(csv.reader(fh))[1:]])
-        centered = values - values.mean()
-        sd = math.sqrt(float((centered ** 2).mean()))
-        assert stats["sd"] == sd
-        assert stats["skewness"] == float((centered ** 3).mean()) / sd ** 3
+            entry = json.load(fh)["forecasts"][0]["sensitivity"][0]
+        assert entry["spearman"] == 1.0
+        assert entry["pearson"] == pytest.approx(1.0, abs=1e-12)
 
     def test_artifact_with_nan_is_not_written(self, tmp_path, monkeypatch):
         real = report.forecast_report
@@ -309,6 +307,40 @@ def write_doc(tmp_path, doc, name="doc.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def run_scaled(tmp_path, capsys, scale):
+    """`gridmc run` of X ~ uniform(1, 2) and the forecast X * scale: the
+    forecast's report stats, and the X and forecast columns of trials.csv."""
+    doc = {"name": "scaled",
+           "cells": [{"address": "A1", "label": "X", "formula": 1.5},
+                     {"address": "A2", "label": "Y", "formula": f"=A1*{scale}"}],
+           "assumptions": [{"cell": "X", "distribution":
+                            {"type": "uniform", "min": 1, "max": 2}}],
+           "forecasts": [{"cell": "A2", "label": "Y"}]}
+    path = write_doc(tmp_path, doc)
+    assert main(["run", path, "--trials", "300", "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    with open(tmp_path / "out" / "report.json") as fh:
+        stats = json.load(fh, parse_constant=pytest.fail)["forecasts"][0]["stats"]
+    with open(tmp_path / "out" / "trials.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return (stats, np.array([float(row[1]) for row in rows]),
+            np.array([float(row[2]) for row in rows]))
+
+
+def assert_moments_follow(stats, x, values, scale):
+    """The forecast's moments are those of X, scaled back."""
+    centered = x - x.mean()
+    sd = math.sqrt(float((centered ** 2).mean()))
+    assert stats["sd"] == pytest.approx(sd * scale, rel=1e-12)
+    assert stats["standard_error"] == pytest.approx(sd * scale / math.sqrt(len(x)), rel=1e-12)
+    assert stats["skewness"] == pytest.approx(float((centered ** 3).mean()) / sd ** 3,
+                                              rel=1e-9)
+    assert stats["kurtosis"] == pytest.approx(float((centered ** 4).mean()) / sd ** 4 - 3.0,
+                                              rel=1e-9)
+    assert stats["mean"] == pytest.approx(float(x.mean()) * scale, rel=1e-12)
+    assert stats["range_width"] == float(values.max() - values.min())
 
 
 ALL_FAIL = {

@@ -4,6 +4,8 @@ import random
 import numpy as np
 import pytest
 import scipy.stats as st
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from gridmc.distributions import (
     Custom,
@@ -16,6 +18,7 @@ from gridmc.distributions import (
     norm_ppf,
 )
 from gridmc.rng import U_MAX, U_MIN, RandomSource
+from tests import norm_ppf_oracle
 
 ALL = [
     Uniform(0, 8),
@@ -45,8 +48,64 @@ class TestNormPpf:
 
     def test_rejects_endpoints(self):
         for bad in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(ValueError):
-                norm_ppf(bad)
+            with np.errstate(all="raise"):
+                with pytest.raises(ValueError):
+                    norm_ppf(bad)
+                with pytest.raises(ValueError):
+                    norm_ppf(np.array([0.3, bad, 0.7]))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+P_LOW = 0.02425
+EDGES = [P_LOW, 1 - P_LOW, np.nextafter(P_LOW, 0), np.nextafter(P_LOW, 1),
+         np.nextafter(1 - P_LOW, 0), np.nextafter(1 - P_LOW, 1),
+         0.5, U_MIN, U_MAX, 1e-300, 5e-324]
+OPEN_UNIT = hst.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+class TestNormPpfAgainstBranchingOracle:
+    """The branch-free norm_ppf gives the bits of the masked one it replaced,
+    and no formula warns on the elements it does not serve."""
+
+    @pytest.mark.parametrize("u", EDGES)
+    def test_edges(self, u):
+        with np.errstate(all="raise"):
+            got = norm_ppf(float(u))
+            assert type(got) is float
+            assert same_bits(got, norm_ppf_oracle.norm_ppf(float(u)))
+
+    def test_edges_as_one_array(self):
+        u = np.array(EDGES)
+        with np.errstate(all="raise"):
+            assert same_bits(norm_ppf(u), norm_ppf_oracle.norm_ppf(u))
+
+    @settings(max_examples=300, deadline=None)
+    @given(OPEN_UNIT)
+    def test_scalars(self, u):
+        with np.errstate(all="raise"):
+            got = norm_ppf(u)
+            assert type(got) is float
+            assert same_bits(got, norm_ppf_oracle.norm_ppf(u))
+
+    @settings(max_examples=200, deadline=None)
+    @given(hst.lists(OPEN_UNIT | hst.sampled_from(EDGES), max_size=50),
+           hst.sampled_from([(-1,), (-1, 2)]))
+    def test_arrays(self, values, shape):
+        if len(shape) == 2:
+            values = values[:len(values) // 2 * 2]
+        u = np.array(values, dtype=float).reshape(shape)
+        with np.errstate(all="raise"):
+            assert same_bits(norm_ppf(u), norm_ppf_oracle.norm_ppf(u))
+
+    def test_nan_gives_nan(self):
+        with np.errstate(all="raise"):
+            assert math.isnan(norm_ppf(math.nan))
+            got = norm_ppf(np.array([0.3, math.nan]))
+        assert math.isnan(got[1]) and got[0] == norm_ppf(0.3)
 
 
 class TestInverseCdf:
