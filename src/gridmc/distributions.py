@@ -24,10 +24,11 @@ _C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
       -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
 _D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
       3.754408661907416e+00, 1.0)
+_P_LOW = 0.02425  # below _P_LOW and above 1 - _P_LOW the tail formula serves
 
 
 def _horner(x, coeffs):
-    """((c0*x + c1)*x + ...)*x + cn, accumulated in one array."""
+    """((c0*x + c1)*x + ...)*x + cn, accumulated in one array or scalar."""
     acc = coeffs[0] * x
     for c in coeffs[1:-1]:
         acc += c
@@ -42,20 +43,27 @@ def norm_ppf(u):
     Max relative error ~1.15e-9 over (0, 1); a scalar gives a float. Both
     formulas run on every element and np.where picks each result: the same
     IEEE operations per element as the branching form, so the same bits.
+
+    `[()]` turns a 0-d array into a numpy scalar and leaves any other array
+    as it is, so a scalar runs the same lines on numpy scalar arithmetic,
+    which skips the per-call array machinery of 0-d arrays.
     """
-    u = np.asarray(u, dtype=float)
-    if np.any((u <= 0.0) | (u >= 1.0)):
+    u = np.asarray(u, dtype=float)[()]
+    if np.count_nonzero((u <= 0.0) | (u >= 1.0)):
         raise ValueError("u must lie strictly inside (0, 1)")
     q = u - 0.5
     mid = _horner(r := q * q, _A)
     mid *= q
     mid /= _horner(r, _B)
-    # one tail formula, negated above p_high. No formula warns on elements it
-    # does not serve: log's argument is <= 0.5, mid's denominator >= 1.1e-4
+    # one tail formula for both tails. No formula warns on elements it does
+    # not serve: log's argument is <= 0.5, mid's denominator >= 1.1e-4
     t = np.sqrt(-2.0 * np.log(np.minimum(u, 1.0 - u)))
     tail = _horner(t, _C)
     tail /= _horner(t, _D)
-    out = np.where(u < 0.02425, tail, np.where(u > 1 - 0.02425, -tail, mid))
+    # C(t)/D(t) < 0 for every t >= 2.72, and a tail element has t > 2.72, so
+    # copysign with q's sign gives the bits of tail below _P_LOW and of -tail
+    # above 1 - _P_LOW
+    out = np.where((u < _P_LOW) | (u > 1 - _P_LOW), np.copysign(tail, q), mid)
     return out if out.ndim else float(out)
 
 

@@ -12,9 +12,7 @@ import json
 import os
 
 from . import analytics
-from .simulate import Forecast, TrialStore
-
-TRIALS_BLOCK = 1024  # trials.csv rows converted and written at a time
+from .simulate import TRIALS_BLOCK, Forecast, TrialStore
 
 
 def write_json(path, payload) -> None:

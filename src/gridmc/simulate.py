@@ -19,6 +19,7 @@ from .rng import RandomSource
 
 DEFAULT_TRIALS = 5000
 DEFAULT_SEED = 42
+TRIALS_BLOCK = 1024  # trials sampled, evaluated and exported at a time
 
 
 class SimulationError(ValueError):
@@ -201,19 +202,19 @@ class TrialStore:
         return self.forecast_matrix[:, self.spec.forecast_index(self.model, name)]
 
 
-def _sample_matrix(spec: SimulationSpec, n: int) -> np.ndarray:
-    """Pre-correlation assumption values for trials 0..n-1."""
+def _sample_matrix(spec: SimulationSpec, n: int, start: int = 0) -> np.ndarray:
+    """Pre-correlation assumption values for trials start..start+n-1."""
     src = RandomSource(spec.seed)
     k = len(spec.assumptions)
     values = np.empty((n, k))
     if k == 0:
         return values
-    trials = np.arange(n)
+    trials = np.arange(start, start + n)
     for j, dist in enumerate(spec.distributions):
         # one column of draws at a time: the RNG is counter-based, so the
         # column equals that column of the whole n x k block
         u = src.uniform_block(trials, [j])[:, 0]
-        values[:, j] = [dist.inverse_cdf(x) for x in u]
+        values[:, j] = [dist.inverse_cdf(x) for x in u.tolist()]
     return values
 
 
@@ -228,57 +229,73 @@ def sample_assumptions(spec: SimulationSpec) -> np.ndarray:
 
 
 def run(model: Model, spec: SimulationSpec) -> TrialStore:
-    """Execute the full simulation: every trial in one evaluation pass.
+    """Execute the full simulation, TRIALS_BLOCK trials per evaluation pass.
 
     stop_on_error=True halts at the first calculation error, keeping all
-    prior complete trials plus the dossier; otherwise erroneous trials
-    are recorded separately and excluded from the matrices.
+    prior complete trials plus the dossier, and evaluates no later block;
+    otherwise erroneous trials are recorded separately and excluded from
+    the matrices.
     """
     spec.validate(model)
-    values = sample_assumptions(spec)
     forecast_cells = [f.cell for f in spec.forecasts]
     limit_cells = [lim.cell for lim in spec.limits]
-    batch = evaluate_batch(
-        model, {c: values[:, j] for j, c in enumerate(spec.assumption_cells)}, spec.trials,
-        keep=set(forecast_cells + limit_cells))
-    failed = sorted(batch.errors)
-
+    keep = set(forecast_cells + limit_cells)
+    # Iman-Conover ranks every row, so a correlated run samples them all
+    # first; an uncorrelated one samples each block as it comes. The kept
+    # rows are packed to the front of these matrices as the blocks go by.
+    correlated = spec.has_correlation()
+    values = (sample_assumptions(spec) if correlated
+              else np.empty((spec.trials, len(spec.assumptions))))
+    forecasts = np.empty((spec.trials, len(forecast_cells)))
+    monitored = np.empty((spec.trials, len(limit_cells)))
+    trial_indices = np.empty(spec.trials, dtype=np.intp)
+    kept = 0
     errors = []
     dossier = None
-    if spec.stop_on_error:
-        # the kept rows are a prefix: slices, not copies
-        if failed:
-            t = failed[0]
-            dossier = CalcErrorDossier(batch.errors[t], t, tuple(values[t].tolist()))
-        kept = slice(failed[0] if failed else spec.trials)
-        trial_indices = np.arange(kept.stop)
-    else:
-        errors = [CalcErrorDossier(batch.errors[t], t, tuple(values[t].tolist())) for t in failed]
-        ok = np.ones(spec.trials, dtype=bool)
+    for start in range(0, spec.trials, TRIALS_BLOCK):
+        n = min(TRIALS_BLOCK, spec.trials - start)
+        block = values[start:start + n] if correlated else _sample_matrix(spec, n, start)
+        batch = evaluate_batch(
+            model, {c: block[:, j] for j, c in enumerate(spec.assumption_cells)}, n, keep=keep)
+        failed = sorted(batch.errors)
+        trapped = [CalcErrorDossier(batch.errors[i], start + i, tuple(block[i].tolist()))
+                   for i in failed]
+        ok = np.ones(n, dtype=bool)
         ok[failed] = False
-        kept = trial_indices = np.flatnonzero(ok)
-        if not len(kept):
-            raise SimulationError("every trial failed with a calculation error")
+        if spec.stop_on_error and failed:
+            dossier = trapped[0]
+            ok[failed[0]:] = False
+        else:
+            errors += trapped
+        rows = slice(kept, kept + np.count_nonzero(ok))
+        _capture(batch, forecast_cells, ok, forecasts[rows])
+        _capture(batch, limit_cells, ok, monitored[rows])
+        # last: a correlated block and its batch columns are views of values
+        values[rows] = block[ok]
+        trial_indices[rows] = start + np.flatnonzero(ok)
+        kept = rows.stop
+        if dossier is not None:
+            break
+    if not spec.stop_on_error and not kept:
+        raise SimulationError("every trial failed with a calculation error")
 
     return TrialStore(
         model=model,
         spec=spec,
-        assumption_matrix=values[kept],
-        forecast_matrix=_capture(batch, forecast_cells, kept, len(trial_indices)),
-        monitored_matrix=_capture(batch, limit_cells, kept, len(trial_indices)),
-        trial_indices=trial_indices,
+        assumption_matrix=values[:kept],
+        forecast_matrix=forecasts[:kept],
+        monitored_matrix=monitored[:kept],
+        trial_indices=trial_indices[:kept],
         errors=errors,
         dossier=dossier,
     )
 
 
-def _capture(batch: Batch, cells: list, kept, n: int) -> np.ndarray:
-    """n kept rows (a slice or row indices) x cells matrix of a batch's values."""
-    out = np.empty((n, len(cells)))
+def _capture(batch: Batch, cells: list, ok: np.ndarray, out: np.ndarray) -> None:
+    """Write the batch's values of cells in the rows ok marks into out's columns."""
     for j, c in enumerate(cells):
         v = batch.values[c]
-        out[:, j] = v[kept] if isinstance(v, np.ndarray) else v
-    return out
+        out[:, j] = v[ok] if isinstance(v, np.ndarray) else v
 
 
 def replay(model: Model, spec: SimulationSpec, assumptions):

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 
 import pytest
@@ -9,6 +10,15 @@ EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples")
 
 def example_path(name: str) -> str:
     return os.path.abspath(os.path.join(EXAMPLES, name))
+
+
+def portfolio_documents(seeds) -> list:
+    """The documents benchmarks/portfolio.py generates for these seeds."""
+    path = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "portfolio.py")
+    spec = importlib.util.spec_from_file_location("portfolio", path)
+    portfolio = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(portfolio)
+    return [portfolio.generate(seed)[0] for seed in seeds]
 
 
 @pytest.fixture(scope="session")

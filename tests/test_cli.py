@@ -10,11 +10,12 @@ import sys
 import numpy as np
 import pytest
 
-from gridmc import report
+from gridmc import cli, report, simulate
+from gridmc.audit import FindingKind
 from gridmc.cells import parse_cell
 from gridmc.cli import main
 from gridmc.document import ModelDocument
-from tests.conftest import example_path
+from tests.conftest import EXAMPLES, example_path, portfolio_documents
 
 PROJECT = example_path("project-npv.json")
 HARDCODE = example_path("project-npv-hardcode.json")
@@ -147,6 +148,21 @@ class TestRun:
         with open(tmp_path / "trials.csv") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) - 1 == dossier["trial"]
+
+    def test_halted_run_stops_at_the_block_of_its_error(self, tmp_path, monkeypatch):
+        # sqrt-trap halts at trial 4: a 1M-trial run evaluates one block,
+        # and writes the dossier and trials of a 10-trial run
+        rows = []
+        evaluate_batch = simulate.evaluate_batch
+        monkeypatch.setattr(simulate, "evaluate_batch",
+                            lambda *a, **kw: rows.append(a[2]) or evaluate_batch(*a, **kw))
+        files = {}
+        for trials in ("10", "1000000"):
+            assert main(["run", SQRT_TRAP, "--trials", trials,
+                         "--out", str(tmp_path / trials)]) == 1
+            files[trials] = [read(tmp_path / trials / f) for f in ("dossier.json", "trials.csv")]
+        assert rows == [10, simulate.TRIALS_BLOCK]
+        assert files["10"] == files["1000000"]
 
     @pytest.mark.parametrize("command", ["run", "audit"])
     def test_integral_floats_in_run_block(self, tmp_path, capsys, command):
@@ -281,6 +297,43 @@ class TestAudit:
             "110,0.06,0.02,0.22\n")
         assert main(["audit", PROJECT, "--history", str(hist),
                      "--out", str(tmp_path)]) == 0
+
+    def test_every_finding_kind_holds_python_values(self, tmp_path, monkeypatch, capsys):
+        # evidence and witnesses reach stdout through repr: numpy scalars
+        # would print as np.float64(...)
+        reports = []
+        run_audit = cli.run_audit
+        monkeypatch.setattr(cli, "run_audit",
+                            lambda *a: reports.append(run_audit(*a)) or reports[-1])
+        docs = ([example_path(name) for name in sorted(os.listdir(EXAMPLES))]
+                + [write_doc(tmp_path, doc, f"portfolio-{seed}.json")
+                   for seed, doc in zip((1, 5), portfolio_documents((1, 5)))])
+        for path in docs:
+            main(["audit", path, "--trials", "1000", "--out", str(tmp_path)])
+        # one history row that fails and one that breaks the limits
+        histories = {SQRT_TRAP: "X\n-1\n",
+                     example_path("project-npv-noclamp.json"):
+                         "Year1Sales,SalesGrowth,COGSGrowth,OpexPct\n84.7,-0.04,0.08,0.27\n"}
+        for path, text in histories.items():
+            hist = tmp_path / "history.csv"
+            hist.write_text(text)
+            main(["audit", path, "--trials", "1000", "--history", str(hist),
+                  "--out", str(tmp_path)])
+
+        def python_only(value):
+            if isinstance(value, (list, tuple)):
+                return all(python_only(v) for v in value)
+            return type(value) in (int, float, str, bool, type(None))
+        findings = [f for r in reports for f in r.findings]
+        assert {f.kind.value for f in findings} == {k.value for k in FindingKind}
+        assert {tuple(f.evidence) for f in findings if f.kind is FindingKind.BACKCAST_FAILURE} \
+            == {("row", "error_kind", "detail"),
+                ("row", "limit_cell", "value", "declared_min", "declared_max")}
+        for f in findings:
+            assert all(python_only(v) for v in f.evidence.values()), f
+            assert f.witness is None or python_only(f.witness), f
+            assert "np." not in repr(f.evidence) + repr(f.witness)
+        assert "np." not in capsys.readouterr().out
 
     def test_history_bad_header(self, tmp_path, capsys):
         hist = tmp_path / "history.csv"

@@ -67,16 +67,34 @@ EDGES = [P_LOW, 1 - P_LOW, np.nextafter(P_LOW, 0), np.nextafter(P_LOW, 1),
 OPEN_UNIT = hst.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 
+# the four forms a value reaches norm_ppf in; the first three give a float
+FORMS = (float, np.float64, lambda x: np.array(float(x)), lambda x: np.array([float(x)]))
+
+
+def in_every_form(u):
+    """norm_ppf of u in each form, under np.errstate(all="raise"), with the
+    oracle's value: the scalar forms must give a Python float."""
+    want = norm_ppf_oracle.norm_ppf(float(u))
+    for form in FORMS:
+        with np.errstate(all="raise"):
+            got = norm_ppf(form(u))
+        if form is FORMS[-1]:
+            assert type(got) is np.ndarray and got.shape == (1,)
+            got = got[0]
+        else:
+            assert type(got) is float
+        yield got, want
+
+
 class TestNormPpfAgainstBranchingOracle:
-    """The branch-free norm_ppf gives the bits of the masked one it replaced,
-    and no formula warns on the elements it does not serve."""
+    """The branch-free norm_ppf gives the bits of the masked one it replaced
+    for a float, an np.float64, a 0-d and a 1-d array, and no formula warns
+    on the elements it does not serve."""
 
     @pytest.mark.parametrize("u", EDGES)
     def test_edges(self, u):
-        with np.errstate(all="raise"):
-            got = norm_ppf(float(u))
-            assert type(got) is float
-            assert same_bits(got, norm_ppf_oracle.norm_ppf(float(u)))
+        for got, want in in_every_form(u):
+            assert same_bits(got, want)
 
     def test_edges_as_one_array(self):
         u = np.array(EDGES)
@@ -86,10 +104,8 @@ class TestNormPpfAgainstBranchingOracle:
     @settings(max_examples=300, deadline=None)
     @given(OPEN_UNIT)
     def test_scalars(self, u):
-        with np.errstate(all="raise"):
-            got = norm_ppf(u)
-            assert type(got) is float
-            assert same_bits(got, norm_ppf_oracle.norm_ppf(u))
+        for got, want in in_every_form(u):
+            assert same_bits(got, want)
 
     @settings(max_examples=200, deadline=None)
     @given(hst.lists(OPEN_UNIT | hst.sampled_from(EDGES), max_size=50),
@@ -102,10 +118,17 @@ class TestNormPpfAgainstBranchingOracle:
             assert same_bits(norm_ppf(u), norm_ppf_oracle.norm_ppf(u))
 
     def test_nan_gives_nan(self):
+        for got, _ in in_every_form(math.nan):
+            assert math.isnan(got)
         with np.errstate(all="raise"):
-            assert math.isnan(norm_ppf(math.nan))
             got = norm_ppf(np.array([0.3, math.nan]))
         assert math.isnan(got[1]) and got[0] == norm_ppf(0.3)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.1, -math.inf, math.inf])
+    def test_out_of_domain_raises_in_every_form(self, bad):
+        for form in FORMS:
+            with np.errstate(all="raise"), pytest.raises(ValueError, match="strictly inside"):
+                norm_ppf(form(bad))
 
 
 class TestInverseCdf:

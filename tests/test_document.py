@@ -1,5 +1,4 @@
 import copy
-import importlib.util
 import json
 import os
 import subprocess
@@ -15,7 +14,7 @@ from gridmc.distributions import Triangular, Uniform
 from gridmc.document import DocumentError, ModelDocument, _errors, validate_schema
 from gridmc.model import evaluate
 from gridmc.simulate import run
-from tests.conftest import EXAMPLES, example_path
+from tests.conftest import EXAMPLES, example_path, portfolio_documents
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -89,17 +88,9 @@ class TestSchema:
             validate_schema(data)
 
 
-def _portfolio_documents(seeds):
-    path = os.path.join(ROOT, "benchmarks", "portfolio.py")
-    spec = importlib.util.spec_from_file_location("portfolio", path)
-    portfolio = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(portfolio)
-    return [portfolio.generate(seed)[0] for seed in seeds]
-
-
 SCHEMA = json.loads(resources.files("gridmc").joinpath("schema.json").read_text())
 BASE_DOCUMENTS = ([json.load(open(example_path(name))) for name in sorted(os.listdir(EXAMPLES))]
-                  + _portfolio_documents(range(3)))
+                  + portfolio_documents(range(3)))
 
 # values of every JSON type, some near the schema's edges
 SWAP_VALUES = [None, True, False, 0, 1, -1, 200.0, 2.5, -1.5, "", "x", "A1", "+",
@@ -272,7 +263,7 @@ class TestBuild:
         # the build rejects a label that names another defined cell, but not
         # every address-shaped label: the portfolio labels A10..A24 X10..X24
         docs = ([json.load(open(example_path(name))) for name in sorted(os.listdir(EXAMPLES))]
-                + _portfolio_documents(range(1, 201)))
+                + portfolio_documents(range(1, 201)))
         assert len(docs) == 206
         for data in docs:
             ModelDocument.from_json(data).build(trials=300)

@@ -8,16 +8,19 @@ from gridmc.cells import parse_cell
 from gridmc.correlation import CorrelationSpec
 from gridmc.distributions import Normal, Uniform
 from gridmc.functions import ErrorKind
-from gridmc.model import CalcError, build_model, evaluate
+from gridmc.model import CalcError, build_model, evaluate, evaluate_batch
 from gridmc.rng import RandomSource
 from gridmc.simulate import (
+    TRIALS_BLOCK,
     CalcErrorDossier,
     Forecast,
+    Limit,
     SimulationError,
     SimulationSpec,
     StepSession,
     replay,
     run,
+    sample_assumptions,
 )
 from gridmc.analytics import spearman, tornado
 
@@ -204,6 +207,58 @@ class TestRun:
         store = run(model, spec)
         assert store.monitored_matrix.shape == (50, 1)
         assert np.array_equal(store.monitored_matrix[:, 0], store.forecast_matrix[:, 0])
+
+
+def one_pass(model, spec):
+    """Reference run: every trial sampled and evaluated in one batch, then
+    the kept rows picked as run keeps them."""
+    values = sample_assumptions(spec)
+    batch = evaluate_batch(
+        model, {c: values[:, j] for j, c in enumerate(spec.assumption_cells)}, spec.trials)
+    failed = sorted(batch.errors)
+    if spec.stop_on_error:
+        kept = np.arange(failed[0] if failed else spec.trials)
+        failed = failed[:1]
+    else:
+        kept = np.setdiff1d(np.arange(spec.trials), failed)
+    dossiers = [CalcErrorDossier(batch.errors[t], t, tuple(values[t].tolist())) for t in failed]
+
+    def capture(cells):
+        return np.array([np.broadcast_to(batch.values[c], (spec.trials,))[kept]
+                         for c in cells]).T.reshape(len(kept), len(cells))
+    return (kept, values[kept], capture([f.cell for f in spec.forecasts]),
+            capture([lim.cell for lim in spec.limits]), dossiers)
+
+
+class TestBlocks:
+    """run evaluates TRIALS_BLOCK trials at a time and keeps what one pass
+    over every trial keeps, bit for bit."""
+
+    @pytest.mark.parametrize("correlated", [False, True])
+    @pytest.mark.parametrize("stop_on_error", [True, False])
+    def test_blocks_equal_one_pass(self, correlated, stop_on_error):
+        # A1 > 0.999 fails; at seed 8 the first failure is past the first
+        # block, and the failures fall in more than one block
+        model = build_model([("A1", "x", 0.5), ("A2", "y", 0.5),
+                             ("A3", "r", "=SQRT(0.999-A1)+A2")])
+        spec = SimulationSpec(
+            assumptions=[(C("A1"), Uniform(0, 1)), (C("A2"), Uniform(0, 1))],
+            forecasts=[Forecast(C("A3"), "r"), Forecast(C("A2"), "y")],
+            limits=[Limit(C("A3"), max=2.0), Limit(C("A1"))],
+            correlation=CorrelationSpec.from_pairs(2, {(0, 1): 0.6}) if correlated else None,
+            trials=5000, seed=8, stop_on_error=stop_on_error)
+        kept, assumptions, forecasts, monitored, dossiers = one_pass(model, spec)
+        store = run(model, spec)
+        assert dossiers[0].trial >= TRIALS_BLOCK
+        if not stop_on_error:
+            assert len({d.trial // TRIALS_BLOCK for d in dossiers}) > 1
+        assert (store.errors or [store.dossier]) == dossiers
+        assert np.array_equal(store.trial_indices, kept)
+        for got, want in ((store.assumption_matrix, assumptions),
+                          (store.forecast_matrix, forecasts),
+                          (store.monitored_matrix, monitored)):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestReplay:
