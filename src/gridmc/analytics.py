@@ -191,6 +191,13 @@ def histogram(store: TrialStore, forecast: str, bins: Optional[int] = None) -> H
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:  # degenerate forecast; widen so edges stay increasing
         lo, hi = lo - 0.5, hi + 0.5
+    # a range spanning too few floats for `bins` distinct edges (a constant
+    # near 1e20, where the 0.5 is lost to rounding) widens a float step on
+    # each side at a time, to the narrowest range whose edges, computed as
+    # np.histogram computes them, strictly increase. A width past the float
+    # range cannot be mended by widening.
+    while math.isfinite(hi - lo) and np.any(np.diff(np.linspace(lo, hi, bins + 1)) <= 0):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
     counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
     return Histogram(edges=[float(e) for e in edges], counts=[int(c) for c in counts])
 

@@ -18,7 +18,7 @@ from .audit import Thresholds, run_audit
 from .correlation import CorrelationError
 from .document import DocumentError, ModelDocument
 from .model import CalcError, ModelBuildError
-from .simulate import SimulationError, StepSession, run
+from .simulate import SimulationError, StepSession, histogram_file, run
 
 EXIT_OK = 0
 EXIT_CALC_ERROR = 1
@@ -170,8 +170,8 @@ def cmd_run(args) -> int:
     report.write_json(report.out_path(args.out, "report.json"), payload)
     for f, entry in zip(spec.forecasts, payload["forecasts"]):
         if entry["histogram"] is not None:
-            name = f"histogram-{report.safe_label(f.label)}.csv"
-            report.export_histogram(entry["histogram"], report.out_path(args.out, name))
+            report.export_histogram(entry["histogram"],
+                                    report.out_path(args.out, histogram_file(f.label)))
     print(f"completed {store.completed}/{spec.trials} trials"
           + (f" ({len(store.errors)} errors recorded)" if store.errors else ""))
     return EXIT_OK

@@ -25,6 +25,7 @@ _C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
 _D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
       3.754408661907416e+00, 1.0)
 _P_LOW = 0.02425  # below _P_LOW and above 1 - _P_LOW the tail formula serves
+_SCALARS = (float, int, np.generic)  # with 0-d arrays, what norm_ppf takes as a scalar
 
 
 def _horner(x, coeffs):
@@ -40,15 +41,35 @@ def _horner(x, coeffs):
 def norm_ppf(u):
     """Inverse standard-normal CDF, Acklam's rational approximation.
 
-    Max relative error ~1.15e-9 over (0, 1); a scalar gives a float. Both
-    formulas run on every element and np.where picks each result: the same
-    IEEE operations per element as the branching form, so the same bits.
+    Max relative error ~1.15e-9 over (0, 1). NaN gives NaN; 0, 1, values
+    outside (0, 1) and infinities raise ValueError.
 
-    `[()]` turns a 0-d array into a numpy scalar and leaves any other array
-    as it is, so a scalar runs the same lines on numpy scalar arithmetic,
-    which skips the per-call array machinery of 0-d arrays.
+    A Python or numpy scalar, or a 0-d array, gives a Python float from
+    Acklam's algorithm as published: only the formula u needs, on Python
+    floats, which makes a per-element draw about six times cheaper than
+    numpy scalar arithmetic on both formulas. Anything else is taken as an
+    array, and every element runs both formulas, branch-free; np.where
+    picks each result. Both paths make the same IEEE operations per
+    element, so they give the same bits. The tail's log is numpy's on both
+    paths: math.log rounds differently from numpy's SIMD log on some
+    inputs.
     """
-    u = np.asarray(u, dtype=float)[()]
+    if not (isinstance(u, _SCALARS) or (isinstance(u, np.ndarray) and u.ndim == 0)):
+        return _norm_ppf_array(np.asarray(u, dtype=float))
+    u = float(u)
+    if not 0.0 < u < 1.0:
+        if u != u:
+            return u
+        raise ValueError("u must lie strictly inside (0, 1)")
+    q = u - 0.5
+    if _P_LOW <= u <= 1 - _P_LOW:
+        r = q * q
+        return _horner(r, _A) * q / _horner(r, _B)
+    t = math.sqrt(-2.0 * float(np.log(min(u, 1.0 - u))))
+    return math.copysign(_horner(t, _C) / _horner(t, _D), q)
+
+
+def _norm_ppf_array(u):
     if np.count_nonzero((u <= 0.0) | (u >= 1.0)):
         raise ValueError("u must lie strictly inside (0, 1)")
     q = u - 0.5
@@ -63,8 +84,7 @@ def norm_ppf(u):
     # C(t)/D(t) < 0 for every t >= 2.72, and a tail element has t > 2.72, so
     # copysign with q's sign gives the bits of tail below _P_LOW and of -tail
     # above 1 - _P_LOW
-    out = np.where((u < _P_LOW) | (u > 1 - _P_LOW), np.copysign(tail, q), mid)
-    return out if out.ndim else float(out)
+    return np.where((u < _P_LOW) | (u > 1 - _P_LOW), np.copysign(tail, q), mid)
 
 
 class Distribution:

@@ -105,10 +105,6 @@ def export_tornado(torn, path) -> None:
               [[b.label, b.low, b.high] for b in torn.bars])
 
 
-def safe_label(label: str) -> str:
-    return "".join(ch if ch.isalnum() or ch in "-_" else "_" for ch in label)
-
-
 def out_path(out_dir: str, name: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     return os.path.join(out_dir, name)

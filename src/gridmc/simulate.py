@@ -130,7 +130,8 @@ class SimulationSpec:
 
 def check_labels(model: Model, forecasts: list) -> None:
     """Reject a label that names two cells: a cell label spelling another cell's
-    address, or a forecast label naming another forecast's or cell's cell."""
+    address, or a forecast label naming another forecast's or cell's cell; and
+    two forecast labels whose histograms would share one file."""
     labels = [f.label for f in forecasts]
     for label in [*labels, *model.labels]:
         if labels.count(label) > 1:
@@ -139,6 +140,18 @@ def check_labels(model: Model, forecasts: list) -> None:
             model.cell_by_name(label, forecasts)
         except KeyError as exc:
             raise SimulationError(f"label {exc.args[0]}") from None
+    writers = {}
+    for label in labels:
+        name = histogram_file(label)
+        if writers.setdefault(name, label) != label:
+            raise SimulationError(f"forecast labels {writers[name]!r} and {label!r} "
+                                  f"both write {name}")
+
+
+def histogram_file(label: str) -> str:
+    """The name of the file `gridmc run` writes a forecast's histogram to."""
+    safe = "".join(ch if ch.isalnum() or ch in "-_" else "_" for ch in label)
+    return f"histogram-{safe}.csv"
 
 
 def check_bounds(lo: Optional[float], hi: Optional[float], what: str) -> None:

@@ -109,6 +109,20 @@ class TestRun:
         assert entry["spearman"] == 1.0
         assert entry["pearson"] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("formula", ["=A1*0+1e20", "=1e20+A1*1e5"])
+    def test_histogram_of_a_range_too_narrow_for_its_bins(self, tmp_path, capsys, formula):
+        # a constant near 1e20 loses the +-0.5 widening to rounding, and
+        # 1e20 + [1e5, 2e5] spans about 6 floats: neither has 15 distinct edges
+        path = write_xy_doc(tmp_path, formula)
+        assert main(["run", path, "--trials", "200", "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        hist = json.loads(read(tmp_path / "out" / "report.json"))["forecasts"][0]["histogram"]
+        assert len(hist["counts"]) == 15
+        assert all(a < b for a, b in zip(hist["edges"], hist["edges"][1:]))
+        assert sum(hist["counts"]) == 200
+        with open(tmp_path / "out" / "histogram-Y.csv") as fh:
+            assert sum(int(row[1]) for row in list(csv.reader(fh))[1:]) == 200
+
     def test_artifact_with_nan_is_not_written(self, tmp_path, monkeypatch):
         real = report.forecast_report
         monkeypatch.setattr(report, "forecast_report",
@@ -362,16 +376,21 @@ def write_doc(tmp_path, doc, name="doc.json"):
     return str(path)
 
 
-def run_scaled(tmp_path, capsys, scale):
-    """`gridmc run` of X ~ uniform(1, 2) and the forecast X * scale: the
-    forecast's report stats, and the X and forecast columns of trials.csv."""
+def write_xy_doc(tmp_path, formula):
+    """A document of X ~ uniform(1, 2) in A1 and the forecast Y = formula in A2."""
     doc = {"name": "scaled",
            "cells": [{"address": "A1", "label": "X", "formula": 1.5},
-                     {"address": "A2", "label": "Y", "formula": f"=A1*{scale}"}],
+                     {"address": "A2", "label": "Y", "formula": formula}],
            "assumptions": [{"cell": "X", "distribution":
                             {"type": "uniform", "min": 1, "max": 2}}],
            "forecasts": [{"cell": "A2", "label": "Y"}]}
-    path = write_doc(tmp_path, doc)
+    return write_doc(tmp_path, doc)
+
+
+def run_scaled(tmp_path, capsys, scale):
+    """`gridmc run` of X ~ uniform(1, 2) and the forecast X * scale: the
+    forecast's report stats, and the X and forecast columns of trials.csv."""
+    path = write_xy_doc(tmp_path, f"=A1*{scale}")
     assert main(["run", path, "--trials", "300", "--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().err == ""
     with open(tmp_path / "out" / "report.json") as fh:
@@ -638,6 +657,24 @@ class TestErrorExits:
         out = [] if command == "validate" else ["--trials", "300", "--out", str(tmp_path / "out")]
         assert main([command, path, *out]) == 1
         assert one_error_line(capsys, "build error:") == f"build error: {message}"
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("command", ["validate", "run", "audit", "tornado",
+                                         "scenario", "step"])
+    def test_forecast_labels_sharing_a_histogram_file(self, tmp_path, monkeypatch,
+                                                      capsys, command):
+        # both labels map to histogram-Net_Value.csv: one would overwrite the other
+        doc = json.load(open(PROJECT))
+        doc["forecasts"][0]["label"] = "Net Value"
+        doc["forecasts"].append({"cell": "E14", "label": "Net_Value"})
+        path = write_doc(tmp_path, doc)
+        options = {"validate": [], "step": ["--trials", "300"]}.get(
+            command, ["--trials", "300", "--out", str(tmp_path / "out")])
+        monkeypatch.setattr("sys.stdin", io.StringIO("step\nquit\n"))
+        assert main([command, path, *options]) == 1
+        assert one_error_line(capsys, "build error:") == (
+            "build error: forecast labels 'Net Value' and 'Net_Value' "
+            "both write histogram-Net_Value.csv")
         assert not os.path.exists(tmp_path / "out")
 
 

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 import scipy.stats as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from gridmc.distributions import (
@@ -87,9 +87,9 @@ def in_every_form(u):
 
 
 class TestNormPpfAgainstBranchingOracle:
-    """The branch-free norm_ppf gives the bits of the masked one it replaced
-    for a float, an np.float64, a 0-d and a 1-d array, and no formula warns
-    on the elements it does not serve."""
+    """norm_ppf gives the bits of the masked one it replaced for a float, an
+    np.float64 and a 0-d array (its scalar path) and a 1-d array (its array
+    path), and no formula warns on the elements it does not serve."""
 
     @pytest.mark.parametrize("u", EDGES)
     def test_edges(self, u):
@@ -129,6 +129,31 @@ class TestNormPpfAgainstBranchingOracle:
         for form in FORMS:
             with np.errstate(all="raise"), pytest.raises(ValueError, match="strictly inside"):
                 norm_ppf(form(bad))
+
+
+class TestNormPpfPaths:
+    """A scalar runs one formula on Python floats, an array runs both on
+    every element: the two paths give the same bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hst.lists(OPEN_UNIT | hst.sampled_from(EDGES), min_size=1, max_size=50))
+    @example(EDGES)
+    def test_array_equals_scalars(self, values):
+        self.check(np.array(values, dtype=float))
+
+    def test_tails_array_equals_scalars(self):
+        # math.log rounds differently from numpy's SIMD log on about 2 in
+        # 10,000 tail inputs on some CPUs: enough inputs that a scalar path
+        # with another log than the array path's would show
+        u = np.random.default_rng(15).random(50_000) * P_LOW
+        self.check(np.concatenate([u, 1.0 - u]))
+
+    @staticmethod
+    def check(u):
+        with np.errstate(all="raise"):
+            array = norm_ppf(u)
+            scalars = np.array([norm_ppf(x) for x in u.tolist()])
+        assert same_bits(array, scalars)
 
 
 class TestInverseCdf:
