@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -77,13 +78,13 @@ class TornadoBar:
     label: str
     low: Optional[float]  # forecast at the low quantile; None on eval error
     high: Optional[float]
-    swing: float
+    swing: float  # inf where high - low overflows; reported as null
     direction: int  # sign(high - low)
     error: Optional[str] = None
 
     def to_json(self) -> dict:
         out = {"label": self.label, "low": self.low, "high": self.high,
-               "swing": self.swing, "direction": self.direction}
+               "swing": _finite(self.swing), "direction": self.direction}
         if self.error:
             out["error"] = self.error
         return out
@@ -191,15 +192,24 @@ def histogram(store: TrialStore, forecast: str, bins: Optional[int] = None) -> H
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:  # degenerate forecast; widen so edges stay increasing
         lo, hi = lo - 0.5, hi + 0.5
+    # a range wider than the largest float is binned on values * 2**k, with
+    # _pow2_scaled's k, and its edges are scaled back
+    k = 0
+    if not math.isfinite(hi - lo):
+        values, k = _pow2_scaled(values)
+        lo, hi = float(values.min()), float(values.max())
     # a range spanning too few floats for `bins` distinct edges (a constant
     # near 1e20, where the 0.5 is lost to rounding) widens a float step on
     # each side at a time, to the narrowest range whose edges, computed as
-    # np.histogram computes them, strictly increase. A width past the float
-    # range cannot be mended by widening.
-    while math.isfinite(hi - lo) and np.any(np.diff(np.linspace(lo, hi, bins + 1)) <= 0):
-        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    # np.histogram computes them, strictly increase. A side at the largest
+    # float stays there.
+    top = math.ldexp(sys.float_info.max, k)
+    while np.any(np.diff(np.linspace(lo, hi, bins + 1)) <= 0):
+        lo = max(math.nextafter(lo, -math.inf), -top)
+        hi = min(math.nextafter(hi, math.inf), top)
     counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
-    return Histogram(edges=[float(e) for e in edges], counts=[int(c) for c in counts])
+    return Histogram(edges=[math.ldexp(e, -k) for e in edges.tolist()],
+                     counts=[int(c) for c in counts])
 
 
 def certainty(store: TrialStore, forecast: str,
@@ -290,11 +300,11 @@ def tornado(model: Model, spec: SimulationSpec,
     # Row 0 holds every median; rows 2j+1 and 2j+2 move assumption j to
     # its low and its high quantile.
     k = len(spec.assumptions)
-    rows = np.tile(np.array([d.median for d in spec.distributions], dtype=float),
-                   (2 * k + 1, 1))
+    rows = np.empty((2 * k + 1, k))
     for j, dist in enumerate(spec.distributions):
-        rows[2 * j + 1, j] = dist.inverse_cdf(q_low)
-        rows[2 * j + 2, j] = dist.inverse_cdf(q_high)
+        median, low, high = dist.inverse_cdf(np.array([0.5, q_low, q_high]))
+        rows[:, j] = median
+        rows[2 * j + 1, j], rows[2 * j + 2, j] = low, high
     batch = evaluate_batch(
         model, {c: rows[:, j] for j, c in enumerate(spec.assumption_cells)}, 2 * k + 1,
         keep={f.cell for f in spec.forecasts})

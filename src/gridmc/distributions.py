@@ -25,11 +25,10 @@ _C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
 _D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
       3.754408661907416e+00, 1.0)
 _P_LOW = 0.02425  # below _P_LOW and above 1 - _P_LOW the tail formula serves
-_SCALARS = (float, int, np.generic)  # with 0-d arrays, what norm_ppf takes as a scalar
 
 
 def _horner(x, coeffs):
-    """((c0*x + c1)*x + ...)*x + cn, accumulated in one array or scalar."""
+    """((c0*x + c1)*x + ...)*x + cn, accumulated in one array."""
     acc = coeffs[0] * x
     for c in coeffs[1:-1]:
         acc += c
@@ -41,35 +40,15 @@ def _horner(x, coeffs):
 def norm_ppf(u):
     """Inverse standard-normal CDF, Acklam's rational approximation.
 
-    Max relative error ~1.15e-9 over (0, 1). NaN gives NaN; 0, 1, values
+    Max relative error ~1.15e-9 over (0, 1). Takes anything np.asarray
+    takes and returns an array of its shape. NaN gives NaN; 0, 1, values
     outside (0, 1) and infinities raise ValueError.
 
-    A Python or numpy scalar, or a 0-d array, gives a Python float from
-    Acklam's algorithm as published: only the formula u needs, on Python
-    floats, which makes a per-element draw about six times cheaper than
-    numpy scalar arithmetic on both formulas. Anything else is taken as an
-    array, and every element runs both formulas, branch-free; np.where
-    picks each result. Both paths make the same IEEE operations per
-    element, so they give the same bits. The tail's log is numpy's on both
-    paths: math.log rounds differently from numpy's SIMD log on some
-    inputs.
+    Every element runs both formulas, branch-free; np.where picks each
+    result. The tail's log is numpy's: math.log rounds differently from
+    numpy's SIMD log on some inputs.
     """
-    if not (isinstance(u, _SCALARS) or (isinstance(u, np.ndarray) and u.ndim == 0)):
-        return _norm_ppf_array(np.asarray(u, dtype=float))
-    u = float(u)
-    if not 0.0 < u < 1.0:
-        if u != u:
-            return u
-        raise ValueError("u must lie strictly inside (0, 1)")
-    q = u - 0.5
-    if _P_LOW <= u <= 1 - _P_LOW:
-        r = q * q
-        return _horner(r, _A) * q / _horner(r, _B)
-    t = math.sqrt(-2.0 * float(np.log(min(u, 1.0 - u))))
-    return math.copysign(_horner(t, _C) / _horner(t, _D), q)
-
-
-def _norm_ppf_array(u):
+    u = np.asarray(u, dtype=float)
     if np.count_nonzero((u <= 0.0) | (u >= 1.0)):
         raise ValueError("u must lie strictly inside (0, 1)")
     q = u - 0.5
@@ -90,8 +69,9 @@ def _norm_ppf_array(u):
 class Distribution:
     """Base: subclasses implement inverse_cdf plus analytic mean/variance/cdf."""
 
-    def inverse_cdf(self, u: float) -> float:
-        """F^{-1}(u) for 0 < u < 1; monotone non-decreasing in u."""
+    def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
+        """F^{-1} of each element of a float array u, all in (0, 1): an
+        array of u's shape, monotone non-decreasing in u."""
         raise NotImplementedError
 
     def mean(self) -> float:
@@ -105,7 +85,7 @@ class Distribution:
 
     @property
     def median(self) -> float:
-        return self.inverse_cdf(0.5)
+        return float(self.inverse_cdf(np.array([0.5]))[0])
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -149,13 +129,19 @@ class Triangular(Distribution):
         if not (self.min <= self.mode <= self.max and self.min < self.max):
             raise ValueError(
                 f"triangular needs min <= mode <= max, got ({self.min}, {self.mode}, {self.max})")
+        width = self.max - self.min
+        if not (math.isfinite(width * (self.mode - self.min))
+                and math.isfinite(width * (self.max - self.mode))):
+            raise ValueError(f"triangular(min={self.min}, mode={self.mode}, max={self.max}) "
+                             f"draws variates beyond the float range")
 
     def inverse_cdf(self, u):
         a, m, b = self.min, self.mode, self.max
-        fc = (m - a) / (b - a)
-        if u <= fc:
-            return a + math.sqrt(u * (b - a) * (m - a)) if m > a else a
-        return b - math.sqrt((1.0 - u) * (b - a) * (b - m))
+        # both branches run on every element; each radicand is a product of
+        # factors >= 0 for u in (0, 1), and finite by __post_init__
+        left = a + np.sqrt(u * (b - a) * (m - a)) if m > a else a
+        right = b - np.sqrt((1.0 - u) * (b - a) * (b - m))
+        return np.where(u <= (m - a) / (b - a), left, right)
 
     def mean(self):
         return (self.min + self.mode + self.max) / 3.0
@@ -186,7 +172,9 @@ class Normal(Distribution):
     def __post_init__(self):
         if not self.sd > 0:
             raise ValueError(f"normal needs sd > 0, got {self.sd}")
-        if not all(math.isfinite(self.inverse_cdf(u)) for u in (U_MIN, U_MAX)):
+        with np.errstate(all="ignore"):
+            ends = self.inverse_cdf(np.array([U_MIN, U_MAX]))
+        if not np.isfinite(ends).all():
             raise ValueError(f"normal(mean={self.mean_}, sd={self.sd}) "
                              f"draws variates beyond the float range")
 
@@ -217,13 +205,18 @@ class Lognormal(Distribution):
         if not self.log_sd > 0:
             raise ValueError(f"lognormal needs log_sd > 0, got {self.log_sd}")
         try:
-            self.inverse_cdf(U_MAX)
+            with np.errstate(all="ignore"):
+                top = self.inverse_cdf(np.array([U_MAX]))[0]
         except OverflowError:
+            top = math.inf
+        if not math.isfinite(top):  # an infinite exponent does not raise
             raise ValueError(f"lognormal(log_mean={self.log_mean}, log_sd={self.log_sd}) "
-                             f"draws variates beyond the float range") from None
+                             f"draws variates beyond the float range")
 
     def inverse_cdf(self, u):
-        return math.exp(self.log_mean + self.log_sd * norm_ppf(u))
+        # math.exp, not np.exp: the two round differently on some inputs
+        z = self.log_mean + self.log_sd * norm_ppf(u)
+        return np.fromiter(map(math.exp, z.ravel().tolist()), float, z.size).reshape(z.shape)
 
     def mean(self):
         return math.exp(self.log_mean + 0.5 * self.log_sd ** 2)
@@ -247,14 +240,19 @@ class DiscreteUniform(Distribution):
     hi: int
 
     def __post_init__(self):
+        if not (abs(self.lo) <= 2 ** 53 and abs(self.hi) <= 2 ** 53):
+            raise ValueError("discrete uniform bounds must lie within +-2**53, "
+                             "where integers are distinct floats")
         if not (float(self.lo).is_integer() and float(self.hi).is_integer()):
             raise ValueError("discrete uniform bounds must be integers")
         if not self.lo < self.hi:
             raise ValueError(f"discrete uniform needs lo < hi, got [{self.lo}, {self.hi}]")
 
     def inverse_cdf(self, u):
+        # u <= 1 - 2**-53, so u * n rounds below n and truncates to at most
+        # n - 1; lo and each lo + k lie within +-2**53, so the sum is exact
         n = self.hi - self.lo + 1
-        return float(self.lo + min(n - 1, int(u * n)))
+        return self.lo + np.trunc(u * n)
 
     def mean(self):
         return 0.5 * (self.lo + self.hi)
@@ -286,11 +284,8 @@ class Custom(Distribution):
         if abs(total - 1.0) > _PROB_TOL:
             raise ValueError(f"custom probabilities sum to {total}, not 1")
         self.pairs = tuple(sorted(pairs))
-        self._cum = []
-        acc = 0.0
-        for _, p in self.pairs:
-            acc += p
-            self._cum.append(acc)
+        self._values = np.array([v for v, _ in self.pairs])
+        self._cum = np.cumsum([p for _, p in self.pairs])  # sequential sums
         self._cum[-1] = 1.0
 
     def __eq__(self, other):
@@ -303,10 +298,9 @@ class Custom(Distribution):
         return f"Custom({list(self.pairs)!r})"
 
     def inverse_cdf(self, u):
-        for (v, _), c in zip(self.pairs, self._cum):
-            if u <= c:
-                return v
-        return self.pairs[-1][0]
+        # the first atom whose cumulative probability reaches u: the last
+        # one's is 1.0, so every u < 1 has one
+        return self._values[np.searchsorted(self._cum, u, side="left")]
 
     def mean(self):
         return math.fsum(v * p for v, p in self.pairs)

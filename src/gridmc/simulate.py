@@ -227,7 +227,7 @@ def _sample_matrix(spec: SimulationSpec, n: int, start: int = 0) -> np.ndarray:
         # one column of draws at a time: the RNG is counter-based, so the
         # column equals that column of the whole n x k block
         u = src.uniform_block(trials, [j])[:, 0]
-        values[:, j] = [dist.inverse_cdf(x) for x in u.tolist()]
+        values[:, j] = dist.inverse_cdf(u)
     return values
 
 

@@ -1,10 +1,9 @@
 """Reference inverse normal CDF: Acklam's approximation with one branch per tail.
 
 This is the masked norm_ppf gridmc used before its branch-free one, kept as
-the oracle that both of norm_ppf's paths, scalar and array, are tested
-against bit for bit. Each region's
-elements are picked by a mask and run through their own formula, and the
-upper tail has its own copy of the tail polynomial.
+the oracle that norm_ppf's one array path is tested against bit for bit.
+Each region's elements are picked by a mask and run through their own
+formula, and the upper tail has its own copy of the tail polynomial.
 """
 
 import numpy as np

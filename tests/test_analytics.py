@@ -30,6 +30,7 @@ from gridmc.model import CalcError, build_model, evaluate_batch
 from gridmc.report import export_trials
 from gridmc.simulate import Forecast, SimulationError, SimulationSpec, replay, run
 from tests.closure_oracle import Oracle
+from tests.inverse_cdf_oracle import inverse_cdf
 
 
 def C(text):
@@ -366,8 +367,8 @@ class TestTornado:
         oracle = Oracle(model)
 
         def one_row(cell, q, fcell):
-            result = oracle.evaluate({**medians, cell: spec.distributions[
-                spec.assumption_cells.index(cell)].inverse_cdf(q)})
+            result = oracle.evaluate({**medians, cell: inverse_cdf(spec.distributions[
+                spec.assumption_cells.index(cell)], q)})
             return result if isinstance(result, CalcError) else result[fcell]
 
         calls = []

@@ -123,6 +123,20 @@ class TestRun:
         with open(tmp_path / "out" / "histogram-Y.csv") as fh:
             assert sum(int(row[1]) for row in list(csv.reader(fh))[1:]) == 200
 
+    @pytest.mark.parametrize("formula", ["=(A1-1.5)*1e308*3", "=A1*0+1.7976931348623157e308"],
+                             ids=["wider-than-the-float-range", "constant-at-the-largest-float"])
+    def test_histogram_at_the_ends_of_the_float_range(self, tmp_path, capsys, formula):
+        # max - min of the first overflows, and the second's edges cannot
+        # widen above the largest float
+        path = write_xy_doc(tmp_path, formula)
+        assert main(["run", path, "--trials", "200", "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        with open(tmp_path / "out" / "report.json") as fh:
+            hist = json.load(fh, parse_constant=pytest.fail)["forecasts"][0]["histogram"]
+        assert all(math.isfinite(e) for e in hist["edges"])
+        assert all(a < b for a, b in zip(hist["edges"], hist["edges"][1:]))
+        assert sum(hist["counts"]) == 200
+
     def test_artifact_with_nan_is_not_written(self, tmp_path, monkeypatch):
         real = report.forecast_report
         monkeypatch.setattr(report, "forecast_report",
@@ -495,19 +509,31 @@ class TestErrorExits:
         assert main([command, path, *out]) == 1
         assert one_error_line(capsys, "build error: assumption OpexPct: lognormal")
 
-    @pytest.mark.parametrize("index, dist, message", [
-        (2, {"type": "normal", "mean": 0, "sd": 1e308}, "COGSGrowth: normal"),
-        (3, {"type": "uniform", "min": -1e308, "max": 1e308}, "OpexPct: uniform"),
-    ], ids=["normal", "uniform"])
+    @pytest.mark.parametrize("index, dist, message, ending", [
+        (2, {"type": "normal", "mean": 0, "sd": 1e308}, "COGSGrowth: normal",
+         "beyond the float range"),
+        (3, {"type": "uniform", "min": -1e308, "max": 1e308}, "OpexPct: uniform",
+         "beyond the float range"),
+        (3, {"type": "triangular", "min": -1e308, "mode": 0, "max": 1e308},
+         "OpexPct: triangular", "beyond the float range"),
+        (3, {"type": "triangular", "min": 0, "mode": 1e200, "max": 2e200},
+         "OpexPct: triangular", "beyond the float range"),
+        (3, {"type": "discrete_uniform", "lo": -1e308, "hi": 1e308},
+         "OpexPct: discrete uniform", "where integers are distinct floats"),
+        (3, {"type": "discrete_uniform", "lo": 10 ** 20, "hi": 10 ** 20 + 5},
+         "OpexPct: discrete uniform", "where integers are distinct floats"),
+    ], ids=["normal", "uniform", "triangular-wide", "triangular-huge",
+            "discrete-uniform-wide", "discrete-uniform-1e20"])
     def test_overflowing_variates_are_a_build_error(self, tmp_path, capsys,
-                                                    index, dist, message):
+                                                    index, dist, message, ending):
         doc = json.load(open(PROJECT))
         doc["assumptions"][index]["distribution"] = dist
         path = write_doc(tmp_path, doc)
-        assert main(["run", path, "--trials", "200", "--out", str(tmp_path)]) == 1
+        out = tmp_path / "out"
+        assert main(["run", path, "--trials", "200", "--out", str(out)]) == 1
         line = one_error_line(capsys, f"build error: assumption {message}")
-        assert line.endswith("beyond the float range")
-        assert not (tmp_path / "dossier.json").exists()
+        assert line.endswith(ending)
+        assert not out.exists()
 
     def test_audit_with_under_10_completed_trials(self, tmp_path, capsys):
         doc = json.load(open(SQRT_TRAP))

@@ -1,10 +1,10 @@
+import itertools
 import math
-import random
 
 import numpy as np
 import pytest
 import scipy.stats as st
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 from gridmc.distributions import (
@@ -18,7 +18,7 @@ from gridmc.distributions import (
     norm_ppf,
 )
 from gridmc.rng import U_MAX, U_MIN, RandomSource
-from tests import norm_ppf_oracle
+from tests import inverse_cdf_oracle, norm_ppf_oracle
 
 ALL = [
     Uniform(0, 8),
@@ -67,29 +67,24 @@ EDGES = [P_LOW, 1 - P_LOW, np.nextafter(P_LOW, 0), np.nextafter(P_LOW, 1),
 OPEN_UNIT = hst.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 
-# the four forms a value reaches norm_ppf in; the first three give a float
+# four forms a value can reach norm_ppf in
 FORMS = (float, np.float64, lambda x: np.array(float(x)), lambda x: np.array([float(x)]))
 
 
 def in_every_form(u):
     """norm_ppf of u in each form, under np.errstate(all="raise"), with the
-    oracle's value: the scalar forms must give a Python float."""
+    oracle's value: each form gives an array of its own shape."""
     want = norm_ppf_oracle.norm_ppf(float(u))
     for form in FORMS:
         with np.errstate(all="raise"):
             got = norm_ppf(form(u))
-        if form is FORMS[-1]:
-            assert type(got) is np.ndarray and got.shape == (1,)
-            got = got[0]
-        else:
-            assert type(got) is float
-        yield got, want
+        assert type(got) is np.ndarray and got.shape == np.shape(form(u))
+        yield got.ravel()[0], want
 
 
 class TestNormPpfAgainstBranchingOracle:
-    """norm_ppf gives the bits of the masked one it replaced for a float, an
-    np.float64 and a 0-d array (its scalar path) and a 1-d array (its array
-    path), and no formula warns on the elements it does not serve."""
+    """norm_ppf gives the bits of the masked one it replaced for every form
+    of input, and no formula warns on the elements it does not serve."""
 
     @pytest.mark.parametrize("u", EDGES)
     def test_edges(self, u):
@@ -110,10 +105,20 @@ class TestNormPpfAgainstBranchingOracle:
     @settings(max_examples=200, deadline=None)
     @given(hst.lists(OPEN_UNIT | hst.sampled_from(EDGES), max_size=50),
            hst.sampled_from([(-1,), (-1, 2)]))
+    @example(EDGES, (-1,))
     def test_arrays(self, values, shape):
         if len(shape) == 2:
             values = values[:len(values) // 2 * 2]
         u = np.array(values, dtype=float).reshape(shape)
+        with np.errstate(all="raise"):
+            assert same_bits(norm_ppf(u), norm_ppf_oracle.norm_ppf(u))
+
+    def test_tails(self):
+        # math.log rounds differently from numpy's SIMD log on about 2 in
+        # 10,000 tail inputs on some CPUs: enough inputs that a log other
+        # than the oracle's would show
+        u = np.random.default_rng(15).random(50_000) * P_LOW
+        u = np.concatenate([u, 1.0 - u])
         with np.errstate(all="raise"):
             assert same_bits(norm_ppf(u), norm_ppf_oracle.norm_ppf(u))
 
@@ -131,62 +136,112 @@ class TestNormPpfAgainstBranchingOracle:
                 norm_ppf(form(bad))
 
 
-class TestNormPpfPaths:
-    """A scalar runs one formula on Python floats, an array runs both on
-    every element: the two paths give the same bits."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(hst.lists(OPEN_UNIT | hst.sampled_from(EDGES), min_size=1, max_size=50))
-    @example(EDGES)
-    def test_array_equals_scalars(self, values):
-        self.check(np.array(values, dtype=float))
-
-    def test_tails_array_equals_scalars(self):
-        # math.log rounds differently from numpy's SIMD log on about 2 in
-        # 10,000 tail inputs on some CPUs: enough inputs that a scalar path
-        # with another log than the array path's would show
-        u = np.random.default_rng(15).random(50_000) * P_LOW
-        self.check(np.concatenate([u, 1.0 - u]))
-
-    @staticmethod
-    def check(u):
-        with np.errstate(all="raise"):
-            array = norm_ppf(u)
-            scalars = np.array([norm_ppf(x) for x in u.tolist()])
-        assert same_bits(array, scalars)
+def inverse(dist, *u):
+    """dist's inverse CDF of the floats u, as one array."""
+    return dist.inverse_cdf(np.array(u, dtype=float))
 
 
 class TestInverseCdf:
     def test_triangular_median_at_symmetric_mode(self):
-        assert Triangular(0, 5, 10).inverse_cdf(0.5) == pytest.approx(5.0)
+        assert inverse(Triangular(0, 5, 10), 0.5)[0] == pytest.approx(5.0)
 
     def test_uniform_linear(self):
-        assert Uniform(0, 8).inverse_cdf(0.25) == pytest.approx(2.0)
+        assert inverse(Uniform(0, 8), 0.25)[0] == pytest.approx(2.0)
 
     def test_triangular_u_at_mode_cdf(self):
         # u = F(mode) = (mode-min)/(max-min)
-        assert Triangular(0, 2, 10).inverse_cdf(0.2) == pytest.approx(2.0)
+        assert inverse(Triangular(0, 2, 10), 0.2)[0] == pytest.approx(2.0)
 
     @pytest.mark.parametrize("dist", ALL, ids=lambda d: type(d).__name__)
     def test_monotone(self, dist):
-        rng = random.Random(5)
-        for _ in range(1000):
-            u1, u2 = sorted((rng.uniform(1e-9, 1 - 1e-9), rng.uniform(1e-9, 1 - 1e-9)))
-            assert dist.inverse_cdf(u1) <= dist.inverse_cdf(u2)
+        u = np.sort(np.random.default_rng(5).uniform(1e-9, 1 - 1e-9, (1000, 2)), axis=1)
+        assert np.all(dist.inverse_cdf(u[:, 0]) <= dist.inverse_cdf(u[:, 1]))
+
+    @pytest.mark.parametrize("dist", ALL, ids=lambda d: type(d).__name__)
+    def test_keeps_the_shape_of_u(self, dist):
+        u = np.full((2, 3), 0.5)
+        got = dist.inverse_cdf(u)
+        assert type(got) is np.ndarray and got.shape == (2, 3)
+        assert type(dist.median) is float and np.all(got == dist.median)
 
     def test_custom_step_function(self):
         c = Custom([(1, 0.2), (2, 0.5), (4, 0.3)])
-        assert c.inverse_cdf(0.1) == 1
-        assert c.inverse_cdf(0.2) == 1
-        assert c.inverse_cdf(0.21) == 2
-        assert c.inverse_cdf(0.7) == 2
-        assert c.inverse_cdf(0.71) == 4
-        assert c.inverse_cdf(0.999) == 4
+        assert inverse(c, 0.1, 0.2, 0.21, 0.7, 0.71, 0.999).tolist() == [1, 1, 2, 2, 4, 4]
 
     def test_discrete_uniform_covers_support(self):
         d = DiscreteUniform(1, 6)
-        values = {d.inverse_cdf(u) for u in np.linspace(0.01, 0.99, 200)}
+        values = set(d.inverse_cdf(np.linspace(0.01, 0.99, 200)).tolist())
         assert values == {1.0, 2.0, 3.0, 4.0, 5.0, 6.0}
+
+
+FINITE = hst.floats(-1e6, 1e6)
+
+
+@hst.composite
+def distributions(draw):
+    """One of the six shapes, with mode == min and mode == max among the
+    triangulars and bounds at +-2**53 among the discrete uniforms."""
+    kind = draw(hst.sampled_from([type(d) for d in ALL]))
+    if kind is Uniform:
+        lo, hi = sorted(draw(hst.tuples(FINITE, FINITE)))
+        assume(lo < hi)
+        return Uniform(lo, hi)
+    if kind is Triangular:
+        a, m, b = sorted(draw(hst.tuples(FINITE, FINITE, FINITE)))
+        assume(a < b)
+        return Triangular(a, draw(hst.sampled_from([a, m, b])), b)
+    if kind is Normal:
+        return Normal(draw(FINITE), draw(hst.floats(1e-6, 1e6)))
+    if kind is Lognormal:
+        return Lognormal(draw(hst.floats(-50.0, 50.0)), draw(hst.floats(1e-3, 5.0)))
+    if kind is DiscreteUniform:
+        bound = hst.integers(-2 ** 53, 2 ** 53) | hst.sampled_from(
+            [-2 ** 53, -2 ** 53 + 1, 2 ** 53 - 1, 2 ** 53])
+        lo, hi = sorted(draw(hst.tuples(bound, bound)))
+        assume(lo < hi)
+        return DiscreteUniform(lo, hi)
+    values = draw(hst.lists(FINITE, min_size=1, max_size=6))
+    weights = draw(hst.lists(hst.floats(1e-3, 1.0), min_size=len(values),
+                             max_size=len(values)))
+    return Custom([(v, w / math.fsum(weights)) for v, w in zip(values, weights)])
+
+
+def boundary_u(dist):
+    """The u where dist's inverse CDF changes branch or atom, with their
+    float neighbours, and EDGES: every one inside (0, 1)."""
+    cuts = []
+    if isinstance(dist, Triangular):
+        cuts = [(dist.mode - dist.min) / (dist.max - dist.min)]
+    elif isinstance(dist, Custom):
+        cuts = list(itertools.accumulate(p for _, p in dist.pairs))
+    elif isinstance(dist, DiscreteUniform):
+        n = dist.hi - dist.lo + 1
+        cuts = [1 / n, (n - 1) / n]
+    u = EDGES + [x for c in cuts for x in (c, np.nextafter(c, 0), np.nextafter(c, 1))]
+    return [x for x in u if 0.0 < x < 1.0]
+
+
+class TestInverseCdfAgainstOracle:
+    """Each shape's array inverse CDF gives the bits of the per-element one
+    it replaced, and warns on no element. Underflow is left quiet, as numpy
+    leaves it by default: a u as small as 5e-324 underflows in both."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(distributions(), hst.lists(OPEN_UNIT, max_size=30))
+    @example(Triangular(0, 0, 10), [])
+    @example(Triangular(0, 10, 10), [])
+    @example(Triangular(-7.3, 5.3, 6.9), [])  # the two branches differ at fc
+    @example(Triangular(-1e6, 1e6 - 1e-9, 1e6), [])
+    @example(DiscreteUniform(-2 ** 53, 2 ** 53), [])
+    @example(DiscreteUniform(2 ** 53 - 3, 2 ** 53), [])
+    @example(DiscreteUniform(-2 ** 53, -2 ** 53 + 1), [])
+    @example(Custom([(1, 0.2), (2, 0.5), (4, 0.3)]), [])
+    def test_bits(self, dist, values):
+        u = np.array(values + boundary_u(dist))
+        want = inverse_cdf_oracle.inverse_cdf_array(dist, u)
+        with np.errstate(all="raise", under="ignore"):
+            got = dist.inverse_cdf(u)
+        assert type(got) is np.ndarray and same_bits(got, want)
 
 
 class TestParameterValidation:
@@ -202,6 +257,7 @@ class TestParameterValidation:
         lambda: Custom([]),
         lambda: Custom([(1, 0.5), (2, 0.6)]),
         lambda: Custom([(1, -0.5), (2, 1.5)]),
+        lambda: DiscreteUniform(1.5, 3),
     ])
     def test_rejected_at_construction(self, make):
         with pytest.raises(ValueError):
@@ -211,25 +267,43 @@ class TestParameterValidation:
         Custom([(1, 0.5), (2, 0.5 + 5e-10)])  # within 1e-9
 
     def test_lognormal_whose_largest_variate_overflows(self):
-        # norm_ppf(1 - 2**-53) is 8.2095..., and exp overflows past 709.78
-        u_max = 1.0 - 2.0 ** -53
-        assert math.isfinite(Lognormal(701.5, 1).inverse_cdf(u_max))
-        for log_mean, log_sd in ((701.6, 1), (800, 1), (0, 87)):
+        # norm_ppf(1 - 2**-53) is 8.2095..., and exp overflows past 709.78;
+        # with log_sd 1e308 the exponent itself is infinite
+        assert np.isfinite(inverse(Lognormal(701.5, 1), U_MAX)).all()
+        for log_mean, log_sd in ((701.6, 1), (800, 1), (0, 87), (0, 1e308)):
             with pytest.raises(ValueError, match="beyond the float range"):
                 Lognormal(log_mean, log_sd)
 
-
     def test_normal_whose_extreme_variates_overflow(self):
-        assert math.isfinite(Normal(0, 1e307).inverse_cdf(U_MIN))
+        assert np.isfinite(inverse(Normal(0, 1e307), U_MIN, U_MAX)).all()
         for mean, sd in ((0, 1e308), (1.79e308, 1e305), (-1.79e308, 1e305)):
             with pytest.raises(ValueError, match="beyond the float range"):
                 Normal(mean, sd)
 
     def test_uniform_whose_width_overflows(self):
-        assert math.isfinite(Uniform(-8e307, 8e307).inverse_cdf(U_MAX))
+        assert np.isfinite(inverse(Uniform(-8e307, 8e307), U_MIN, U_MAX)).all()
         for lo, hi in ((-1e308, 1e308), (0, math.inf), (-math.inf, 0)):
             with pytest.raises(ValueError, match="beyond the float range"):
                 Uniform(lo, hi)
+
+    def test_triangular_whose_variates_overflow(self):
+        # (max-min)*(mode-min) and (max-min)*(max-mode) are the radicands'
+        # largest factors: once either is infinite, draws are +-inf
+        assert np.isfinite(inverse(Triangular(-6e153, 0, 6e153), U_MIN, 0.5, U_MAX)).all()
+        for a, m, b in ((-1e308, 0, 1e308), (0, 1e200, 2e200), (0, 0, 2e154),
+                        (-2e154, 0, 0), (0, 0, math.inf)):
+            with pytest.raises(ValueError, match="beyond the float range"):
+                Triangular(a, m, b)
+
+    def test_discrete_uniform_bounds_beyond_2_to_53(self):
+        # beyond 2**53, consecutive integers are not distinct floats. At the
+        # bounds, U_MIN * (2**54 + 1) rounds to 1 and U_MAX's product to 2**54 - 2
+        assert inverse(DiscreteUniform(-2 ** 53, 2 ** 53), U_MIN, U_MAX).tolist() == [
+            -2.0 ** 53 + 1, 2.0 ** 53 - 2]
+        for lo, hi in ((-2 ** 53 - 1, 0), (0, 2 ** 53 + 1), (10 ** 20, 10 ** 20 + 5),
+                       (int(-1e308), int(1e308))):
+            with pytest.raises(ValueError, match=r"within \+-2\*\*53"):
+                DiscreteUniform(lo, hi)
 
 
 def ks_statistic(samples, dist):
@@ -250,7 +324,7 @@ class TestSamplingFidelity:
     def test_mean_and_ks(self, dist):
         src = RandomSource(2024)
         u = src.uniform_block(np.arange(self.N), np.arange(1))[:, 0]
-        samples = np.array([dist.inverse_cdf(v) for v in u])
+        samples = dist.inverse_cdf(u)
         se = math.sqrt(dist.variance() / self.N)
         assert abs(samples.mean() - dist.mean()) < 4 * se
         if isinstance(dist, (DiscreteUniform, Custom)):

@@ -1,7 +1,6 @@
 """Column-at-a-time sampling and Iman-Conover scores against the whole-grid
 formulas they replace, and the memory that sampling holds."""
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -27,6 +26,7 @@ from gridmc.document import ModelDocument
 from gridmc.rng import RandomSource
 from gridmc.simulate import SimulationSpec, _sample_matrix, sample_assumptions
 from tests.conftest import example_path
+from tests.inverse_cdf_oracle import inverse_cdf_array
 from tests.norm_ppf_oracle import norm_ppf
 
 KINDS = [
@@ -48,17 +48,8 @@ def reference_sample_matrix(spec, n):
         return values
     u = src.uniform_block(np.arange(n), np.arange(k))
     for j, dist in enumerate(spec.distributions):
-        values[:, j] = [reference_inverse_cdf(dist, x) for x in u[:, j]]
+        values[:, j] = inverse_cdf_array(dist, u[:, j])
     return values
-
-
-def reference_inverse_cdf(dist, u):
-    """dist.inverse_cdf(u), with the normal quantile taken from the oracle."""
-    if isinstance(dist, Normal):
-        return dist.mean_ + dist.sd * norm_ppf(u)
-    if isinstance(dist, Lognormal):
-        return math.exp(dist.log_mean + dist.log_sd * norm_ppf(u))
-    return dist.inverse_cdf(u)
 
 
 def reference_scores(n, spec, src, stream_offset):

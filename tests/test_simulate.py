@@ -23,6 +23,7 @@ from gridmc.simulate import (
     sample_assumptions,
 )
 from gridmc.analytics import spearman, tornado
+from tests.inverse_cdf_oracle import inverse_cdf
 
 
 def C(text):
@@ -55,8 +56,8 @@ def overflowing_trials(spec):
     # plain-float oracle: the trials whose X * 1e308 * 10 is not finite
     src, dist = RandomSource(spec.seed), spec.distributions[0]
     return [t for t in range(spec.trials)
-            if not math.isfinite(
-                dist.inverse_cdf(float(src.uniform_block([t], [0])[0, 0])) * 1e308 * 10)]
+            if not math.isfinite(inverse_cdf(
+                dist, float(src.uniform_block([t], [0])[0, 0])) * 1e308 * 10)]
 
 
 def linear_model(trials=500, seed=42, correlation=None):
