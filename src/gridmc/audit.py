@@ -55,7 +55,7 @@ class AuditFinding:
             "kind": self.kind.value,
             "severity": self.severity,
             "cells": list(self.cells),
-            "evidence": self.evidence,
+            "evidence": {k: analytics._finite(v) for k, v in self.evidence.items()},
         }
         if self.witness is not None:
             out["witness"] = list(self.witness)
@@ -119,9 +119,7 @@ def detect_disconnected(store: TrialStore, sens: dict, torn: dict,
     medians = [d.median for d in spec.distributions]
     pairs = []  # (assumption index, finding) under both thresholds
     for f in spec.forecasts:
-        values = store.forecast_values(f.label)
-        frange = float(values.max() - values.min())
-        swing_threshold = thresholds.epsilon * frange
+        swing_threshold = _swing_threshold(thresholds.epsilon, store.forecast_values(f.label))
         entries = {e.label: e for e in sens[f.label]}
         bars = {b.label: b for b in torn[f.label].bars}
         for j, cell in enumerate(spec.assumption_cells):
@@ -144,6 +142,21 @@ def detect_disconnected(store: TrialStore, sens: dict, torn: dict,
                 )))
     hits = Counter(j for j, _ in pairs)
     return [finding for j, finding in pairs if hits[j] == len(spec.forecasts)]
+
+
+def _swing_threshold(epsilon: float, values: np.ndarray) -> float:
+    """epsilon times the range of values. A range wider than the largest
+    float is taken on values * 2**k, as analytics.histogram does, and the
+    product scaled back: inf where that lies outside the float range."""
+    k = 0
+    frange = float(values.max()) - float(values.min())
+    if math.isinf(frange):
+        values, k = analytics._pow2_scaled(values)
+        frange = float(values.max()) - float(values.min())
+    try:
+        return math.ldexp(epsilon * frange, -k)
+    except OverflowError:
+        return math.inf
 
 
 def check_signs(sens: dict, torn: dict, store: TrialStore) -> list:

@@ -12,12 +12,14 @@ reference Python validator (version 4.26) does; the test suite holds it
 to that validator as an oracle.
 
 Loading rejects the `NaN` and `Infinity` literals that `json.load`
-accepts, since no artifact may carry them.
+accepts, since no artifact may carry them, and any number that no finite
+float can hold, such as `1e400` or a 400-digit integer.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import re
 from dataclasses import dataclass
@@ -134,6 +136,19 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _finite(parse):
+    """parse, rejecting a number that does not convert to a finite float."""
+    def checked(text):
+        value = parse(text)
+        try:
+            if math.isfinite(value):
+                return value
+        except OverflowError:  # an int too large for a float
+            pass
+        raise ValueError(f"{text} is beyond the float range")
+    return checked
+
+
 @dataclass
 class ModelDocument:
     data: dict
@@ -151,7 +166,8 @@ class ModelDocument:
     def load(path) -> "ModelDocument":
         with open(path) as fh:
             return ModelDocument.from_json(
-                json.load(fh, parse_constant=_reject_constant))
+                json.load(fh, parse_constant=_reject_constant,
+                          parse_int=_finite(int), parse_float=_finite(float)))
 
     def build_model(self) -> Model:
         cells = [(c["address"], c.get("label"), c["formula"])

@@ -2,10 +2,9 @@
 
 `build_model` compiles each cell's formula once into a function of the
 columns computed so far. `evaluate_batch` runs n trials through those
-functions in one pass, cell by cell in topological order: a cell's
-value is a numpy array with one entry per trial, or one Python float
-when every trial shares it (constants are never broadcast).
-`evaluate` is the same pass over a single trial.
+functions in one pass, cell by cell in topological order: every value
+in a pass, constants included, is a float64 column with one entry per
+trial. `evaluate` is the same pass over a single trial.
 
 A pass keeps every column unless the caller names the cells it reads
 (`keep`). Then a column outside `keep` is dropped right after the last
@@ -31,7 +30,6 @@ differ from `**`, `math.exp`, `math.log` and `math.fsum` in the last bit.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -127,12 +125,12 @@ EvalResult = Union[dict, CalcError]
 class Batch:
     """Result of evaluating n trials in one pass."""
 
-    values: dict  # CellRef -> array of n values, or one float every row shares
+    values: dict  # CellRef -> float64 array of n values
     errors: dict  # row -> CalcError, the first error of each failed row
 
     def value(self, ref: CellRef, row: int) -> float:
         """A cell's value in one row, as a Python float."""
-        return _at(self.values[ref], row)
+        return float(self.values[ref][row])
 
 
 def build_model(cell_defs) -> Model:
@@ -251,10 +249,8 @@ def evaluate_batch(model: Model, columns: dict, n: int, keep=None) -> Batch:
             else:
                 ps.cell = ref
                 value = model._compiled[ref](ps, None)
-                bad = (~np.isfinite(value) if isinstance(value, np.ndarray)
-                       else not math.isfinite(value))
-                ps.fail(None, bad, ErrorKind.DOMAIN_ERROR,
-                        lambda i: f"non-finite result {_at(value, i)!r}")
+                ps.fail(None, ~np.isfinite(value), ErrorKind.DOMAIN_ERROR,
+                        lambda i: f"non-finite result {float(value[i])!r}")
                 ps.values[ref] = value
             if drops is not None:
                 for dead in drops[pos]:
@@ -285,7 +281,7 @@ def evaluate(model: Model, overrides: Optional[dict] = None) -> EvalResult:
     batch = evaluate_batch(model, columns, 1)
     if batch.errors:
         return batch.errors[0]
-    return {ref: _at(v, 0) for ref, v in batch.values.items()}
+    return {ref: float(v[0]) for ref, v in batch.values.items()}
 
 
 class _Pass:
@@ -293,7 +289,7 @@ class _Pass:
 
     def __init__(self, n: int):
         self.n = n
-        self.values = {}  # CellRef -> column or float
+        self.values = {}  # CellRef -> column
         self.alive = np.ones(n, dtype=bool)  # rows with no error yet
         self.errors = {}  # row -> CalcError
         self.cell = None  # the cell being computed
@@ -306,8 +302,6 @@ class _Pass:
         """Record (kind, detail) for the live rows of `rows` where `bad`
         holds, and take them out of the pass. `detail` is a string or a
         function of the row index."""
-        if bad is False:
-            return
         hit = self.live(rows) & bad
         if not hit.any():
             return
@@ -319,28 +313,12 @@ class _Pass:
         self.alive[i] = False
 
 
-def _at(x, i: int) -> float:
-    """Row i of a column, or the float every row shares, as a Python float."""
-    return float(x[i]) if isinstance(x, np.ndarray) else x
-
-
 def _rowwise(ps: _Pass, rows, scalar_fn, *args):
     """scalar_fn over the live rows, on Python floats; an EvalFailure
-    becomes that row's error. All-float arguments are one call."""
-    live = ps.live(rows)
-    if not any(isinstance(a, np.ndarray) for a in args):
-        if not live.any():
-            return math.nan
-        try:
-            return scalar_fn(*args)
-        except EvalFailure as exc:
-            ps.fail(rows, True, exc.kind, exc.detail)
-            return math.nan
-    idx = np.flatnonzero(live).tolist()
-    lists = [a[idx].tolist() if isinstance(a, np.ndarray) else itertools.repeat(a)
-             for a in args]
+    becomes that row's error."""
+    idx = np.flatnonzero(ps.live(rows)).tolist()
     results = []
-    for i, row in zip(idx, zip(*lists)):
+    for i, row in zip(idx, zip(*(a[idx].tolist() for a in args))):
         try:
             results.append(scalar_fn(*row))
         except EvalFailure as exc:
@@ -399,15 +377,15 @@ def _lookup(mode: float, key: float, *table: float) -> float:
 # ---------------------------------------------------------------------------
 # AST -> column function compilation
 #
-# A compiled node is f(ps, rows) -> column or float, where rows masks the
-# rows the node is evaluated for (None: every row). Sub-expressions run in
-# the order the formula language defines, so a row's first recorded error
-# is the one a one-row evaluation meets first.
+# A compiled node is f(ps, rows) -> a column of ps.n values, where rows
+# masks the rows the node is evaluated for (None: every row). Sub-expressions
+# run in the order the formula language defines, so a row's first recorded
+# error is the one a one-row evaluation meets first.
 
 def _compile(node) -> Callable:
     if isinstance(node, Lit):
         v = node.value
-        return lambda ps, rows: v
+        return lambda ps, rows: np.full(ps.n, v)
     if isinstance(node, Ref):
         cell = node.cell
         return lambda ps, rows: ps.values[cell]
@@ -447,21 +425,13 @@ def _compile_bin(node: Bin) -> Callable:
         def div(ps, rows):
             d = rf(ps, rows)  # the divisor is evaluated first
             ps.fail(rows, d == 0.0, ErrorKind.DIV_BY_ZERO, "division by zero")
-            if not isinstance(d, np.ndarray) and d == 0.0:
-                return math.nan
             return lf(ps, rows) / d
         return div
     if op == "^":
         return lambda ps, rows: _rowwise(ps, rows, _power, lf(ps, rows), rf(ps, rows))
     if op in _COMPARISONS:
         compare = _COMPARISONS[op]
-
-        def indicator(ps, rows):
-            result = compare(lf(ps, rows), rf(ps, rows))
-            if isinstance(result, np.ndarray):
-                return result.astype(float)
-            return 1.0 if result else 0.0
-        return indicator
+        return lambda ps, rows: compare(lf(ps, rows), rf(ps, rows)).astype(float)
     raise ValueError(f"unknown operator {op}")
 
 
@@ -471,10 +441,7 @@ def _compile_call(node: Call) -> Callable:
         cf, tf, ff = (_compile(a) for a in node.args)
 
         def if_(ps, rows):
-            cond = cf(ps, rows)
-            if not isinstance(cond, np.ndarray):
-                return tf(ps, rows) if cond != 0.0 else ff(ps, rows)
-            taken = cond != 0.0
+            taken = cf(ps, rows) != 0.0
             t_rows = taken if rows is None else rows & taken
             f_rows = ~taken if rows is None else rows & ~taken
             return np.where(taken, tf(ps, t_rows), ff(ps, f_rows))
@@ -492,10 +459,7 @@ def _compile_call(node: Call) -> Callable:
         def extreme(ps, rows):
             acc, *rest = args_fn(ps, rows)
             for x in rest:
-                if isinstance(x, np.ndarray) or isinstance(acc, np.ndarray):
-                    acc = np.where(beats(x, acc), x, acc)
-                elif beats(x, acc):
-                    acc = x
+                acc = np.where(beats(x, acc), x, acc)
             return acc
         return extreme
     if name == "ABS":
@@ -507,10 +471,8 @@ def _compile_call(node: Call) -> Callable:
         def sqrt(ps, rows):
             x = f(ps, rows)
             ps.fail(rows, x < 0.0, ErrorKind.DOMAIN_ERROR,
-                    lambda i: f"square root of {_at(x, i)}")
-            if isinstance(x, np.ndarray):
-                return np.sqrt(x)
-            return math.sqrt(x) if x >= 0.0 else math.nan
+                    lambda i: f"square root of {float(x[i])}")
+            return np.sqrt(x)
         return sqrt
     if name in ("LN", "EXP"):
         f = _compile(node.args[0])
@@ -524,15 +486,13 @@ def _compile_call(node: Call) -> Callable:
             rate = rate_fn(ps, rows)
             flows = flows_fn(ps, rows)
             ps.fail(rows, rate <= -1.0, ErrorKind.DOMAIN_ERROR,
-                    lambda i: f"NPV rate {_at(rate, i)} <= -1")
-            if not isinstance(rate, np.ndarray) and rate <= -1.0:
-                return math.nan
+                    lambda i: f"NPV rate {float(rate[i])} <= -1")
             return fn.discount(rate, flows)
         return npv
     # the parser has checked the shapes: IRR's flows and LOOKUP's table are ranges
     if name == "IRR":
         cells = node.args[0].cells()
-        guess_fn = _compile(node.args[1]) if len(node.args) == 2 else (lambda ps, rows: 0.1)
+        guess_fn = _compile(node.args[1] if len(node.args) == 2 else Lit(0.1))
         return lambda ps, rows: _rowwise(
             ps, rows, _irr, guess_fn(ps, rows), *[ps.values[c] for c in cells])
     if name == "LOOKUP":

@@ -307,8 +307,7 @@ def run(model: Model, spec: SimulationSpec) -> TrialStore:
 def _capture(batch: Batch, cells: list, ok: np.ndarray, out: np.ndarray) -> None:
     """Write the batch's values of cells in the rows ok marks into out's columns."""
     for j, c in enumerate(cells):
-        v = batch.values[c]
-        out[:, j] = v[ok] if isinstance(v, np.ndarray) else v
+        out[:, j] = batch.values[c][ok]
 
 
 def replay(model: Model, spec: SimulationSpec, assumptions):

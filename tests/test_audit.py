@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from gridmc.audit import (
     run_audit,
 )
 from gridmc.cells import parse_cell
+from gridmc.cli import main
 from gridmc.distributions import Uniform
 from gridmc.document import ModelDocument
 from gridmc.model import CalcError, build_model
@@ -190,6 +192,35 @@ class TestDisconnected:
         model, spec = hardcode_doc.build()
         report = run_audit(model, spec, thresholds=Thresholds(z=1e-12))
         assert report.by_kind(FindingKind.DISCONNECTED) == []
+
+    def test_forecast_range_wider_than_the_largest_float(self, tmp_path):
+        # Y spans about 3e308, more than the largest float; Z moves nothing
+        doc = {
+            "name": "wide",
+            "cells": [{"address": "A1", "label": "X", "formula": 1.5},
+                      {"address": "A2", "label": "Z", "formula": 0.5},
+                      {"address": "A3", "label": "Y", "formula": "=(A1-1.5)*1e308*3"}],
+            "assumptions": [
+                {"cell": "X", "distribution": {"type": "uniform", "min": 1, "max": 2}},
+                {"cell": "Z", "distribution": {"type": "uniform", "min": 0, "max": 1}}],
+            "forecasts": [{"cell": "A3", "label": "Y"}],
+        }
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["audit", str(path), "--trials", "500",
+                         "--out", str(tmp_path / "out")]) == 2
+        assert caught == []
+
+        def strict(constant):
+            raise ValueError(f"{constant} in audit.json")
+        audit = json.loads((tmp_path / "out" / "audit.json").read_text(),
+                           parse_constant=strict)
+        [finding] = audit["findings"]
+        assert finding["kind"] == "Disconnected"
+        assert finding["evidence"]["assumption"] == "Z"
+        assert 1e302 < finding["evidence"]["swing_threshold"] < 1e303
 
 
 class TestIntervals:

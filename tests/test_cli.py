@@ -384,6 +384,11 @@ def one_error_line(capsys, prefix):
     return lines[0]
 
 
+NOT_JSON = "is not a JSON number"
+TOO_BIG = "is beyond the float range"
+BIG = "1" + "0" * 400  # a JSON integer no float can hold
+
+
 def write_doc(tmp_path, doc, name="doc.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -548,21 +553,27 @@ class TestErrorExits:
         assert one_error_line(capsys, "error:") == (
             "error: disconnection detection needs at least 100 completed trials, got 50")
 
-    @pytest.mark.parametrize("literal, edit", [
-        ("NaN", lambda d: d["correlations"][0].update(rho=math.nan)),
-        ("NaN", lambda d: d["assumptions"][0].update(distribution={
-            "type": "lognormal", "log_mean": math.nan, "log_sd": 0.1})),
-        ("Infinity", lambda d: d["assumptions"][3]["distribution"].update(max=math.inf)),
-        ("NaN", lambda d: d["forecasts"][0]["target"].update(lo=math.nan)),
-        ("-Infinity", lambda d: d["cells"][0].update(formula=-math.inf)),
-    ], ids=["rho", "log_mean", "uniform-max", "target-lo", "cell-formula"])
-    def test_non_finite_literal_is_not_json(self, tmp_path, capsys, literal, edit):
+    @pytest.mark.parametrize("literal, reason, edit", [
+        ("NaN", NOT_JSON, lambda d, x: d["correlations"][0].update(rho=x)),
+        ("NaN", NOT_JSON, lambda d, x: d["assumptions"][0].update(distribution={
+            "type": "lognormal", "log_mean": x, "log_sd": 0.1})),
+        ("Infinity", NOT_JSON, lambda d, x: d["assumptions"][3]["distribution"].update(max=x)),
+        ("NaN", NOT_JSON, lambda d, x: d["forecasts"][0]["target"].update(lo=x)),
+        ("-Infinity", NOT_JSON, lambda d, x: d["cells"][0].update(formula=x)),
+        (BIG, TOO_BIG, lambda d, x: d["assumptions"][3]["distribution"].update(max=x)),
+        ("1e400", TOO_BIG, lambda d, x: d["assumptions"][3]["distribution"].update(max=x)),
+        ("-" + BIG, TOO_BIG, lambda d, x: d["forecasts"][0]["target"].update(lo=x)),
+        (BIG, TOO_BIG, lambda d, x: d["limits"][0].update(max=x)),
+    ], ids=["rho", "log_mean", "uniform-max", "target-lo", "cell-formula",
+            "uniform-max-int", "uniform-max-float", "target-lo-int", "limit-max-int"])
+    def test_non_finite_literal_is_not_json(self, tmp_path, capsys, literal, reason, edit):
         doc = json.load(open(CORRELATED))
-        edit(doc)
-        path = write_doc(tmp_path, doc)  # json.dumps writes NaN and Infinity
-        assert main(["run", path, "--out", str(tmp_path)]) == 3
+        edit(doc, "@literal")
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc).replace('"@literal"', literal))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 3
         assert one_error_line(capsys, "error:") == (
-            f"error: not valid JSON: {literal} is not a JSON number")
+            f"error: not valid JSON: {literal} {reason}")
         assert os.listdir(tmp_path) == ["doc.json"]
 
     @pytest.mark.parametrize("row", ["100,0.05,abc,0.25", "100,0.05,0.03"])

@@ -10,7 +10,7 @@ bit for bit and errors in kind, cell and detail.
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridmc.cells import parse_cell
 from gridmc.distributions import Normal, Uniform
@@ -79,10 +79,14 @@ _CELL_FORMULAS = [_formulas(INPUTS + FORMULA_CELLS[:i]) for i in range(len(FORMU
 @st.composite
 def models(draw):
     """Six input cells A1:B3 and one to four formula cells C1.. over them."""
-    cells = [(str(c), None, 1) for c in INPUTS]
-    for i in range(draw(st.integers(1, len(FORMULA_CELLS)))):
-        cells.append((FORMULA_CELLS[i], None, render_formula(draw(_CELL_FORMULAS[i]))))
-    return build_model(cells)
+    n = draw(st.integers(1, len(FORMULA_CELLS)))
+    return model_of(*(render_formula(draw(_CELL_FORMULAS[i])) for i in range(n)))
+
+
+def model_of(*formulas):
+    """Input cells A1:B3 and formula cells C1, C2, ... holding `formulas`."""
+    return build_model([(str(c), None, 1) for c in INPUTS]
+                       + [(c, None, f) for c, f in zip(FORMULA_CELLS, formulas)])
 
 
 def rows(n_max=8):
@@ -113,15 +117,28 @@ def assert_row_matches(batch, i, expected):
         assert type(got) is float and same(got, value), (i, ref, got, value)
 
 
+# Rows for cells of constants only: every row takes the same value or error.
+_ROWS = [[1.0] * len(INPUTS)] * 3
+
+
 @settings(max_examples=500, deadline=None)
-@given(models(), rows(), st.data())
-def test_batch_equals_oracle(model, matrix, data):
+@given(models(), rows(), st.sets(st.sampled_from(INPUTS + FORMULA_CELLS)))
+@example(model_of("=1/0"), _ROWS, set())
+@example(model_of("=SQRT(-1)"), _ROWS, set())
+@example(model_of("=LN(0)"), _ROWS, set())
+@example(model_of("=NPV(-2,1)"), _ROWS, set())
+@example(model_of("=1e308*10"), _ROWS, set())
+@example(model_of("=IF(0,1/0,2)", "=IF(1,2,1/0)"), _ROWS, {C("C2")})
+@example(model_of("=1", "=C1+2*3", "=MIN(C1,C2)<=MAX(4,C2)", "=ABS(-C3)"), _ROWS, {C("C3")})
+def test_batch_equals_oracle(model, matrix, keep):
     batch = batch_of(model, matrix)
+    for ref, value in batch.values.items():
+        assert value.dtype == np.float64 and value.shape == (len(matrix),), ref
     oracle = Oracle(model)
     for i, row in enumerate(matrix):
         assert_row_matches(batch, i, oracle.evaluate(dict(zip(INPUTS, row))))
     # a pass that keeps only some cells frees the rest and changes nothing kept
-    keep = data.draw(st.sets(st.sampled_from(model.order)), label="keep")
+    keep = keep & set(model.order)
     kept = batch_of(model, matrix, keep)
     assert kept.errors == batch.errors
     assert set(kept.values) == keep

@@ -225,7 +225,7 @@ def one_pass(model, spec):
     dossiers = [CalcErrorDossier(batch.errors[t], t, tuple(values[t].tolist())) for t in failed]
 
     def capture(cells):
-        return np.array([np.broadcast_to(batch.values[c], (spec.trials,))[kept]
+        return np.array([batch.values[c][kept]
                          for c in cells]).T.reshape(len(kept), len(cells))
     return (kept, values[kept], capture([f.cell for f in spec.forecasts]),
             capture([lim.cell for lim in spec.limits]), dossiers)
