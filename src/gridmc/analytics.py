@@ -105,9 +105,10 @@ class TornadoResult:
         return {"base": self.base, "bars": [b.to_json() for b in self.bars]}
 
 
-def percentile(values: np.ndarray, level: float) -> float:
-    """Linear interpolation between closest ranks; level in percent."""
-    return float(np.percentile(values, level, method="linear"))
+def percentile(values: np.ndarray, levels) -> list:
+    """Linear interpolation between closest ranks at each of levels, in
+    percent; one sort of values serves them all."""
+    return np.percentile(values, levels, method="linear").tolist()
 
 
 def forecast_stats(store: TrialStore, forecast: str) -> ForecastStats:
@@ -130,10 +131,11 @@ def stats_of(values: np.ndarray) -> ForecastStats:
         skew = _standardized_moment(centered, sd, 3)
         kurt = _standardized_moment(centered, sd, 4)
         lo, hi = float(values.min()), float(values.max())
+        median, *levels = percentile(values, [50, *PERCENTILE_LEVELS])
         return ForecastStats(
             n=n,
             mean=_unscaled(mean, k),
-            median=percentile(values, 50),
+            median=median,
             sd=_unscaled(sd, k),
             variance=_unscaled(variance, 2 * k),
             skewness=skew,
@@ -143,7 +145,7 @@ def stats_of(values: np.ndarray) -> ForecastStats:
             max=hi,
             range_width=hi - lo,
             standard_error=_unscaled(sd / math.sqrt(n), k),
-            percentiles={lvl: percentile(values, lvl) for lvl in PERCENTILE_LEVELS},
+            percentiles=dict(zip(PERCENTILE_LEVELS, levels)),
         )
 
 

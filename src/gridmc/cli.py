@@ -206,12 +206,7 @@ def cmd_scenario(args) -> int:
         print(f"halted at trial {store.dossier.trial}: {store.dossier.error}")
         return EXIT_CALC_ERROR
     subset = analytics.scenario_filter(store, label, args.lo, args.hi)
-    header = ["trial"] + store.assumption_labels + [label]
-    rows = [[subset.indices[i]]
-            + [float(v) for v in subset.assumptions[i]]
-            + [float(subset.forecasts[i])]
-            for i in range(len(subset.indices))]
-    report.write_csv(report.out_path(args.out, "scenario.csv"), header, rows)
+    report.export_scenario(store, subset, label, report.out_path(args.out, "scenario.csv"))
     print(f"{len(subset.indices)} of {store.completed} trials in range")
 
     if args.apply is not None:

@@ -1,15 +1,20 @@
 """Report assembly and file export (JSON + plot-ready CSV).
 
-`export_trials` streams trials.csv rows to `write_csv`, converting them
-to Python values TRIALS_BLOCK rows at a time straight from the
-TrialStore's columns, so the export holds one block at a time, however
-many trials ran.
+The per-trial tables, trials.csv and scenario.csv, are written
+TRIALS_BLOCK rows at a time straight from the arrays: each block is one
+`floattext.csv_rows` call, which gives every value the text Python's
+`repr` gives it, computed for the whole block with integer arithmetic,
+and one write. The export holds one block at a time, however many trials
+ran. `write_csv` writes the small tables whose rows mix labels, counts
+and None: errors.csv, histogram-*.csv and tornado.csv.
 """
 
 from __future__ import annotations
 
 import json
 import os
+
+import numpy as np
 
 from . import analytics
 from .simulate import TRIALS_BLOCK, Forecast, TrialStore
@@ -73,19 +78,31 @@ def run_report(store: TrialStore, tornados: dict) -> dict:
 
 
 def export_trials(store: TrialStore, path) -> None:
-    write_csv(path, ["trial"] + store.assumption_labels + store.forecast_labels,
-              _trial_rows(store))
+    _write_trial_table(path, ["trial"] + store.assumption_labels + store.forecast_labels,
+                       store.trial_indices, store.assumption_matrix, store.forecast_matrix)
 
 
-def _trial_rows(store: TrialStore):
-    """trials.csv rows, converted TRIALS_BLOCK at a time straight from the
-    store's columns."""
-    for start in range(0, store.completed, TRIALS_BLOCK):
-        block = slice(start, start + TRIALS_BLOCK)
-        for t, a, f in zip(store.trial_indices[block].tolist(),
-                           store.assumption_matrix[block].tolist(),
-                           store.forecast_matrix[block].tolist()):
-            yield [t, *a, *f]
+def export_scenario(store: TrialStore, subset: analytics.ScenarioSubset, label: str,
+                    path) -> None:
+    """scenario.csv: each trial of the subset, its assumptions and the value
+    of the forecast that label names."""
+    _write_trial_table(path, ["trial"] + store.assumption_labels + [label],
+                       subset.indices, subset.assumptions, subset.forecasts[:, None])
+
+
+def _write_trial_table(path, header, trials, *matrices) -> None:
+    """The header, then a row of each trial and its rows of the matrices side
+    by side, TRIALS_BLOCK rows per write."""
+    # imported here: a command that writes no per-trial table never builds
+    # the formatter's tables
+    from . import floattext
+
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(trials), TRIALS_BLOCK):
+            block = slice(start, start + TRIALS_BLOCK)
+            rows = floattext.csv_rows(trials[block], np.hstack([a[block] for a in matrices]))
+            fh.write(rows.decode("ascii"))
 
 
 def export_errors(store: TrialStore, path) -> None:

@@ -215,11 +215,20 @@ class TrialStore:
         return self.forecast_matrix[:, self.spec.forecast_index(self.model, name)]
 
 
+def _trial_array(trials: int, *width: int, dtype=float) -> np.ndarray:
+    """np.empty((trials, *width)); a SimulationError where no array of that
+    many trials can be allocated."""
+    try:
+        return np.empty((trials, *width), dtype=dtype)
+    except (ValueError, MemoryError):  # beyond the largest dimension, or the memory
+        raise SimulationError(f"{trials} trials are too many to hold in memory") from None
+
+
 def _sample_matrix(spec: SimulationSpec, n: int, start: int = 0) -> np.ndarray:
     """Pre-correlation assumption values for trials start..start+n-1."""
     src = RandomSource(spec.seed)
     k = len(spec.assumptions)
-    values = np.empty((n, k))
+    values = _trial_array(n, k)
     if k == 0:
         return values
     trials = np.arange(start, start + n)
@@ -258,10 +267,10 @@ def run(model: Model, spec: SimulationSpec) -> TrialStore:
     # rows are packed to the front of these matrices as the blocks go by.
     correlated = spec.has_correlation()
     values = (sample_assumptions(spec) if correlated
-              else np.empty((spec.trials, len(spec.assumptions))))
-    forecasts = np.empty((spec.trials, len(forecast_cells)))
-    monitored = np.empty((spec.trials, len(limit_cells)))
-    trial_indices = np.empty(spec.trials, dtype=np.intp)
+              else _trial_array(spec.trials, len(spec.assumptions)))
+    forecasts = _trial_array(spec.trials, len(forecast_cells))
+    monitored = _trial_array(spec.trials, len(limit_cells))
+    trial_indices = _trial_array(spec.trials, dtype=np.intp)
     kept = 0
     errors = []
     dossier = None

@@ -138,8 +138,19 @@ class TestStats:
         assert abs(s.percentiles[90] - 0.9) < 0.01
 
     def test_percentile_interpolation(self):
-        assert percentile(np.array([10.0, 20.0]), 50) == 15.0
-        assert percentile(np.array([0.0, 10.0]), 25) == 2.5
+        assert percentile(np.array([10.0, 20.0]), [50, 25, 100]) == [15.0, 12.5, 20.0]
+        assert percentile(np.array([0.0, 10.0]), [25]) == [2.5]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                    min_size=2, max_size=300))
+    def test_levels_at_once_equal_levels_one_at_a_time(self, xs):
+        values = np.array(xs)
+        levels = [50, *analytics.PERCENTILE_LEVELS]
+        with np.errstate(all="ignore"):  # interpolating across the float range
+            alone = [float(np.percentile(values, lvl, method="linear")) for lvl in levels]
+            together = percentile(values, levels)
+        assert np.array(together).tobytes() == np.array(alone).tobytes()  # bit for bit
 
 
 class TestHistogram:

@@ -483,6 +483,16 @@ class TestErrorExits:
         assert main(["run", CORRELATED, "--trials", "5", "--out", str(tmp_path)]) == 1
         assert "at least 40 trials" in one_error_line(capsys, "error:")
 
+    @pytest.mark.parametrize("command", ["run", "audit", "scenario", "step"])
+    def test_trial_count_too_large_to_hold(self, tmp_path, capsys, monkeypatch, command):
+        # 10**20 rows are beyond numpy's largest dimension: nothing is allocated
+        monkeypatch.setattr("sys.stdin", io.StringIO("step\nquit\n"))
+        out = [] if command == "step" else ["--out", str(tmp_path)]
+        assert main([command, CORRELATED, "--trials", str(10 ** 20), *out]) == 1
+        assert one_error_line(capsys, "error:") == (
+            f"error: {10 ** 20} trials are too many to hold in memory")
+        assert os.listdir(tmp_path) == []
+
     def test_every_trial_failing_run(self, tmp_path, capsys):
         path = write_doc(tmp_path, ALL_FAIL)
         assert main(["run", path, "--continue-on-error", "--out", str(tmp_path)]) == 1

@@ -14,8 +14,10 @@ from gridmc.simulate import Forecast, SimulationSpec, TrialStore, run
 
 B = TRIALS_BLOCK
 # values whose text is easy to get wrong: signed zero, a subnormal, huge,
-# tiny and inexact decimals
-SPECIAL = [0.0, -0.0, 5e-324, 1e-310, 0.1, -1.5, 1e300, -1e-300, 123456789.125]
+# tiny and inexact decimals, and both sides of each switch between fixed
+# and exponent notation
+SPECIAL = [0.0, -0.0, 5e-324, 1e-310, 0.1, -1.5, 1e300, -1e-300, 123456789.125,
+           1e-4, 9.999999999999999e-05, 9999999999999998.0, 1e16]
 
 
 def C(text):

@@ -168,6 +168,16 @@ class TestRun:
         with pytest.raises(SimulationError, match="every trial failed"):
             run(model, spec)
 
+    @pytest.mark.parametrize("correlated", [False, True])
+    def test_trial_count_too_large_to_hold(self, correlated):
+        # 10**20 rows are beyond numpy's largest dimension: nothing is allocated
+        corr = CorrelationSpec.from_pairs(2, {(0, 1): 0.8}) if correlated else None
+        model, spec = linear_model(trials=10 ** 20, correlation=corr)
+        with pytest.raises(SimulationError, match="too many to hold in memory"):
+            run(model, spec)
+        with pytest.raises(SimulationError, match="too many to hold in memory"):
+            sample_assumptions(spec)
+
     def test_correlation_achieved_in_store(self):
         corr = CorrelationSpec.from_pairs(2, {(0, 1): 0.8})
         model, spec = linear_model(trials=2000, correlation=corr)
