@@ -308,8 +308,7 @@ def tornado(model: Model, spec: SimulationSpec,
         rows[:, j] = median
         rows[2 * j + 1, j], rows[2 * j + 2, j] = low, high
     batch = evaluate_batch(
-        model, {c: rows[:, j] for j, c in enumerate(spec.assumption_cells)}, 2 * k + 1,
-        keep={f.cell for f in spec.forecasts})
+        model, {c: rows[:, j] for j, c in enumerate(spec.assumption_cells)}, 2 * k + 1)
     if 0 in batch.errors:
         raise SimulationError(f"tornado base case failed: {batch.errors[0]}")
     torn = {}

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analytics
 from .model import Model, evaluate_batch
-from .simulate import SimulationError, SimulationSpec, TrialStore, in_bounds, run
+from .simulate import TRIALS_BLOCK, SimulationError, SimulationSpec, TrialStore, in_bounds, run
 
 
 class FindingKind(str, Enum):
@@ -46,9 +46,12 @@ _SEVERITY = {
 class AuditFinding:
     kind: FindingKind
     cells: tuple  # subject cells / labels
-    severity: str
     evidence: dict
     witness: Optional[tuple] = None  # assumption vector
+
+    @property
+    def severity(self) -> str:
+        return _SEVERITY[self.kind]
 
     def to_json(self) -> dict:
         out = {
@@ -129,7 +132,6 @@ def detect_disconnected(store: TrialStore, sens: dict, torn: dict,
                 pairs.append((j, AuditFinding(
                     kind=FindingKind.DISCONNECTED,
                     cells=(str(cell), str(f.cell)),
-                    severity=_SEVERITY[FindingKind.DISCONNECTED],
                     evidence={
                         "assumption": label,
                         "forecast": f.label,
@@ -181,7 +183,6 @@ def check_signs(sens: dict, torn: dict, store: TrialStore) -> list:
             findings.append(AuditFinding(
                 kind=FindingKind.SIGN_MISMATCH,
                 cells=(str(e.assumption), str(e.forecast)),
-                severity=_SEVERITY[FindingKind.SIGN_MISMATCH],
                 evidence={
                     "assumption": a_label,
                     "forecast": f.label,
@@ -198,7 +199,6 @@ def check_signs(sens: dict, torn: dict, store: TrialStore) -> list:
             findings.append(AuditFinding(
                 kind=FindingKind.CORRELATION_MASKING,
                 cells=(str(e.assumption), str(e.forecast)),
-                severity=_SEVERITY[FindingKind.CORRELATION_MASKING],
                 evidence={
                     "assumption": a_label,
                     "forecast": f.label,
@@ -226,7 +226,6 @@ def check_limits(store: TrialStore) -> list:
         findings.append(AuditFinding(
             kind=FindingKind.LIMIT_VIOLATION,
             cells=(str(lim.cell),),
-            severity=_SEVERITY[FindingKind.LIMIT_VIOLATION],
             evidence={
                 "cell": str(lim.cell),
                 "declared_min": lim.min,
@@ -252,7 +251,6 @@ def check_intervals(store: TrialStore) -> list:
         findings.append(AuditFinding(
             kind=FindingKind.INTERVAL_BREACH,
             cells=(str(interval.forecast),),
-            severity=_SEVERITY[FindingKind.INTERVAL_BREACH],
             evidence={
                 "forecast": f.label,
                 "declared": [interval.lo, interval.hi],
@@ -277,7 +275,6 @@ def error_census(store: TrialStore) -> list:
         findings.append(AuditFinding(
             kind=FindingKind.ERROR_CENSUS,
             cells=(cell,),
-            severity=_SEVERITY[FindingKind.ERROR_CENSUS],
             evidence={
                 "cell": cell,
                 "error_kind": kind,
@@ -299,15 +296,15 @@ class BackcastResult:
 
 def backcast(model: Model, spec: SimulationSpec, history,
              observed: Optional[list] = None) -> BackcastResult:
-    """Replay historical assumption rows through the model, once each, in
-    one batch evaluation.
+    """Replay historical assumption rows through the model, once each,
+    TRIALS_BLOCK rows per evaluation pass.
 
     history: rows of assumption values matching spec's assumption order.
     observed: optional parallel rows of observed forecast values.
     Findings come row by row: a row's CalcError, or else each breached
     limit in spec order.
     """
-    history = [list(r) for r in history]
+    history = list(history)
     if not history:
         raise ValueError("history must have at least one row")
     k = len(spec.assumptions)
@@ -318,43 +315,49 @@ def backcast(model: Model, spec: SimulationSpec, history,
         raise ValueError("observed rows must match history rows")
 
     matrix = np.array(history, dtype=float)
-    batch = evaluate_batch(
-        model, {c: matrix[:, j] for j, c in enumerate(spec.assumption_cells)}, len(history),
-        keep={lim.cell for lim in spec.limits} | {f.cell for f in spec.forecasts})
-
+    if observed is not None:
+        observed = np.array(observed, dtype=float)
+    labels = [f.label for f in spec.forecasts]
     findings = []
     residual_rows = []
-    abs_residuals = {f.label: [] for f in spec.forecasts}
-    for i, row in enumerate(history):
-        error = batch.errors.get(i)
-        if error is not None:
-            findings.append(AuditFinding(
-                kind=FindingKind.BACKCAST_FAILURE,
-                cells=(str(error.cell),),
-                severity=_SEVERITY[FindingKind.BACKCAST_FAILURE],
-                evidence={"row": i, "error_kind": error.kind.value,
-                          "detail": error.detail},
-                witness=tuple(row),
-            ))
-            continue
-        for lim in spec.limits:
-            v = batch.value(lim.cell, i)
-            if not in_bounds(v, lim.min, lim.max):
+    abs_residuals = {label: [] for label in labels}
+    for start in range(0, len(history), TRIALS_BLOCK):
+        block = matrix[start:start + TRIALS_BLOCK]
+        batch = evaluate_batch(
+            model, {c: block[:, j] for j, c in enumerate(spec.assumption_cells)}, len(block))
+        ok = np.ones(len(block), dtype=bool)
+        ok[list(batch.errors)] = False
+        breached = [~in_bounds(batch.values[lim.cell], lim.min, lim.max) for lim in spec.limits]
+        for i in np.flatnonzero(np.logical_or.reduce([~ok, *breached])).tolist():
+            row = start + i
+            error = batch.errors.get(i)
+            if error is not None:
                 findings.append(AuditFinding(
                     kind=FindingKind.BACKCAST_FAILURE,
-                    cells=(str(lim.cell),),
-                    severity=_SEVERITY[FindingKind.BACKCAST_FAILURE],
-                    evidence={"row": i, "limit_cell": str(lim.cell), "value": v,
-                              "declared_min": lim.min, "declared_max": lim.max},
-                    witness=tuple(row),
+                    cells=(str(error.cell),),
+                    evidence={"row": row, "error_kind": error.kind.value,
+                              "detail": error.detail},
+                    witness=tuple(history[row]),
                 ))
+                continue
+            for lim, mask in zip(spec.limits, breached):
+                if mask[i]:
+                    findings.append(AuditFinding(
+                        kind=FindingKind.BACKCAST_FAILURE,
+                        cells=(str(lim.cell),),
+                        evidence={"row": row, "limit_cell": str(lim.cell),
+                                  "value": batch.value(lim.cell, i),
+                                  "declared_min": lim.min, "declared_max": lim.max},
+                        witness=tuple(history[row]),
+                    ))
         if observed is not None:
-            residuals = {"row": i}
-            for fi, f in enumerate(spec.forecasts):
-                residual = batch.value(f.cell, i) - observed[i][fi]
-                residuals[f.label] = residual
-                abs_residuals[f.label].append(abs(residual))
-            residual_rows.append(residuals)
+            rows = np.flatnonzero(ok)
+            residuals = [batch.values[f.cell][rows] - observed[start + rows, fi]
+                         for fi, f in enumerate(spec.forecasts)]
+            residual_rows += [dict(zip(["row", *labels], values)) for values in
+                              zip((start + rows).tolist(), *(r.tolist() for r in residuals))]
+            for label, r in zip(labels, residuals):
+                abs_residuals[label] += np.abs(r).tolist()
     mar = {label: (sum(v) / len(v) if v else None)
            for label, v in abs_residuals.items()}
     return BackcastResult(findings=findings, residuals=residual_rows,

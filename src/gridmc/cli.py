@@ -228,6 +228,8 @@ def _read_history(path, spec, model):
         rows = list(csv.reader(fh))
     if not rows:
         raise DocumentError(["history CSV is empty"])
+    if len(rows) == 1:
+        raise DocumentError(["history CSV has a header but no rows"])
     header = [h.strip() for h in rows[0]]
     a_labels = [model.label_of(c) for c in spec.assumption_cells]
     f_labels = [f.label for f in spec.forecasts]

@@ -6,12 +6,6 @@ functions in one pass, cell by cell in topological order: every value
 in a pass, constants included, is a float64 column with one entry per
 trial. `evaluate` is the same pass over a single trial.
 
-A pass keeps every column unless the caller names the cells it reads
-(`keep`). Then a column outside `keep` is dropped right after the last
-cell that reads it in the pass's order has run, or right after it is
-computed if no later cell reads it, so a pass holds only the columns it
-still needs and the ones it returns. Overridden cells read nothing.
-
 Calculation errors are values (CalcError), not exceptions. A failing
 sub-expression records (kind, detail) for the rows still live and takes
 them out of the pass, so later sub-expressions cannot overwrite a row's
@@ -227,23 +221,20 @@ def _find_cycle(deps):
     return "no cycle"
 
 
-def evaluate_batch(model: Model, columns: dict, n: int, keep=None) -> Batch:
+def evaluate_batch(model: Model, columns: dict, n: int) -> Batch:
     """Evaluate n trials in one pass; overridden cells take their column verbatim.
 
     columns maps cells to float arrays of length n. Each cell is computed
     for all rows in topological order; a row's first error in that order
     is kept in Batch.errors and the row takes no further part. A computed
-    inf or nan is a DOMAIN_ERROR at the cell that produced it. keep names
-    the cells left in Batch.values (None: every cell); the others are
-    dropped as soon as no later cell reads them.
+    inf or nan is a DOMAIN_ERROR at the cell that produced it.
     """
     for ref in columns:
         if ref not in model.defs:
             raise KeyError(f"override targets unknown cell {ref}")
-    drops = None if keep is None else _drop_schedule(model, columns, keep)
     ps = _Pass(n)
     with np.errstate(all="ignore"):
-        for pos, ref in enumerate(model.order):
+        for ref in model.order:
             if ref in columns:
                 ps.values[ref] = np.asarray(columns[ref], dtype=float)
             else:
@@ -252,26 +243,7 @@ def evaluate_batch(model: Model, columns: dict, n: int, keep=None) -> Batch:
                 ps.fail(None, ~np.isfinite(value), ErrorKind.DOMAIN_ERROR,
                         lambda i: f"non-finite result {float(value[i])!r}")
                 ps.values[ref] = value
-            if drops is not None:
-                for dead in drops[pos]:
-                    del ps.values[dead]
     return Batch(ps.values, ps.errors)
-
-
-def _drop_schedule(model: Model, columns: dict, keep) -> list:
-    """For each position of the model's order, the cells outside keep that
-    no later cell reads: the cell itself if nothing after it reads it, and
-    the cells it is the last reader of."""
-    last = {}
-    for i, ref in enumerate(model.order):
-        if ref not in columns:
-            for p in model._reads[ref]:
-                last[p] = i
-    drops = [[] for _ in model.order]
-    for i, ref in enumerate(model.order):
-        if ref not in keep:
-            drops[last.get(ref, i)].append(ref)
-    return drops
 
 
 def evaluate(model: Model, overrides: Optional[dict] = None) -> EvalResult:

@@ -261,7 +261,6 @@ def run(model: Model, spec: SimulationSpec) -> TrialStore:
     spec.validate(model)
     forecast_cells = [f.cell for f in spec.forecasts]
     limit_cells = [lim.cell for lim in spec.limits]
-    keep = set(forecast_cells + limit_cells)
     # Iman-Conover ranks every row, so a correlated run samples them all
     # first; an uncorrelated one samples each block as it comes. The kept
     # rows are packed to the front of these matrices as the blocks go by.
@@ -278,7 +277,7 @@ def run(model: Model, spec: SimulationSpec) -> TrialStore:
         n = min(TRIALS_BLOCK, spec.trials - start)
         block = values[start:start + n] if correlated else _sample_matrix(spec, n, start)
         batch = evaluate_batch(
-            model, {c: block[:, j] for j, c in enumerate(spec.assumption_cells)}, n, keep=keep)
+            model, {c: block[:, j] for j, c in enumerate(spec.assumption_cells)}, n)
         failed = sorted(batch.errors)
         trapped = [CalcErrorDossier(batch.errors[i], start + i, tuple(block[i].tolist()))
                    for i in failed]

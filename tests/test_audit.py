@@ -23,7 +23,7 @@ from gridmc.cells import parse_cell
 from gridmc.cli import main
 from gridmc.distributions import Uniform
 from gridmc.document import ModelDocument
-from gridmc.model import CalcError, build_model
+from gridmc.model import CalcError, build_model, evaluate_batch
 from gridmc.simulate import (
     ExpectedInterval,
     Forecast,
@@ -367,7 +367,7 @@ def replay_oracle(model, spec, history, observed=None):
         result = replay(model, spec, row)
         if isinstance(result, CalcError):
             findings.append(AuditFinding(
-                FindingKind.BACKCAST_FAILURE, (str(result.cell),), "error",
+                FindingKind.BACKCAST_FAILURE, (str(result.cell),),
                 {"row": i, "error_kind": result.kind.value, "detail": result.detail},
                 tuple(row)))
             continue
@@ -376,7 +376,7 @@ def replay_oracle(model, spec, history, observed=None):
             if (lim.min is not None and v < lim.min) or \
                (lim.max is not None and v > lim.max):
                 findings.append(AuditFinding(
-                    FindingKind.BACKCAST_FAILURE, (str(lim.cell),), "error",
+                    FindingKind.BACKCAST_FAILURE, (str(lim.cell),),
                     {"row": i, "limit_cell": str(lim.cell), "value": v,
                      "declared_min": lim.min, "declared_max": lim.max},
                     tuple(row)))
@@ -391,8 +391,8 @@ def replay_oracle(model, spec, history, observed=None):
 
 
 class TestBackcastBatch:
-    """backcast evaluates every row in one batch; it must equal the
-    row-by-row replay oracle bit for bit."""
+    """backcast evaluates the rows TRIALS_BLOCK at a time; it must equal
+    the row-by-row replay oracle bit for bit."""
 
     # clean, SQRT of a negative, A4 breach, B1 breach, SQRT(-0.0) with an
     # A2 breach, two breaches in one row, B1 breach
@@ -425,17 +425,28 @@ class TestBackcastBatch:
         assert repr(result.mean_abs_residual) == repr(mar)
         return result
 
-    @pytest.mark.parametrize("with_observed", [False, True])
-    def test_mixed_history_matches_replay_oracle(self, with_observed):
-        observed = ([[0.5 * i, -1.0 + i] for i in range(len(self.MIXED))]
+    # 400 copies: 2,800 rows, with errors and breaches in each of three passes
+    @pytest.mark.parametrize("with_observed, copies, passes", [
+        (False, 1, [7]), (True, 1, [7]),
+        (False, 400, [1024, 1024, 752]), (True, 400, [1024, 1024, 752]),
+    ], ids=["False", "True", "False-2800-rows", "True-2800-rows"])
+    def test_mixed_history_matches_replay_oracle(self, monkeypatch, with_observed, copies,
+                                                 passes):
+        sizes = []
+        monkeypatch.setattr("gridmc.audit.evaluate_batch",
+                            lambda *a: sizes.append(a[2]) or evaluate_batch(*a))
+        history = self.MIXED * copies
+        observed = ([[0.5 * i, -1.0 + i] for i in range(len(history))]
                     if with_observed else None)
-        result = self._assert_matches_oracle(self.MIXED, observed)
+        result = self._assert_matches_oracle(history, observed)
+        assert sizes == passes
+        offsets = range(0, len(history), len(self.MIXED))
         rows = [f.evidence["row"] for f in result.findings]
-        assert rows == [1, 2, 3, 4, 5, 5, 6]
+        assert rows == [s + i for s in offsets for i in [1, 2, 3, 4, 5, 5, 6]]
         assert "error_kind" in result.findings[0].evidence
         assert [f.cells[0] for f in result.findings[4:6]] == ["A4", "A2"]
-        assert [r["row"] for r in result.residuals] == ([0, 2, 3, 4, 5, 6]
-                                                       if with_observed else [])
+        assert [r["row"] for r in result.residuals] == (
+            [s + i for s in offsets for i in [0, 2, 3, 4, 5, 6]] if with_observed else [])
 
     def test_witnesses_replay_to_the_finding(self):
         model, spec = self._model()
@@ -465,9 +476,9 @@ class TestBackcastBatch:
 
 class TestFindingSerialization:
     def test_witness_only_when_present(self):
-        f = AuditFinding(FindingKind.SIGN_MISMATCH, ("B4", "B16"), "error", {"a": 1})
+        f = AuditFinding(FindingKind.SIGN_MISMATCH, ("B4", "B16"), {"a": 1})
         assert "witness" not in f.to_json()
-        g = AuditFinding(FindingKind.LIMIT_VIOLATION, ("A15",), "error", {}, (1.0,))
+        g = AuditFinding(FindingKind.LIMIT_VIOLATION, ("A15",), {}, (1.0,))
         assert g.to_json()["witness"] == [1.0]
 
     def test_counts_and_by_kind(self, noclamp_doc):

@@ -594,6 +594,15 @@ class TestErrorExits:
                      "--out", str(tmp_path)]) == 3
         assert "line 2" in one_error_line(capsys, "history error:")
 
+    def test_history_header_only(self, tmp_path, capsys):
+        hist = tmp_path / "history.csv"
+        hist.write_text("Year1Sales,SalesGrowth,COGSGrowth,OpexPct\n")
+        assert main(["audit", PROJECT, "--history", str(hist),
+                     "--out", str(tmp_path)]) == 3
+        assert one_error_line(capsys, "history error:") == (
+            "history error: history CSV has a header but no rows")
+        assert not (tmp_path / "audit.json").exists()
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "-Infinity"])
     def test_history_non_finite_value(self, tmp_path, capsys, cell):
         hist = tmp_path / "history.csv"

@@ -101,10 +101,9 @@ def same(a, b) -> bool:
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
-def batch_of(model, matrix, keep=None):
+def batch_of(model, matrix):
     matrix = np.array(matrix, dtype=float)
-    return evaluate_batch(model, {c: matrix[:, j] for j, c in enumerate(INPUTS)}, len(matrix),
-                          keep=keep)
+    return evaluate_batch(model, {c: matrix[:, j] for j, c in enumerate(INPUTS)}, len(matrix))
 
 
 def assert_row_matches(batch, i, expected):
@@ -122,29 +121,21 @@ _ROWS = [[1.0] * len(INPUTS)] * 3
 
 
 @settings(max_examples=500, deadline=None)
-@given(models(), rows(), st.sets(st.sampled_from(INPUTS + FORMULA_CELLS)))
-@example(model_of("=1/0"), _ROWS, set())
-@example(model_of("=SQRT(-1)"), _ROWS, set())
-@example(model_of("=LN(0)"), _ROWS, set())
-@example(model_of("=NPV(-2,1)"), _ROWS, set())
-@example(model_of("=1e308*10"), _ROWS, set())
-@example(model_of("=IF(0,1/0,2)", "=IF(1,2,1/0)"), _ROWS, {C("C2")})
-@example(model_of("=1", "=C1+2*3", "=MIN(C1,C2)<=MAX(4,C2)", "=ABS(-C3)"), _ROWS, {C("C3")})
-def test_batch_equals_oracle(model, matrix, keep):
+@given(models(), rows())
+@example(model_of("=1/0"), _ROWS)
+@example(model_of("=SQRT(-1)"), _ROWS)
+@example(model_of("=LN(0)"), _ROWS)
+@example(model_of("=NPV(-2,1)"), _ROWS)
+@example(model_of("=1e308*10"), _ROWS)
+@example(model_of("=IF(0,1/0,2)", "=IF(1,2,1/0)"), _ROWS)
+@example(model_of("=1", "=C1+2*3", "=MIN(C1,C2)<=MAX(4,C2)", "=ABS(-C3)"), _ROWS)
+def test_batch_equals_oracle(model, matrix):
     batch = batch_of(model, matrix)
     for ref, value in batch.values.items():
         assert value.dtype == np.float64 and value.shape == (len(matrix),), ref
     oracle = Oracle(model)
     for i, row in enumerate(matrix):
         assert_row_matches(batch, i, oracle.evaluate(dict(zip(INPUTS, row))))
-    # a pass that keeps only some cells frees the rest and changes nothing kept
-    keep = keep & set(model.order)
-    kept = batch_of(model, matrix, keep)
-    assert kept.errors == batch.errors
-    assert set(kept.values) == keep
-    for ref in keep:
-        for i in range(len(matrix)):
-            assert same(kept.value(ref, i), batch.value(ref, i)), (ref, i)
 
 
 @settings(max_examples=100, deadline=None)

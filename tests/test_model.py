@@ -5,7 +5,7 @@ import pytest
 
 from gridmc.cells import CellRef, parse_cell
 from gridmc.functions import ErrorKind
-from gridmc.model import CalcError, ModelBuildError, build_model, evaluate, evaluate_batch
+from gridmc.model import CalcError, ModelBuildError, build_model, evaluate
 
 
 def C(text):
@@ -166,7 +166,3 @@ class TestTopologicalSoundness:
             assert alt != m.order or len(m.order) <= 2
             reordered = dataclasses.replace(m, order=alt)
             assert evaluate(reordered) == baseline
-            # columns are freed after their last reader in the order that runs
-            last = m.order[-1]
-            batch = evaluate_batch(reordered, {}, 1, keep={last})
-            assert list(batch.values) == [last] and batch.value(last, 0) == baseline[last]
