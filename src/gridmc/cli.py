@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 clean, 1 calculation-error halt, model build error or a
-run that cannot complete (too few trials for the declared correlations,
-an audit with fewer than 100 completed trials, every trial failing),
-2 audit findings with severity error, 3 usage, schema or history-file
-error, or a document that is not strict JSON.
+Exit codes: 0 clean, 1 calculation-error halt, model build error (a
+formula nested too deeply among them) or a run that cannot complete (too
+few trials for the declared correlations, an audit with fewer than 100
+completed trials, every trial failing), 2 audit findings with severity
+error, 3 usage, schema or history-file error, a document that is not
+strict JSON, or a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -106,9 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(path) -> ModelDocument:
     try:
         return ModelDocument.load(path)
-    except FileNotFoundError:
-        print(f"error: no such file: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
     except DocumentError as exc:
         for d in exc.diagnostics:
             print(f"schema error: {d}", file=sys.stderr)
@@ -224,8 +222,11 @@ def cmd_scenario(args) -> int:
 
 def _read_history(path, spec, model):
     import csv
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise DocumentError([f"not UTF-8 text: {exc}"]) from None
     if not rows:
         raise DocumentError(["history CSV is empty"])
     if len(rows) == 1:
@@ -269,9 +270,6 @@ def cmd_audit(args) -> int:
     if args.history:
         try:
             history, observed = _read_history(args.history, spec, model)
-        except FileNotFoundError:
-            print(f"error: no such file: {args.history}", file=sys.stderr)
-            return EXIT_USAGE
         except DocumentError as exc:
             for d in exc.diagnostics:
                 print(f"history error: {d}", file=sys.stderr)
@@ -319,7 +317,7 @@ def cmd_step(args) -> int:
                 return EXIT_OK
             elif cmd == "step" and not rest:
                 _print_outcome(session.step())
-            elif cmd == "run" and len(rest) == 1 and rest[0].isdigit():
+            elif cmd == "run" and len(rest) == 1 and rest[0].isascii() and rest[0].isdigit():
                 for _ in range(int(rest[0])):
                     _print_outcome(session.step())
             elif cmd == "show" and len(rest) == 1:
@@ -359,6 +357,10 @@ def main(argv=None) -> int:
     except (CorrelationError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CALC_ERROR
+    except OSError as exc:  # a document, history or output path
+        reason = "no such file" if isinstance(exc, FileNotFoundError) else exc.strerror.lower()
+        print(f"error: {reason}: {exc.filename}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -67,28 +67,17 @@ def norm_ppf(u):
 
 
 class Distribution:
-    """Base: subclasses implement inverse_cdf plus analytic mean/variance/cdf."""
+    """Base: subclasses implement inverse_cdf, the one way a distribution
+    is drawn from."""
 
     def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
         """F^{-1} of each element of a float array u, all in (0, 1): an
         array of u's shape, monotone non-decreasing in u."""
         raise NotImplementedError
 
-    def mean(self) -> float:
-        raise NotImplementedError
-
-    def variance(self) -> float:
-        raise NotImplementedError
-
-    def cdf(self, x: float) -> float:
-        raise NotImplementedError
-
     @property
     def median(self) -> float:
         return float(self.inverse_cdf(np.array([0.5]))[0])
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -105,18 +94,6 @@ class Uniform(Distribution):
 
     def inverse_cdf(self, u):
         return self.min + u * (self.max - self.min)
-
-    def mean(self):
-        return 0.5 * (self.min + self.max)
-
-    def variance(self):
-        return (self.max - self.min) ** 2 / 12.0
-
-    def cdf(self, x):
-        return min(1.0, max(0.0, (x - self.min) / (self.max - self.min)))
-
-    def to_json(self):
-        return {"type": "uniform", "min": self.min, "max": self.max}
 
 
 @dataclass(frozen=True)
@@ -143,30 +120,10 @@ class Triangular(Distribution):
         right = b - np.sqrt((1.0 - u) * (b - a) * (b - m))
         return np.where(u <= (m - a) / (b - a), left, right)
 
-    def mean(self):
-        return (self.min + self.mode + self.max) / 3.0
-
-    def variance(self):
-        a, m, b = self.min, self.mode, self.max
-        return (a * a + m * m + b * b - a * m - a * b - m * b) / 18.0
-
-    def cdf(self, x):
-        a, m, b = self.min, self.mode, self.max
-        if x <= a:
-            return 0.0
-        if x >= b:
-            return 1.0
-        if x <= m:
-            return (x - a) ** 2 / ((b - a) * (m - a)) if m > a else 1.0
-        return 1.0 - (b - x) ** 2 / ((b - a) * (b - m))
-
-    def to_json(self):
-        return {"type": "triangular", "min": self.min, "mode": self.mode, "max": self.max}
-
 
 @dataclass(frozen=True)
 class Normal(Distribution):
-    mean_: float
+    mean: float
     sd: float
 
     def __post_init__(self):
@@ -175,23 +132,11 @@ class Normal(Distribution):
         with np.errstate(all="ignore"):
             ends = self.inverse_cdf(np.array([U_MIN, U_MAX]))
         if not np.isfinite(ends).all():
-            raise ValueError(f"normal(mean={self.mean_}, sd={self.sd}) "
+            raise ValueError(f"normal(mean={self.mean}, sd={self.sd}) "
                              f"draws variates beyond the float range")
 
     def inverse_cdf(self, u):
-        return self.mean_ + self.sd * norm_ppf(u)
-
-    def mean(self):
-        return self.mean_
-
-    def variance(self):
-        return self.sd ** 2
-
-    def cdf(self, x):
-        return 0.5 * math.erfc((self.mean_ - x) / (self.sd * math.sqrt(2.0)))
-
-    def to_json(self):
-        return {"type": "normal", "mean": self.mean_, "sd": self.sd}
+        return self.mean + self.sd * norm_ppf(u)
 
 
 @dataclass(frozen=True)
@@ -218,21 +163,6 @@ class Lognormal(Distribution):
         z = self.log_mean + self.log_sd * norm_ppf(u)
         return np.fromiter(map(math.exp, z.ravel().tolist()), float, z.size).reshape(z.shape)
 
-    def mean(self):
-        return math.exp(self.log_mean + 0.5 * self.log_sd ** 2)
-
-    def variance(self):
-        s2 = self.log_sd ** 2
-        return (math.exp(s2) - 1.0) * math.exp(2.0 * self.log_mean + s2)
-
-    def cdf(self, x):
-        if x <= 0:
-            return 0.0
-        return 0.5 * math.erfc((self.log_mean - math.log(x)) / (self.log_sd * math.sqrt(2.0)))
-
-    def to_json(self):
-        return {"type": "lognormal", "log_mean": self.log_mean, "log_sd": self.log_sd}
-
 
 @dataclass(frozen=True)
 class DiscreteUniform(Distribution):
@@ -254,22 +184,6 @@ class DiscreteUniform(Distribution):
         n = self.hi - self.lo + 1
         return self.lo + np.trunc(u * n)
 
-    def mean(self):
-        return 0.5 * (self.lo + self.hi)
-
-    def variance(self):
-        n = self.hi - self.lo + 1
-        return (n * n - 1) / 12.0
-
-    def cdf(self, x):
-        if x < self.lo:
-            return 0.0
-        n = self.hi - self.lo + 1
-        return min(1.0, (math.floor(x) - self.lo + 1) / n)
-
-    def to_json(self):
-        return {"type": "discrete_uniform", "lo": self.lo, "hi": self.hi}
-
 
 class Custom(Distribution):
     """Discrete distribution over explicit (value, probability) atoms."""
@@ -288,12 +202,6 @@ class Custom(Distribution):
         self._cum = np.cumsum([p for _, p in self.pairs])  # sequential sums
         self._cum[-1] = 1.0
 
-    def __eq__(self, other):
-        return isinstance(other, Custom) and self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash(self.pairs)
-
     def __repr__(self):
         return f"Custom({list(self.pairs)!r})"
 
@@ -301,25 +209,6 @@ class Custom(Distribution):
         # the first atom whose cumulative probability reaches u: the last
         # one's is 1.0, so every u < 1 has one
         return self._values[np.searchsorted(self._cum, u, side="left")]
-
-    def mean(self):
-        return math.fsum(v * p for v, p in self.pairs)
-
-    def variance(self):
-        m = self.mean()
-        return math.fsum(p * (v - m) ** 2 for v, p in self.pairs)
-
-    def cdf(self, x):
-        acc = 0.0
-        for v, p in self.pairs:
-            if v <= x:
-                acc += p
-            else:
-                break
-        return acc
-
-    def to_json(self):
-        return {"type": "custom", "pairs": [[v, p] for v, p in self.pairs]}
 
 
 def distribution_from_json(obj: dict) -> Distribution:

@@ -17,6 +17,10 @@ Grammar (whitespace-insensitive, function names case-insensitive):
 A range may stand only where FUNCTIONS allows: in SUM, AVERAGE, MIN, MAX and
 NPV's cashflows; IRR's cashflows must be a range, and LOOKUP's table a range of
 two columns. An argument of the wrong shape is a FormulaError at its position.
+
+Compiling and evaluating a formula recurse through its AST, a frame or two
+per level, so a formula more than MAX_DEPTH levels deep is a FormulaError,
+as is one nested too deeply for the parser's own recursion.
 """
 
 from __future__ import annotations
@@ -87,6 +91,10 @@ class Call:
 
 
 Node = Lit | Ref | Neg | Bin | Call
+
+# the most nodes on one path from a formula's root to a leaf; a sum of 500
+# terms is 500 deep
+MAX_DEPTH = 500
 
 # name -> (min arity, max arity or None for variadic, argument shapes).
 # The shapes go by position, the last one repeating: "x" a number, "a" a
@@ -271,10 +279,15 @@ def parse_formula(text: str) -> Node:
         offset = text.index("=") + 1
         tokens = _tokenize(body, offset)
         p = _Parser(body, tokens)
-        node = p.parse_expr()
+        try:
+            node = p.parse_expr()
+        except RecursionError:
+            raise FormulaError("formula nested too deeply to parse", p.peek()[2]) from None
         kind, val, pos = p.peek()
         if kind != "eof":
             raise FormulaError(f"unexpected token {val!r}", pos)
+        if _depth(node) > MAX_DEPTH:
+            raise FormulaError(f"formula nested more than {MAX_DEPTH} levels deep", offset)
         return node
     try:
         return Lit(float(stripped))
@@ -323,6 +336,26 @@ def render_formula(node: Node) -> str:
     return "=" + _render(node, 0, False)
 
 
+def _children(node) -> tuple:
+    if isinstance(node, Neg):
+        return (node.operand,)
+    if isinstance(node, Bin):
+        return (node.left, node.right)
+    if isinstance(node, Call):
+        return node.args
+    return ()
+
+
+def _depth(node) -> int:
+    """The most nodes on one path from node to a leaf."""
+    deepest, stack = 0, [(node, 1)]
+    while stack:
+        n, d = stack.pop()
+        deepest = max(deepest, d)
+        stack.extend((c, d + 1) for c in _children(n))
+    return deepest
+
+
 def referenced_cells(node) -> set:
     """Every cell a formula reads, with ranges expanded."""
     out = set()
@@ -333,11 +366,6 @@ def referenced_cells(node) -> set:
             out.add(n.cell)
         elif isinstance(n, RangeRef):
             out.update(n.cells())
-        elif isinstance(n, Neg):
-            stack.append(n.operand)
-        elif isinstance(n, Bin):
-            stack.append(n.left)
-            stack.append(n.right)
-        elif isinstance(n, Call):
-            stack.extend(n.args)
+        else:
+            stack.extend(_children(n))
     return out

@@ -35,7 +35,6 @@ from . import functions as fn
 from .cells import CellRef, parse_cell
 from .formula import (
     Bin,
-    Call,
     FormulaError,
     Lit,
     Neg,
@@ -196,28 +195,27 @@ def _topo_order(deps):
 
 
 def _find_cycle(deps):
-    state = {}  # 0 visiting, 1 done
-
-    def visit(node, path):
-        state[node] = 0
-        path.append(node)
-        for p in sorted(deps[node], key=lambda c: c.row_major_key):
-            if state.get(p) == 0:
-                cycle = path[path.index(p):] + [p]
-                return "->".join(str(c) for c in cycle)
-            if p not in state:
-                found = visit(p, path)
-                if found:
-                    return found
-        path.pop()
-        state[node] = 1
-        return None
-
-    for node in sorted(deps, key=lambda c: c.row_major_key):
-        if node not in state:
-            found = visit(node, [])
-            if found:
-                return found
+    """One cycle's path, from the depth-first walk in row-major order:
+    iterative, so a cycle through any number of cells is found."""
+    key = operator.attrgetter("row_major_key")
+    state = {}  # 0 on the path, 1 done
+    for root in sorted(deps, key=key):
+        if root in state:
+            continue
+        state[root] = 0
+        path, pending = [root], [iter(sorted(deps[root], key=key))]
+        while pending:
+            for p in pending[-1]:
+                if state.get(p) == 0:
+                    return "->".join(str(c) for c in path[path.index(p):] + [p])
+                if p not in state:
+                    state[p] = 0
+                    path.append(p)
+                    pending.append(iter(sorted(deps[p], key=key)))
+                    break
+            else:
+                state[path.pop()] = 1
+                pending.pop()
     return "no cycle"
 
 
@@ -353,6 +351,10 @@ def _lookup(mode: float, key: float, *table: float) -> float:
 # masks the rows the node is evaluated for (None: every row). Sub-expressions
 # run in the order the formula language defines, so a row's first recorded
 # error is the one a one-row evaluation meets first.
+#
+# _compile is the only function that recurses, one frame per level of the
+# AST, and an evaluation takes at most two frames a level; parse_formula
+# bounds the levels by MAX_DEPTH.
 
 def _compile(node) -> Callable:
     if isinstance(node, Lit):
@@ -365,21 +367,24 @@ def _compile(node) -> Callable:
         f = _compile(node.operand)
         return lambda ps, rows: -f(ps, rows)
     if isinstance(node, Bin):
-        return _compile_bin(node)
-    return _compile_call(node)
+        return _compile_bin(node.op, _compile(node.left), _compile(node.right))
+    args = []  # a range as its cells in row-major order
+    for a in node.args:  # a loop, as a comprehension would add a frame
+        args.append(a.cells() if isinstance(a, RangeRef) else _compile(a))
+    return _compile_call(node.name, args)
 
 
-def _compile_args(nodes) -> Callable:
-    """The values of several arguments, ranges expanded in row-major order."""
-    parts = []
-    for node in nodes:
-        if isinstance(node, RangeRef):
-            cells = node.cells()
-            parts.append(lambda ps, rows, cells=cells: [ps.values[c] for c in cells])
-        else:
-            f = _compile(node)
-            parts.append(lambda ps, rows, f=f: [f(ps, rows)])
-    return lambda ps, rows: [x for part in parts for x in part(ps, rows)]
+def _compile_args(args) -> Callable:
+    """The values of several compiled arguments, ranges expanded."""
+    def values(ps, rows):
+        out = []
+        for a in args:
+            if callable(a):
+                out.append(a(ps, rows))
+            else:
+                out.extend(ps.values[c] for c in a)
+        return out
+    return values
 
 
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
@@ -387,9 +392,7 @@ _COMPARISONS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
                 "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def _compile_bin(node: Bin) -> Callable:
-    lf, rf = _compile(node.left), _compile(node.right)
-    op = node.op
+def _compile_bin(op: str, lf: Callable, rf: Callable) -> Callable:
     if op in _ARITHMETIC:
         apply = _ARITHMETIC[op]
         return lambda ps, rows: apply(lf(ps, rows), rf(ps, rows))
@@ -407,10 +410,9 @@ def _compile_bin(node: Bin) -> Callable:
     raise ValueError(f"unknown operator {op}")
 
 
-def _compile_call(node: Call) -> Callable:
-    name = node.name
+def _compile_call(name: str, args: list) -> Callable:
     if name == "IF":
-        cf, tf, ff = (_compile(a) for a in node.args)
+        cf, tf, ff = args
 
         def if_(ps, rows):
             taken = cf(ps, rows) != 0.0
@@ -419,11 +421,11 @@ def _compile_call(node: Call) -> Callable:
             return np.where(taken, tf(ps, t_rows), ff(ps, f_rows))
         return if_
     if name in ("SUM", "AVERAGE"):
-        args_fn = _compile_args(node.args)
+        args_fn = _compile_args(args)
         scalar_fn = _sum if name == "SUM" else _average
         return lambda ps, rows: _rowwise(ps, rows, scalar_fn, *args_fn(ps, rows))
     if name in ("MIN", "MAX"):
-        args_fn = _compile_args(node.args)
+        args_fn = _compile_args(args)
         # Python's min and max: a later value replaces the kept one only
         # when strictly smaller (larger), so ties and -0.0 keep the first.
         beats = operator.lt if name == "MIN" else operator.gt
@@ -435,10 +437,10 @@ def _compile_call(node: Call) -> Callable:
             return acc
         return extreme
     if name == "ABS":
-        f = _compile(node.args[0])
+        f = args[0]
         return lambda ps, rows: abs(f(ps, rows))
     if name == "SQRT":
-        f = _compile(node.args[0])
+        f = args[0]
 
         def sqrt(ps, rows):
             x = f(ps, rows)
@@ -447,12 +449,12 @@ def _compile_call(node: Call) -> Callable:
             return np.sqrt(x)
         return sqrt
     if name in ("LN", "EXP"):
-        f = _compile(node.args[0])
+        f = args[0]
         scalar_fn = _ln if name == "LN" else _exp
         return lambda ps, rows: _rowwise(ps, rows, scalar_fn, f(ps, rows))
     if name == "NPV":
-        rate_fn = _compile(node.args[0])
-        flows_fn = _compile_args(node.args[1:])
+        rate_fn = args[0]
+        flows_fn = _compile_args(args[1:])
 
         def npv(ps, rows):
             rate = rate_fn(ps, rows)
@@ -463,14 +465,12 @@ def _compile_call(node: Call) -> Callable:
         return npv
     # the parser has checked the shapes: IRR's flows and LOOKUP's table are ranges
     if name == "IRR":
-        cells = node.args[0].cells()
-        guess_fn = _compile(node.args[1] if len(node.args) == 2 else Lit(0.1))
+        cells = args[0]
+        guess_fn = args[1] if len(args) == 2 else _compile(Lit(0.1))
         return lambda ps, rows: _rowwise(
             ps, rows, _irr, guess_fn(ps, rows), *[ps.values[c] for c in cells])
     if name == "LOOKUP":
-        key_fn = _compile(node.args[0])
-        cells = node.args[1].cells()  # row-major: key, value, key, value, ...
-        mode_fn = _compile(node.args[2])
+        key_fn, cells, mode_fn = args  # cells row-major: key, value, key, value, ...
 
         def lookup(ps, rows):
             mode = mode_fn(ps, rows)

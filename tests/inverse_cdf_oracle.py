@@ -33,7 +33,7 @@ def inverse_cdf(dist, u: float) -> float:
             return a + math.sqrt(u * (b - a) * (m - a)) if m > a else a
         return b - math.sqrt((1.0 - u) * (b - a) * (b - m))
     if isinstance(dist, Normal):
-        return dist.mean_ + dist.sd * norm_ppf(u)
+        return dist.mean + dist.sd * norm_ppf(u)
     if isinstance(dist, Lognormal):
         return math.exp(dist.log_mean + dist.log_sd * norm_ppf(u))
     if isinstance(dist, DiscreteUniform):

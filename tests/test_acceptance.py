@@ -16,18 +16,12 @@ from gridmc.audit import FindingKind, run_audit
 from gridmc.cells import parse_cell
 from gridmc.cli import main
 from gridmc.correlation import CorrelationSpec, induce_rank_correlation
-from gridmc.distributions import (
-    Custom,
-    DiscreteUniform,
-    Lognormal,
-    Normal,
-    Triangular,
-    Uniform,
-)
+from gridmc.distributions import Uniform
 from gridmc.functions import ErrorKind, EvalFailure, irr
 from gridmc.model import CalcError, build_model
 from gridmc.rng import RandomSource
 from gridmc.simulate import Forecast, SimulationSpec, replay, run
+from tests import scipy_reference
 from tests.conftest import example_path
 
 PROJECT = example_path("project-npv.json")
@@ -70,35 +64,17 @@ def test_01_determinism(tmp_path, capsys):
 
 
 def test_02_sampling_fidelity(capsys):
-    dists = [
-        Uniform(0, 8),
-        Triangular(0, 2, 10),
-        Normal(5, 2),
-        Lognormal(0.3, 0.5),
-        DiscreteUniform(1, 6),
-        Custom([(1, 0.2), (2, 0.5), (4, 0.3)]),
-    ]
     n = 20_000
     critical = 1.63 / math.sqrt(n)
     src = RandomSource(42)
     failures = []
-    for k, dist in enumerate(dists):
+    for k, (dist, ref) in enumerate(scipy_reference.PAIRS):
         u = src.uniform_block(np.arange(n), np.array([k]))[:, 0]
-        samples = dist.inverse_cdf(u)
-        se = math.sqrt(dist.variance() / n)
-        mean_ok = abs(samples.mean() - dist.mean()) < 4 * se
-        if isinstance(dist, (DiscreteUniform, Custom)):
-            atoms = sorted({float(v) for v in samples})
-            d = max(abs(np.mean(samples <= a) - dist.cdf(a)) for a in atoms)
-        else:
-            xs = np.sort(samples)
-            steps = np.arange(1, n + 1) / n
-            f = np.array([dist.cdf(x) for x in xs])
-            d = max(np.max(np.abs(steps - f)), np.max(np.abs(steps - 1 / n - f)))
-        if not (mean_ok and d < critical):
+        mean_se, d = scipy_reference.misfit(dist.inverse_cdf(u), ref)
+        if not (mean_se < 4 and d < critical):
             failures.append(type(dist).__name__)
     with capsys.disabled():
-        _verdict(2, "sampling fidelity (6 distributions, n=20000)",
+        _verdict(2, "sampling fidelity against scipy (6 distributions, n=20000)",
                  not failures, f"failures={failures or 'none'}")
 
 

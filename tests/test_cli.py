@@ -615,6 +615,68 @@ class TestErrorExits:
             f"history error: line 3: non-finite value '{cell}'")
         assert not (tmp_path / "audit.json").exists()
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_document_that_is_a_directory(self, tmp_path, capsys, command):
+        out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+        assert main([command, str(tmp_path), *out]) == 3
+        assert one_error_line(capsys, "error:") == f"error: is a directory: {tmp_path}"
+
+    def test_history_that_is_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["audit", PROJECT, "--history", str(tmp_path), "--out", str(out)]) == 3
+        assert one_error_line(capsys, "error:") == f"error: is a directory: {tmp_path}"
+        assert not out.exists()
+
+    def test_history_not_utf8(self, tmp_path, capsys):
+        hist = tmp_path / "history.csv"
+        hist.write_bytes(b"Year1Sales,SalesGrowth,COGSGrowth,OpexPct\n100,0.05,0.03,0.25\xff\n")
+        assert main(["audit", PROJECT, "--history", str(hist),
+                     "--out", str(tmp_path)]) == 3
+        assert one_error_line(capsys, "history error: not UTF-8 text:")
+        assert not (tmp_path / "audit.json").exists()
+
+    def test_out_naming_an_existing_file(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("kept")
+        assert main(["run", PROJECT, "--trials", "100", "--out", str(out)]) == 3
+        assert one_error_line(capsys, "error:") == f"error: file exists: {out}"
+        assert out.read_text() == "kept"
+
+    def test_cycle_through_1500_cells(self, tmp_path, capsys):
+        n = 1500
+        doc = {"name": "ring",
+               "cells": [{"address": f"A{i}", "formula": f"=A{i % n + 1}"}
+                         for i in range(1, n + 1)],
+               "forecasts": [{"cell": "A1", "label": "f"}]}
+        assert main(["validate", write_doc(tmp_path, doc)]) == 1
+        assert one_error_line(capsys, "build error:") == (
+            "build error: cycle detected: " + "->".join(f"A{i}" for i in [*range(1, n + 1), 1]))
+
+    @pytest.mark.parametrize("formula, message", [
+        ("=" + "+".join(["A1"] * 600), "formula nested more than 500 levels deep"),
+        ("=" + "(" * 3000 + "A1" + ")" * 3000, "formula nested too deeply to parse"),
+        ("=" + "-" * 3000 + "A1", "formula nested too deeply to parse"),
+    ], ids=["600-term-sum", "3000-parentheses", "3000-minuses"])
+    def test_formula_too_deep_is_a_build_error(self, tmp_path, capsys, formula, message):
+        out = tmp_path / "out"
+        assert main(["run", write_xy_doc(tmp_path, formula), "--out", str(out)]) == 1
+        assert one_error_line(capsys, f"build error: A2: {message} (at position ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("formula, value", [
+        ("=" + "+".join(["A1"] * 400), lambda x: 400 * x),
+        ("=" + "IF(A1>0," * 100 + "A1" + ",0)" * 100, lambda x: x),
+    ], ids=["400-term-sum", "100-deep-IF"])
+    def test_deep_formula_runs(self, tmp_path, capsys, formula, value):
+        out = tmp_path / "out"
+        assert main(["run", write_xy_doc(tmp_path, formula), "--trials", "100",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        with open(out / "trials.csv") as fh:
+            rows = [[float(v) for v in row[1:]] for row in list(csv.reader(fh))[1:]]
+        assert len(rows) == 100
+        assert all(y == pytest.approx(value(x), rel=1e-12) for x, y in rows)
+
     @pytest.mark.parametrize("option, value, message", [
         ("--z", "nan", "must be finite and > 0"),
         ("--z", "inf", "must be finite and > 0"),
@@ -795,6 +857,12 @@ class TestStep:
         assert "=NPV(B1,A14:E14)-B8" in out
         assert "reset to trial 0" in out
         assert "commands:" in out  # help on unknown input
+
+    def test_count_of_non_ascii_digits_prints_help(self, monkeypatch, capsys):
+        # "²".isdigit() holds, but int("²") raises
+        assert self.run_step(monkeypatch, "run ²\nrun ٣\nquit\n") == 0
+        out = capsys.readouterr().out
+        assert out == (cli._STEP_HELP + "\n") * 2
 
     def test_unknown_cell_reports_error(self, monkeypatch, capsys):
         assert self.run_step(monkeypatch, "show Nope\nquit\n") == 0

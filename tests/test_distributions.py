@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.stats as st
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
@@ -18,7 +17,7 @@ from gridmc.distributions import (
     norm_ppf,
 )
 from gridmc.rng import U_MAX, U_MIN, RandomSource
-from tests import inverse_cdf_oracle, norm_ppf_oracle
+from tests import inverse_cdf_oracle, norm_ppf_oracle, scipy_reference
 
 ALL = [
     Uniform(0, 8),
@@ -306,53 +305,42 @@ class TestParameterValidation:
                 DiscreteUniform(lo, hi)
 
 
-def ks_statistic(samples, dist):
-    """sup |F_n - F| for a possibly discontinuous CDF."""
-    xs = np.sort(samples)
-    n = len(xs)
-    d = 0.0
-    for i, x in enumerate(xs):
-        f = dist.cdf(x)
-        d = max(d, abs((i + 1) / n - f), abs(i / n - f))
-    return d
-
-
 class TestSamplingFidelity:
     N = 20000
 
-    @pytest.mark.parametrize("dist", ALL, ids=lambda d: type(d).__name__)
-    def test_mean_and_ks(self, dist):
+    @pytest.mark.parametrize("dist, ref", [
+        pytest.param(*pair, id=type(pair[0]).__name__) for pair in scipy_reference.PAIRS])
+    def test_mean_and_ks(self, dist, ref):
         src = RandomSource(2024)
         u = src.uniform_block(np.arange(self.N), np.arange(1))[:, 0]
-        samples = dist.inverse_cdf(u)
-        se = math.sqrt(dist.variance() / self.N)
-        assert abs(samples.mean() - dist.mean()) < 4 * se
-        if isinstance(dist, (DiscreteUniform, Custom)):
-            # discrete KS: compare empirical mass up to each atom
-            atoms = sorted({float(v) for v in samples})
-            d = max(abs(np.mean(samples <= a) - dist.cdf(a)) for a in atoms)
-        else:
-            d = ks_statistic(samples, dist)
+        mean_se, d = scipy_reference.misfit(dist.inverse_cdf(u), ref)
+        assert mean_se < 4
         assert d < 1.63 / math.sqrt(self.N)
 
-    def test_against_scipy_cdfs(self):
-        # cross-check our analytic CDFs against scipy's
-        grid = np.linspace(-3, 12, 50)
-        pairs = [
-            (Uniform(0, 8), st.uniform(0, 8)),
-            (Triangular(0, 2, 10), st.triang(0.2, loc=0, scale=10)),
-            (Normal(5, 2), st.norm(5, 2)),
-            (Lognormal(0.3, 0.5), st.lognorm(0.5, scale=math.exp(0.3))),
-        ]
-        for ours, ref in pairs:
-            for x in grid:
-                assert ours.cdf(x) == pytest.approx(ref.cdf(x), abs=1e-9)
+
+# each JSON form, the shape it names, and the values of that shape's fields
+JSON_FORMS = [
+    ({"type": "uniform", "min": 0, "max": 8}, Uniform, {"min": 0, "max": 8}),
+    ({"type": "triangular", "min": 0, "mode": 2, "max": 10}, Triangular,
+     {"min": 0, "mode": 2, "max": 10}),
+    ({"type": "normal", "mean": 5, "sd": 2}, Normal, {"mean": 5, "sd": 2}),
+    ({"type": "lognormal", "log_mean": 0.3, "log_sd": 0.5}, Lognormal,
+     {"log_mean": 0.3, "log_sd": 0.5}),
+    ({"type": "discrete_uniform", "lo": 1, "hi": 6}, DiscreteUniform, {"lo": 1, "hi": 6}),
+    ({"type": "custom", "pairs": [[4, 0.3], [1, 0.2], [2, 0.5]]}, Custom,
+     {"pairs": ((1.0, 0.2), (2.0, 0.5), (4.0, 0.3))}),
+]
 
 
 class TestJsonCodec:
-    @pytest.mark.parametrize("dist", ALL, ids=lambda d: type(d).__name__)
-    def test_round_trip(self, dist):
-        assert distribution_from_json(dist.to_json()) == dist
+    @pytest.mark.parametrize("obj, kind, fields", [
+        pytest.param(*case, id=case[1].__name__) for case in JSON_FORMS])
+    def test_round_trip(self, obj, kind, fields):
+        # the JSON form parses to its shape, and its values come back from
+        # the fields of that name
+        dist = distribution_from_json(obj)
+        assert type(dist) is kind
+        assert {name: getattr(dist, name) for name in fields} == fields
 
     def test_unknown_type(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from gridmc.cells import CellRef, parse_cell
 from gridmc.formula import (
     FUNCTIONS,
+    MAX_DEPTH,
     Bin,
     Call,
     FormulaError,
@@ -107,6 +108,33 @@ class TestParse:
     def test_trailing_garbage(self):
         with pytest.raises(FormulaError):
             parse_formula("=1+2)")
+
+    @pytest.mark.parametrize("chain", [
+        lambda k: "=" + "+".join(["A1"] * k),  # k nodes deep: k - 1 sums and a leaf
+        lambda k: "=" + "-" * (k - 1) + "A1",
+    ], ids=["sum", "minus"])
+    def test_depth_limit(self, chain):
+        parse_formula(chain(MAX_DEPTH))
+        with pytest.raises(FormulaError, match=f"more than {MAX_DEPTH} levels deep"):
+            parse_formula(chain(MAX_DEPTH + 1))
+
+    def test_nesting_past_the_parsers_recursion(self):
+        # each nested call costs the parser several frames: 500 of them run
+        # out of Python's recursion limit before MAX_DEPTH applies
+        parse_formula("=" + "ABS(" * 100 + "A1" + ")" * 100)
+        with pytest.raises(FormulaError, match="nested too deeply to parse"):
+            parse_formula("=" + "ABS(" * MAX_DEPTH + "A1" + ")" * MAX_DEPTH)
+
+    def test_formulas_at_the_depth_limit_build_and_evaluate(self):
+        # compiling takes a frame per level and evaluating up to two
+        sums = "=" + "+".join(["A1"] * MAX_DEPTH)
+        minuses = "=" + "-" * (MAX_DEPTH - 1) + "A1"
+        nested = "=" + "SUM(A1," * 100 + "A1" + ")" * 100
+        m = build_model([("A1", None, "2"), ("A2", None, sums), ("A3", None, minuses),
+                         ("A4", None, nested)])
+        result = evaluate(m)
+        assert [result[parse_cell(c)] for c in ("A2", "A3", "A4")] == [
+            2.0 * MAX_DEPTH, 2.0 * (-1) ** (MAX_DEPTH - 1), 202.0]
 
 
 CORPUS = [
