@@ -4,11 +4,11 @@ Rank reordering against a correlated Gaussian score matrix
 (Iman-Conover): marginals are preserved exactly because each output
 column is a permutation of the input column.
 
-The normal scores are drawn one column at a time and standardized in
-place, and the score matrix is freed as soon as it is decorrelated, so
+The normal scores are drawn TRIALS_BLOCK rows at a time and standardized
+in place, and the score matrix is freed as soon as it is decorrelated, so
 at most two n x k float matrices besides the input and the output are
-alive at once. The RNG is counter-based: a column drawn on its own is
-bit-identical to that column of the whole grid.
+alive at once. The RNG is counter-based: a block of rows drawn on its own
+is bit-identical to those rows of the whole grid.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import norm_ppf
-from .rng import RandomSource
+from .rng import TRIALS_BLOCK, RandomSource
 
 PSD_TOL = -1e-10
 
@@ -98,10 +98,11 @@ def _scores(n: int, spec: CorrelationSpec, src: RandomSource,
     target = 2.0 * np.sin(np.pi * spec.as_array() / 6.0)
     np.fill_diagonal(target, 1.0)
 
-    trials = np.arange(n)
+    streams = np.arange(stream_offset, stream_offset + spec.size)
     z = np.empty((n, spec.size))
-    for j in range(spec.size):
-        z[:, j] = norm_ppf(src.uniform_block(trials, [stream_offset + j])[:, 0])
+    for start in range(0, n, TRIALS_BLOCK):
+        stop = min(start + TRIALS_BLOCK, n)
+        z[start:stop] = norm_ppf(src.uniform_block(np.arange(start, stop), streams))
     # both moments of the raw scores, as (z - z.mean()) / z.std() takes them
     mean, sd = z.mean(axis=0), z.std(axis=0)
     z -= mean

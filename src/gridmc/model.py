@@ -15,10 +15,14 @@ so each row's recorded error is the one that evaluation stops at.
 
 Values are bit-identical to evaluating each trial with Python floats:
 + - * /, the comparisons, ABS, SQRT, MIN, MAX and NPV are numpy
-operations that round exactly as the scalar ones do, and `^`, EXP, LN,
-SUM, AVERAGE, IRR and LOOKUP run the scalar Python code row by row over
-the live rows, because numpy's power, exp, log and pairwise sums may
-differ from `**`, `math.exp`, `math.log` and `math.fsum` in the last bit.
+operations that round exactly as the scalar ones do. SUM and AVERAGE
+are math.fsum's correctly rounded sum: a Sum2 cascade of error-free
+transformations on the columns gives it wherever its result is proved,
+and math.fsum itself runs on the other live rows (zero sums, sums near
+the float range, inf and nan, and the rare row neither proof covers).
+`^`, EXP, LN, IRR and LOOKUP run the scalar Python code row by row over
+the live rows, because numpy's power, exp and log may differ from `**`,
+`math.exp` and `math.log` in the last bit.
 """
 
 from __future__ import annotations
@@ -299,6 +303,60 @@ def _rowwise(ps: _Pass, rows, scalar_fn, *args):
     return out
 
 
+def _two_sum(a, b):
+    """fl(a + b) and its exact rounding error (Knuth's TwoSum), elementwise;
+    exact wherever the sum does not overflow."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
+def _certified_sum(cols) -> tuple:
+    """Sum2 (Ogita, Rump & Oishi, 2005) of each row of `cols`, and the mask
+    of rows where it is proved to be the correctly rounded sum, which is
+    what math.fsum returns (Shewchuk, 1997).
+
+    A TwoSum cascade leaves the float sum s and k - 1 exact errors, so the
+    exact sum is s + Σerr. res = fl(s + e), where e is the float sum of the
+    errors. A row is proved in either of two ways:
+    - The errors sum exactly. Every input, partial sum and error is a
+      multiple of q, the ulp of the smallest nonzero |x|, so every partial
+      sum of errors is a float while Σ|err| < 2**53·q, which a float
+      Σ|err| ≤ 2**52·q ensures. Then s + e is the exact sum and res its
+      rounding, ties included.
+    - The bound. e is within γ_(k-2)·Σ|err| of Σerr and one more TwoSum
+      gives res's exact residual d, so the exact sum lies within
+      |d| + γ_(k-2)·Σ|err| of res. Where that is below half the gap from
+      res to its nearer neighbour, the exact sum rounds to res and is no
+      tie. k·2**-52 covers γ_(k-2) divided by the (1 - u)**k that the float
+      Σ|err| and the product lose, for any k below 2**40; adding the
+      smallest subnormal covers the product's underflow; and a float sum
+      below the exact half gap means the exact sum is below it too.
+    A zero sum is never proved, so its sign is math.fsum's. math.fsum
+    raises on an intermediate overflow even when the sum is finite, so a
+    row is proved only where Σ|x| ≤ 2**1021, which keeps every partial sum
+    of both far from the overflow threshold. That also leaves every row
+    with an inf or nan to math.fsum.
+    """
+    x = np.stack(cols)
+    s = x[0]
+    e = np.zeros_like(s)
+    abs_err = np.zeros_like(s)
+    for xj in x[1:]:
+        s, err = _two_sum(s, xj)
+        e += err
+        abs_err += abs(err)
+    res, d = _two_sum(s, e)
+    mag = abs(x)
+    q = np.spacing(np.min(mag, axis=0, initial=np.inf, where=mag > 0.0))
+    exact_errors = abs_err <= 2.0 ** 52 * q
+    bound = len(cols) * 2.0 ** -52 * abs_err + 2.0 ** -1074
+    half_gap = (abs(res) - np.nextafter(abs(res), 0.0)) * 0.5
+    proved = exact_errors | (abs(d) + bound < half_gap)
+    proved &= (res != 0.0) & (mag.sum(axis=0) <= 2.0 ** 1021)
+    return res, proved
+
+
 # ---------------------------------------------------------------------------
 # Scalar semantics of the functions numpy cannot reproduce bit for bit
 
@@ -329,10 +387,6 @@ def _exp(x: float) -> float:
 
 def _sum(*xs: float) -> float:
     return fn.fsum(xs)
-
-
-def _average(*xs: float) -> float:
-    return fn.fsum(xs) / len(xs)
 
 
 def _irr(guess: float, *flows: float) -> float:
@@ -422,8 +476,18 @@ def _compile_call(name: str, args: list) -> Callable:
         return if_
     if name in ("SUM", "AVERAGE"):
         args_fn = _compile_args(args)
-        scalar_fn = _sum if name == "SUM" else _average
-        return lambda ps, rows: _rowwise(ps, rows, scalar_fn, *args_fn(ps, rows))
+        average = name == "AVERAGE"
+
+        def sum_(ps, rows):
+            cols = args_fn(ps, rows)
+            total, proved = _certified_sum(cols)
+            live = ps.live(rows)
+            exact = live & ~proved
+            total[~live] = math.nan
+            if exact.any():  # fn.fsum's value or error, signed zeros included
+                total[exact] = _rowwise(ps, exact, _sum, *cols)[exact]
+            return total / len(cols) if average else total
+        return sum_
     if name in ("MIN", "MAX"):
         args_fn = _compile_args(args)
         # Python's min and max: a later value replaces the kept one only

@@ -15,11 +15,10 @@ from .cells import CellRef
 from .correlation import CorrelationSpec, induce_rank_correlation, validate_correlation
 from .distributions import Distribution
 from .model import Batch, CalcError, Model, evaluate, evaluate_batch
-from .rng import RandomSource
+from .rng import TRIALS_BLOCK, RandomSource
 
 DEFAULT_TRIALS = 5000
 DEFAULT_SEED = 42
-TRIALS_BLOCK = 1024  # trials sampled, evaluated and exported at a time
 
 
 class SimulationError(ValueError):

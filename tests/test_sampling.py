@@ -1,9 +1,11 @@
-"""Column-at-a-time sampling and Iman-Conover scores against the whole-grid
-formulas they replace, and the memory that sampling holds."""
+"""Column-at-a-time sampling and block-at-a-time Iman-Conover scores against
+the formulas they replace, and the memory that sampling holds."""
 
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridmc.cells import parse_cell
@@ -23,7 +25,7 @@ from gridmc.distributions import (
     Uniform,
 )
 from gridmc.document import ModelDocument
-from gridmc.rng import RandomSource
+from gridmc.rng import TRIALS_BLOCK, RandomSource
 from gridmc.simulate import SimulationSpec, _sample_matrix, sample_assumptions
 from tests.conftest import example_path
 from tests.inverse_cdf_oracle import inverse_cdf_array
@@ -54,13 +56,25 @@ def reference_sample_matrix(spec, n):
 
 def reference_scores(n, spec, src, stream_offset):
     """The Iman-Conover scores from one n x k block of uniforms."""
-    k = spec.size
+    u = src.uniform_block(np.arange(n), np.arange(stream_offset, stream_offset + spec.size))
+    return correlate_scores(norm_ppf(u), spec)
+
+
+def column_scores(n, spec, src, stream_offset):
+    """The scores from uniforms drawn one column of n rows at a time, as
+    correlation._scores drew them before it drew blocks of rows."""
+    z = np.empty((n, spec.size))
+    for j in range(spec.size):
+        z[:, j] = norm_ppf(src.uniform_block(np.arange(n), [stream_offset + j])[:, 0])
+    return correlate_scores(z, spec)
+
+
+def correlate_scores(z, spec):
+    """Standardize raw normal scores, decorrelate them and impose spec."""
     target = 2.0 * np.sin(np.pi * spec.as_array() / 6.0)
     np.fill_diagonal(target, 1.0)
-    u = src.uniform_block(np.arange(n), np.arange(stream_offset, stream_offset + k))
-    z = norm_ppf(u)
     z = (z - z.mean(axis=0)) / z.std(axis=0)
-    sample = (z.T @ z) / n
+    sample = (z.T @ z) / len(z)
     l_sample = np.linalg.cholesky(sample)
     return z @ np.linalg.inv(l_sample).T @ _psd_sqrt(target).T
 
@@ -144,6 +158,21 @@ class TestAgainstWholeGrid:
             trials=2000)
         assert spec.has_correlation()
         assert bits_equal(sample_assumptions(spec), reference_sample_assumptions(spec))
+
+
+class TestScoreBlocks:
+    """_scores draws TRIALS_BLOCK rows of all k streams at a time; the
+    scores must equal those drawn a column at a time, below, at and past
+    a block's end."""
+
+    @pytest.mark.parametrize("n", [1, TRIALS_BLOCK - 1, TRIALS_BLOCK, TRIALS_BLOCK + 1, 2500])
+    def test_equal_to_column_draws(self, n):
+        spec = random_correlation(5, 11)
+        for seed, offset in ((0, 0), (2 ** 64 - 1, 5), (12345, 2 ** 32)):
+            args = (n, spec, RandomSource(seed), offset)
+            # one row has no spread: both standardize it to nan
+            with np.errstate(divide="ignore", invalid="ignore") if n == 1 else nullcontext():
+                assert bits_equal(_scores(*args), column_scores(*args))
 
 
 class TestMemory:
