@@ -1,4 +1,13 @@
-"""Forecast statistics, histograms, certainty, sensitivity, tornado, scenarios."""
+"""Forecast statistics, histograms, certainty, sensitivity, tornado, scenarios.
+
+Ranks are average ranks (ties share the mean of their positions), taken
+one argsort of numpy's default kind per column. That sort's order within
+a tie may differ with the CPU features numpy dispatches to, but every
+member of a tie group gets the same rank, so no output depends on it.
+Sensitivity ranks all assumption columns in one call and each forecast
+once, and takes the rank and the value correlations of all columns
+against a forecast in one row-wise pass each.
+"""
 
 from __future__ import annotations
 
@@ -222,66 +231,97 @@ def certainty(store: TrialStore, forecast: str,
 
 
 def rank_average(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned their average rank."""
+    """1-based ranks of a vector, or of each row of a matrix, with ties
+    assigned their average rank.
+
+    Each row is argsorted once with numpy's default kind, and a tie group
+    is a run of equal neighbours in the sorted row. Every member of a group
+    gets the group's average rank, so the order a sort leaves inside a tie
+    cannot change a rank. A row that holds NaN is argsorted stably: each
+    NaN is a group of its own, ranked in index order.
+    """
     values = np.asarray(values)
-    order = np.argsort(values, kind="stable")
-    _, first, counts = np.unique(values[order], return_index=True,
-                                 return_counts=True, equal_nan=False)
-    last = first + counts - 1
-    ranks = np.empty(len(values))
-    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, counts)
-    return ranks
+    rows = values if values.ndim == 2 else values[None]
+    k, n = rows.shape
+    if n == 0:
+        return np.empty(values.shape)
+    order = np.argsort(rows, axis=1)
+    ordered = np.take_along_axis(rows, order, axis=1)
+    nan_rows = np.flatnonzero(ordered[:, -1] != ordered[:, -1])  # NaN sorts last
+    if nan_rows.size:
+        order[nan_rows] = np.argsort(rows[nan_rows], axis=1, kind="stable")
+        ordered[nan_rows] = np.take_along_axis(rows[nan_rows], order[nan_rows], axis=1)
+    starts = np.ones((k, n), dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=starts[:, 1:])
+    if starts.all():  # no ties: the ranks are the positions
+        average = np.broadcast_to(np.arange(1.0, n + 1), (k, n))
+    else:
+        first = np.flatnonzero(starts)
+        counts = np.diff(first, append=k * n)
+        first %= n
+        last = first + counts - 1
+        average = np.repeat((first + last) / 2.0 + 1.0, counts).reshape(k, n)
+    ranks = np.empty((k, n))
+    np.put_along_axis(ranks, order, average, axis=1)
+    return ranks.reshape(values.shape)
 
 
 def spearman(x: np.ndarray, y: np.ndarray) -> float:
     return pearson(rank_average(x), rank_average(y))
 
 
-def pearson(x: np.ndarray, y: np.ndarray) -> float:
-    # values near the ends of the float range are scaled by a power of two,
-    # which keeps the correlation
-    (x, _), (y, _) = (_pow2_scaled(np.asarray(v, dtype=float)) for v in (x, y))
+def pearson(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+    """Pearson correlation of vector y with vector x (a float), or with each
+    row of matrix x (an array); 0.0 where either side has no spread.
+
+    Values near the ends of the float range are scaled by a power of two,
+    each row by its own, which keeps the correlation. The rows are made
+    C-contiguous, so each row's sums are the pairwise sums of a vector.
+    """
+    x = np.asarray(x, dtype=float)
+    rows = np.ascontiguousarray(x if x.ndim == 2 else x[None])
+    y, _ = _pow2_scaled(np.asarray(y, dtype=float))
     with np.errstate(all="ignore"):
-        sx, sy = x.std(), y.std()
-        if sx == 0.0 or sy == 0.0:
-            return 0.0
-        return float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
+        e = np.frexp(np.abs(rows).max(axis=1))[1]
+        shift = np.where(np.abs(e) <= _PLAIN_EXP, 0, -e)
+        if shift.any():
+            rows = np.ldexp(rows, shift[:, None])
+        sx, sy = rows.std(axis=1), y.std()
+        r = ((rows - rows.mean(axis=1, keepdims=True)) * (y - y.mean())).mean(axis=1) / (sx * sy)
+    r = np.where((sx == 0.0) | (sy == 0.0), 0.0, r)
+    return float(r[0]) if x.ndim == 1 else r
 
 
 def sensitivity(store: TrialStore) -> dict:
     """Ranked correlation of each assumption against each forecast.
 
     Returns {forecast label: [SensitivityEntry...]}, each list sorted by
-    |spearman| descending.
+    |spearman| descending. An assumption column is degenerate where its
+    min equals its max; its spearman and pearson are 0.0.
     """
     if store.completed < 10:
         raise SimulationError(f"sensitivity needs at least 10 completed trials, "
                               f"got {store.completed}")
     spec = store.spec
-    corr = spec.correlation.as_array() if spec.correlation is not None else None
-    columns = store.assumption_matrix.T
-    column_ranks = [rank_average(col) for col in columns]
+    columns = np.ascontiguousarray(store.assumption_matrix.T)
+    degenerate = columns.min(axis=1) == columns.max(axis=1)
+    off_diagonal = (spec.correlation.as_array() if spec.correlation is not None
+                    else np.eye(len(columns))) != 0.0
+    np.fill_diagonal(off_diagonal, False)
+    correlated = off_diagonal.any(axis=1)
+    column_ranks = rank_average(columns)
+    labels = [store.model.label_of(cell) for cell in spec.assumption_cells]
     out = {}
     for fi, f in enumerate(spec.forecasts):
         fv = store.forecast_matrix[:, fi]
-        fv_ranks = rank_average(fv)
-        entries = []
-        rhos = []
-        for j, cell in enumerate(spec.assumption_cells):
-            col = columns[j]
-            degenerate = bool(col.std() == 0.0)
-            rho = 0.0 if degenerate else pearson(column_ranks[j], fv_ranks)
-            r = 0.0 if degenerate else pearson(col, fv)
-            correlated = bool(corr is not None and
-                              np.any(np.delete(corr[j], j) != 0.0))
-            entries.append((store.model.label_of(cell), rho, r, correlated, degenerate))
-            rhos.append(rho)
+        rhos = np.where(degenerate, 0.0, pearson(column_ranks, rank_average(fv))).tolist()
+        rs = np.where(degenerate, 0.0, pearson(columns, fv)).tolist()
         total = sum(rho * rho for rho in rhos)
         result = []
-        for (label, rho, r, correlated, degenerate) in entries:
+        for label, rho, r, corr, degen in zip(labels, rhos, rs, correlated.tolist(),
+                                               degenerate.tolist()):
             contribution = (math.copysign(rho * rho, rho) / total) if total > 0 else 0.0
-            result.append(SensitivityEntry(label, rho, r, contribution,
-                                           correlated, degenerate))
+            result.append(SensitivityEntry(label, rho, r, contribution, corr, degen))
         result.sort(key=lambda e: -abs(e.spearman))
         out[f.label] = result
     return out

@@ -4,6 +4,15 @@ Rank reordering against a correlated Gaussian score matrix
 (Iman-Conover): marginals are preserved exactly because each output
 column is a permutation of the input column.
 
+Each output column is the sorted input column written out in the order
+of its score column: the trial with the i-th smallest score gets the
+i-th smallest value, ties among scores going to the lower trial index
+first. The order comes from one argsort of numpy's default kind per
+column. Where the sorted scores strictly increase, that order is the
+only sorting permutation, whatever the sort does within a tie on the
+CPU at hand; where they do not (a tie, +-0.0 or NaN), the column is
+argsorted again with kind="stable", which gives the index order.
+
 The normal scores are drawn TRIALS_BLOCK rows at a time and standardized
 in place, and the score matrix is freed as soon as it is decorrelated, so
 at most two n x k float matrices besides the input and the output are
@@ -86,11 +95,6 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     return v * np.sqrt(w)
 
 
-def _ranks(col: np.ndarray) -> np.ndarray:
-    # ordinal ranks; ties broken by position, which is fine for scores
-    return np.argsort(np.argsort(col, kind="stable"), kind="stable")
-
-
 def _scores(n: int, spec: CorrelationSpec, src: RandomSource,
             stream_offset: int) -> np.ndarray:
     """n x k normal scores, correlated so that their ranks meet spec."""
@@ -134,6 +138,9 @@ def induce_rank_correlation(columns: np.ndarray, spec: CorrelationSpec,
     scores = _scores(n, spec, src, stream_offset)
     out = np.empty_like(columns)
     for j in range(k):
-        ranks = _ranks(scores[:, j])
-        out[:, j] = np.sort(columns[:, j])[ranks]
+        order = np.argsort(scores[:, j])
+        ordered = scores[order, j]
+        if not np.all(ordered[1:] > ordered[:-1]):  # a tie, +-0.0 or NaN
+            order = np.argsort(scores[:, j], kind="stable")
+        out[order, j] = np.sort(columns[:, j])
     return out

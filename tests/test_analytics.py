@@ -1,15 +1,17 @@
 import csv
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from gridmc import analytics, report
 from gridmc.analytics import (
+    SensitivityEntry,
     certainty,
     forecast_stats,
     histogram,
@@ -30,6 +32,7 @@ from gridmc.model import CalcError, build_model, evaluate_batch
 from gridmc.report import export_trials
 from gridmc.simulate import Forecast, SimulationError, SimulationSpec, replay, run
 from tests.closure_oracle import Oracle
+from tests.conftest import portfolio_documents
 from tests.inverse_cdf_oracle import inverse_cdf
 
 
@@ -48,6 +51,57 @@ def make_store(formula="=3*A1-2*A2", trials=400, seed=42):
         seed=seed,
     )
     return model, spec, run(model, spec)
+
+
+def oracle_pearson(x, y):
+    """pearson of two vectors, as it was taken one pair at a time."""
+    (x, _), (y, _) = (analytics._pow2_scaled(np.asarray(v, dtype=float)) for v in (x, y))
+    with np.errstate(all="ignore"):
+        sx, sy = x.std(), y.std()
+        if sx == 0.0 or sy == 0.0:
+            return 0.0
+        return float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
+
+
+def oracle_sensitivity(store):
+    """sensitivity as a loop over assumption columns: scipy's average ranks
+    and two oracle_pearson calls per column; degenerate where min == max."""
+    spec = store.spec
+    corr = spec.correlation.as_array() if spec.correlation is not None else None
+    columns = store.assumption_matrix.T
+    out = {}
+    for fi, f in enumerate(spec.forecasts):
+        fv = store.forecast_matrix[:, fi]
+        fv_ranks = scipy_stats.rankdata(fv, method="average")
+        entries = []
+        for j, cell in enumerate(spec.assumption_cells):
+            col = columns[j]
+            degenerate = bool(col.min() == col.max())
+            rho = 0.0 if degenerate else oracle_pearson(
+                scipy_stats.rankdata(col, method="average"), fv_ranks)
+            r = 0.0 if degenerate else oracle_pearson(col, fv)
+            correlated = bool(corr is not None and np.any(np.delete(corr[j], j) != 0.0))
+            entries.append((store.model.label_of(cell), rho, r, correlated, degenerate))
+        total = sum(e[1] * e[1] for e in entries)
+        result = [SensitivityEntry(label, rho, r,
+                                   (math.copysign(rho * rho, rho) / total) if total > 0 else 0.0,
+                                   correlated, degenerate)
+                  for label, rho, r, correlated, degenerate in entries]
+        result.sort(key=lambda e: -abs(e.spearman))
+        out[f.label] = result
+    return out
+
+
+def same_floats(a, b):
+    """Equal bit for bit, except that any NaN equals any NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+RANKED_VALUES = (st.lists(st.sampled_from([-2.5, -0.0, 0.0, 1.0, 3.0, 1e300]), max_size=80)
+                 | st.lists(st.floats(allow_nan=False), max_size=80))
 
 
 class TestStats:
@@ -215,12 +269,61 @@ class TestRankCorrelation:
     def test_rank_average_ties(self):
         assert list(rank_average(np.array([10.0, 20.0, 20.0, 30.0]))) == [1.0, 2.5, 2.5, 4.0]
 
-    @given(st.lists(st.sampled_from([-2.5, -0.0, 0.0, 1.0, 3.0, 1e300]), max_size=80)
-           | st.lists(st.floats(allow_nan=False), max_size=80))
+    @given(RANKED_VALUES)
     @settings(max_examples=200, deadline=None)
     def test_rank_average_equals_scipy_rankdata(self, xs):
         x = np.array(xs, dtype=float)
         assert np.array_equal(rank_average(x), scipy_stats.rankdata(x, method="average"))
+
+    @given(RANKED_VALUES, st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_matrix_rows_equal_scipy_rankdata(self, xs, k):
+        x = np.array(xs[:len(xs) // k * k], dtype=float).reshape(k, -1)
+        want = scipy_stats.rankdata(x, method="average", axis=1)
+        assert np.array_equal(rank_average(x), want)
+        # the rows of a transposed matrix are strided
+        assert np.array_equal(rank_average(np.ascontiguousarray(x.T).T), want)
+
+    @given(st.lists(st.floats() | st.sampled_from([-0.0, 0.0, 1.0]), min_size=1, max_size=80),
+           st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_nan_ranks_after_the_numbers_in_index_order(self, xs, k):
+        x = np.array(xs, dtype=float)
+        x = np.tile(x, (k, 1))
+        x[0, ::2] = np.nan
+        want = np.empty_like(x)
+        for row, out in zip(x, want):
+            nan = np.isnan(row)
+            out[~nan] = scipy_stats.rankdata(row[~nan], method="average")
+            out[nan] = np.arange((~nan).sum() + 1, len(row) + 1)
+        assert np.array_equal(rank_average(x), want)
+        assert np.array_equal(rank_average(x[0]), want[0])
+
+    @pytest.mark.parametrize("n", [10, 1000, 9000])
+    @pytest.mark.parametrize("y_scale", [1.0, 1e160, 1e-170])
+    def test_matrix_pearson_rows_equal_the_vector_oracle(self, n, y_scale):
+        rng = np.random.default_rng(n)
+        columns = rng.normal(size=(n, 8))
+        columns[:, 1] = 2.5  # constant: no spread
+        columns[:, 2] = np.round(columns[:, 2])
+        columns *= [1.0, 1.0, 1.0, 1e160, 1e-160, 1e307, 1e-300, 1.0]
+        y = (rng.normal(size=n) + columns[:, 0]) * y_scale
+        for x in (columns.T, np.ascontiguousarray(columns.T)):  # strided, then contiguous
+            want = [oracle_pearson(row, y) for row in x]
+            assert same_floats(pearson(x, y), want)
+            assert all(same_floats(pearson(row, y), w) for row, w in zip(x, want))
+        assert same_floats(pearson(columns.T, np.full(n, 3.0)), np.zeros(8))
+
+    @given(st.lists(st.floats(), min_size=6, max_size=60), st.integers(1, 3),
+           st.integers(-320, 308))
+    @settings(max_examples=200, deadline=None)
+    def test_matrix_pearson_of_any_floats_equals_the_vector_oracle(self, xs, k, e):
+        n = len(xs) // (k + 1)
+        assume(n >= 2)
+        values = np.array(xs[:n * (k + 1)]).reshape(k + 1, n)
+        with np.errstate(over="ignore"):
+            x, y = values[:k] * 10.0 ** e, values[k]
+            assert same_floats(pearson(x, y), [oracle_pearson(row, y) for row in x])
 
     def test_spearman_identity_and_reversal(self):
         x = np.arange(20.0)
@@ -296,12 +399,49 @@ class TestSensitivity:
         store = run(model, spec)
         calls = []
         monkeypatch.setattr(analytics, "rank_average",
-                            lambda v: calls.append(1) or rank_average(v))
+                            lambda v: calls.append(np.atleast_2d(v).shape[0]) or rank_average(v))
         payload = report.run_report(store, {})
-        assert len(calls) == 6
+        # one call ranks the K columns together, and one each forecast
+        assert sum(calls) == 6
+        assert len(calls) == 3
         sens = sensitivity(store)
         assert [f["sensitivity"] for f in payload["forecasts"]] == [
             [e.to_json() for e in sens[label]] for label in ("ProjectNPV", "Year5Cash")]
+
+    @pytest.mark.parametrize("formula", ["=3*A1-2*A2", "=MAX(0,A1-0.5)*A2", "=-A1",
+                                         "=A1*0+1", "=A1*1e-170+A2*1e170"])
+    def test_entries_equal_the_loop_oracle(self, formula):
+        _, _, store = make_store(formula=formula, trials=300)
+        assert repr(sensitivity(store)) == repr(oracle_sensitivity(store))
+
+    def test_documents_equal_the_loop_oracle(self, correlated_doc):
+        portfolio = ModelDocument.from_json(portfolio_documents([1])[0])
+        for doc, trials in ((correlated_doc, 2000), (portfolio, 1000)):
+            store = run(*doc.build(trials=trials, stop_on_error=False))
+            assert store.completed > trials // 2
+            assert repr(sensitivity(store)) == repr(oracle_sensitivity(store))
+
+    COLUMN_KINDS = {
+        "normal": lambda rng, n: rng.normal(size=n),
+        "ties": lambda rng, n: rng.integers(0, 4, n).astype(float),
+        "signed zeros": lambda rng, n: np.where(rng.random(n) < 0.5, 0.0, -0.0),
+        "constant": lambda rng, n: np.full(n, 7.25),
+        "tiny": lambda rng, n: rng.uniform(1e-170, 2e-170, n),
+        "huge": lambda rng, n: rng.normal(size=n) * 1e307,
+        "near 1e160": lambda rng, n: rng.uniform(1, 2, n) * 1e160,
+    }
+
+    @given(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=3, max_size=3),
+           st.integers(10, 200), st.integers(0, 2 ** 32))
+    @settings(max_examples=60, deadline=None)
+    def test_any_columns_equal_the_loop_oracle(self, kinds, n, seed):
+        # make_store's two assumptions and one forecast, with crafted values
+        rng = np.random.default_rng(seed)
+        x, y, f = (self.COLUMN_KINDS[kind](rng, n) for kind in kinds)
+        store = dataclasses.replace(make_store(trials=10)[2], assumption_matrix=np.column_stack([x, y]),
+                                    forecast_matrix=(f + x)[:, None])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert repr(sensitivity(store)) == repr(oracle_sensitivity(store))
 
     def test_requires_ten_trials(self):
         _, _, store = make_store(trials=5)

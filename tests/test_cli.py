@@ -109,6 +109,31 @@ class TestRun:
         assert entry["spearman"] == 1.0
         assert entry["pearson"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_tiny_assumption_is_not_degenerate(self, tmp_path, capsys):
+        # the variance of X near 1e-170 underflows to 0, yet X varies and
+        # drives F: a zero sd once made X degenerate, with a spearman and a
+        # pearson of 0.0, and gave Y a contribution of -1.0
+        doc = {"name": "tiny-x",
+               "cells": [{"address": "A1", "label": "X", "formula": 1.5e-170},
+                         {"address": "A2", "label": "Y", "formula": 0.0005},
+                         {"address": "A3", "label": "F", "formula": "=A1*1e170+A2"}],
+               "assumptions": [{"cell": "X", "distribution":
+                                {"type": "uniform", "min": 1e-170, "max": 2e-170}},
+                               {"cell": "Y", "distribution":
+                                {"type": "uniform", "min": 0, "max": 0.001}}],
+               "forecasts": [{"cell": "A3", "label": "F"}]}
+        path = write_doc(tmp_path, doc)
+        assert main(["run", path, "--trials", "300", "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        with open(tmp_path / "out" / "report.json") as fh:
+            sens = json.load(fh)["forecasts"][0]["sensitivity"]
+        by = {e["label"]: e for e in sens}
+        assert "degenerate" not in by["X"]
+        assert by["X"]["spearman"] > 0.999
+        assert by["X"]["pearson"] > 0.999
+        assert by["X"]["contribution"] > 0.99
+        assert abs(by["Y"]["contribution"]) < 0.01
+
     @pytest.mark.parametrize("formula", ["=A1*0+1e20", "=1e20+A1*1e5"])
     def test_histogram_of_a_range_too_narrow_for_its_bins(self, tmp_path, capsys, formula):
         # a constant near 1e20 loses the +-0.5 widening to rounding, and

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridmc.cells import parse_cell
+from gridmc import correlation
 from gridmc.correlation import (
     CorrelationSpec,
     _psd_sqrt,
-    _ranks,
     _scores,
     induce_rank_correlation,
 )
@@ -80,10 +80,17 @@ def correlate_scores(z, spec):
 
 
 def reference_induce(columns, spec, src, stream_offset=0):
-    scores = reference_scores(columns.shape[0], spec, src, stream_offset)
+    return reorder_by_scores(columns, reference_scores(columns.shape[0], spec, src,
+                                                       stream_offset))
+
+
+def reorder_by_scores(columns, scores):
+    """Each sorted column read off the ordinal ranks of its scores, ties
+    broken by index: two stable argsorts per column."""
     out = np.empty_like(columns)
     for j in range(columns.shape[1]):
-        out[:, j] = np.sort(columns[:, j])[_ranks(scores[:, j])]
+        ranks = np.argsort(np.argsort(scores[:, j], kind="stable"), kind="stable")
+        out[:, j] = np.sort(columns[:, j])[ranks]
     return out
 
 
@@ -173,6 +180,40 @@ class TestScoreBlocks:
             # one row has no spread: both standardize it to nan
             with np.errstate(divide="ignore", invalid="ignore") if n == 1 else nullcontext():
                 assert bits_equal(_scores(*args), column_scores(*args))
+
+
+class TestReorder:
+    """induce_rank_correlation argsorts each score column once with numpy's
+    default kind, and again with kind="stable" where the sorted scores do
+    not strictly increase; both paths must give the oracle's output."""
+
+    def score_columns(self, n, rng):
+        ties = rng.integers(0, 6, n).astype(float)
+        zeros = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+        zeros[::3] = rng.normal(size=len(zeros[::3]))
+        one_tie = rng.permutation(n).astype(float)
+        one_tie[0] = one_tie[1]
+        return np.column_stack([
+            rng.normal(size=n),  # strictly increasing once sorted: one argsort
+            ties,
+            zeros,  # +-0.0 among distinct values: a tie to a sort
+            one_tie,
+            np.where(rng.random(n) < 0.1, np.nan, rng.normal(size=n)),
+        ])
+
+    @pytest.mark.parametrize("n", [50, 1000, 5000])
+    def test_equal_to_stable_ranks(self, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        scores = self.score_columns(n, rng)
+        ordered = np.sort(scores, axis=0)
+        assert np.all(ordered[1:, 0] > ordered[:-1, 0])
+        assert not np.any(np.all(ordered[1:, 1:] > ordered[:-1, 1:], axis=0))
+        monkeypatch.setattr(correlation, "_scores", lambda *args: scores)
+        columns = rng.normal(size=(n, 5))
+        columns[:, 1] = rng.integers(0, 3, n)  # ties among the values too
+        spec = CorrelationSpec.identity(5)
+        got = induce_rank_correlation(columns, spec, RandomSource(0))
+        assert bits_equal(got, reorder_by_scores(columns, scores))
 
 
 class TestMemory:
