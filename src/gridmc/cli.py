@@ -11,6 +11,7 @@ strict JSON, or a file that cannot be read or written.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -56,7 +57,10 @@ _non_negative_finite = _checked(float, lambda v: math.isfinite(v) and v >= 0,
                                 "must be finite and >= 0")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, shared by every main call: parse_args keeps
+    no state between calls. Callers must not change it."""
     parser = _Parser(prog="gridmc",
                      description="Monte Carlo simulation and logic auditing "
                                  "for grid-style formula models")

@@ -66,6 +66,11 @@ def norm_ppf(u):
     return np.where((u < _P_LOW) | (u > 1 - _P_LOW), np.copysign(tail, q), mid)
 
 
+# the standard-normal variates at the ends of the sampled range: a Normal or
+# Lognormal checks its range by the float operations of inverse_cdf on these
+_Z_MIN, _Z_MAX = norm_ppf(np.array([U_MIN, U_MAX])).tolist()
+
+
 class Distribution:
     """Base: subclasses implement inverse_cdf, the one way a distribution
     is drawn from."""
@@ -129,9 +134,8 @@ class Normal(Distribution):
     def __post_init__(self):
         if not self.sd > 0:
             raise ValueError(f"normal needs sd > 0, got {self.sd}")
-        with np.errstate(all="ignore"):
-            ends = self.inverse_cdf(np.array([U_MIN, U_MAX]))
-        if not np.isfinite(ends).all():
+        if not (math.isfinite(self.mean + self.sd * _Z_MIN)
+                and math.isfinite(self.mean + self.sd * _Z_MAX)):
             raise ValueError(f"normal(mean={self.mean}, sd={self.sd}) "
                              f"draws variates beyond the float range")
 
@@ -150,8 +154,7 @@ class Lognormal(Distribution):
         if not self.log_sd > 0:
             raise ValueError(f"lognormal needs log_sd > 0, got {self.log_sd}")
         try:
-            with np.errstate(all="ignore"):
-                top = self.inverse_cdf(np.array([U_MAX]))[0]
+            top = math.exp(self.log_mean + self.log_sd * _Z_MAX)
         except OverflowError:
             top = math.inf
         if not math.isfinite(top):  # an infinite exponent does not raise

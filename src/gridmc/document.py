@@ -5,11 +5,13 @@ A document holds the cell grid plus the simulation declarations
 intervals, run defaults). It validates against the shipped schema
 before any engine call.
 
-`schema.json` is the one definition of the format. A small interpreter
-below applies it: it knows exactly the draft 2020-12 keywords the schema
-uses, raises on any other, and words and orders its diagnostics as the
-reference Python validator (version 4.26) does; the test suite holds it
-to that validator as an oracle.
+`schema.json` is the one definition of the format. It is compiled once,
+at import, into a tree of checks, one closure per keyword, with each
+`$ref` resolved and each `pattern` compiled. The compiler knows exactly
+the draft 2020-12 keywords the schema uses and raises on any other; the
+checks word and order their diagnostics as the reference Python
+validator (version 4.26) does, and the test suite holds them to that
+validator as an oracle.
 
 Loading rejects the `NaN` and `Infinity` literals that `json.load`
 accepts, since no artifact may carry them, and any number that no finite
@@ -69,64 +71,110 @@ _IS_TYPE = {
 }
 
 
-def _errors(schema, x, path):
-    """(path, message) for each way `x` breaks `schema`, depth first in
-    the order the schema's keywords are written."""
-    is_object, is_array, is_string = (isinstance(x, t) for t in (dict, list, str))
-    for key, value in schema.items():
-        if key in ("$schema", "title", "$defs"):
-            continue  # annotations
-        elif key == "$ref" and value.startswith("#/"):
-            target = _SCHEMA
-            for part in value[2:].split("/"):
-                target = target[part]
-            yield from _errors(target, x, path)
-        elif key == "type":
-            types = value if isinstance(value, list) else [value]
-            if not any(_IS_TYPE[t](x) for t in types):
-                yield path, f"{x!r} is not of type {', '.join(map(repr, types))}"
-        elif key == "required":
-            yield from ((path, f"{name!r} is a required property")
-                        for name in value if is_object and name not in x)
-        elif key == "properties":
-            for name, sub in value.items():
-                if is_object and name in x:
-                    yield from _errors(sub, x[name], path + (name,))
-        elif key == "additionalProperties" and value is False:
-            extras = sorted(set(x) - schema.get("properties", {}).keys()) if is_object else []
-            if extras:
+def _compile(schema):
+    """check(x, path, out) for `schema`: it appends (path, message) to out
+    for each way `x` breaks the schema, depth first in the order the
+    schema's keywords are written. An unknown keyword raises here."""
+    checks = [_keyword(key, value, schema) for key, value in schema.items()
+              if key not in ("$schema", "title", "$defs")]  # annotations
+    if len(checks) == 1:
+        return checks[0]
+
+    def check(x, path, out):
+        for keyword in checks:
+            keyword(x, path, out)
+    return check
+
+
+def _keyword(key, value, schema):
+    """check(x, path, out) for one keyword of `schema`."""
+    if key == "$ref" and value.startswith("#/"):
+        target = _SCHEMA
+        for part in value[2:].split("/"):
+            target = target[part]
+        check = _compile(target)  # schema.json has no recursive reference
+    elif key == "type":
+        types = value if isinstance(value, list) else [value]
+        tests = [_IS_TYPE[t] for t in types]
+        test = tests[0] if len(tests) == 1 else lambda x: any(t(x) for t in tests)
+        names = ", ".join(map(repr, types))
+
+        def check(x, path, out):
+            if not test(x):
+                out.append((path, f"{x!r} is not of type {names}"))
+    elif key == "required":
+        def check(x, path, out):
+            if isinstance(x, dict):
+                out.extend((path, f"{name!r} is a required property")
+                           for name in value if name not in x)
+    elif key == "properties":
+        subs = [(name, _compile(sub)) for name, sub in value.items()]
+
+        def check(x, path, out):
+            if isinstance(x, dict):
+                for name, sub in subs:
+                    if name in x:
+                        sub(x[name], path + (name,), out)
+    elif key == "additionalProperties" and value is False:
+        known = frozenset(schema.get("properties", ()))
+
+        def check(x, path, out):
+            if isinstance(x, dict) and (extras := sorted(x.keys() - known)):
                 verb = "was" if len(extras) == 1 else "were"
-                yield path, (f"Additional properties are not allowed "
-                             f"({', '.join(map(repr, extras))} {verb} unexpected)")
-        elif key == "items" and isinstance(value, dict):
-            for i, item in enumerate(x if is_array else ()):
-                yield from _errors(value, item, path + (i,))
-        elif key in ("minItems", "minLength"):
-            if (is_array if key == "minItems" else is_string) and len(x) < value:
-                yield path, f"{x!r} {'should be non-empty' if value == 1 else 'is too short'}"
-        elif key == "maxItems":
-            if is_array and len(x) > value:
-                yield path, f"{x!r} {'is expected to be empty' if value == 0 else 'is too long'}"
-        elif key == "pattern":
-            if is_string and not re.search(value, x):
-                yield path, f"{x!r} does not match {value!r}"
-        elif key == "enum":
+                out.append((path, f"Additional properties are not allowed "
+                                  f"({', '.join(map(repr, extras))} {verb} unexpected)"))
+    elif key == "items" and isinstance(value, dict):
+        sub = _compile(value)
+
+        def check(x, path, out):
+            if isinstance(x, list):
+                for i, item in enumerate(x):
+                    sub(item, path + (i,), out)
+    elif key in ("minItems", "minLength"):
+        kind = list if key == "minItems" else str
+        words = "should be non-empty" if value == 1 else "is too short"
+
+        def check(x, path, out):
+            if isinstance(x, kind) and len(x) < value:
+                out.append((path, f"{x!r} {words}"))
+    elif key == "maxItems":
+        words = "is expected to be empty" if value == 0 else "is too long"
+
+        def check(x, path, out):
+            if isinstance(x, list) and len(x) > value:
+                out.append((path, f"{x!r} {words}"))
+    elif key == "pattern":
+        search = re.compile(value).search
+
+        def check(x, path, out):
+            if isinstance(x, str) and not search(x):
+                out.append((path, f"{x!r} does not match {value!r}"))
+    elif key == "enum":
+        def check(x, path, out):
             # JSON equality: true is not 1
             if not any(o == x and isinstance(o, bool) == isinstance(x, bool) for o in value):
-                yield path, f"{x!r} is not one of {value!r}"
-        elif key == "minimum":
+                out.append((path, f"{x!r} is not one of {value!r}"))
+    elif key == "minimum":
+        def check(x, path, out):
             if _is_number(x) and x < value:
-                yield path, f"{x!r} is less than the minimum of {value!r}"
-        elif key == "maximum":
+                out.append((path, f"{x!r} is less than the minimum of {value!r}"))
+    elif key == "maximum":
+        def check(x, path, out):
             if _is_number(x) and x > value:
-                yield path, f"{x!r} is greater than the maximum of {value!r}"
-        else:
-            raise NotImplementedError(f"schema keyword {key!r}: {value!r} is not implemented")
+                out.append((path, f"{x!r} is greater than the maximum of {value!r}"))
+    else:
+        raise NotImplementedError(f"schema keyword {key!r}: {value!r} is not implemented")
+    return check
+
+
+_CHECK = _compile(_SCHEMA)
 
 
 def validate_schema(data: dict) -> None:
-    errors = sorted(_errors(_SCHEMA, data, ()), key=lambda e: e[0])
+    errors = []
+    _CHECK(data, (), errors)
     if errors:
+        errors.sort(key=lambda e: e[0])
         raise DocumentError(
             [f"{'/'.join(map(str, path)) or '<root>'}: {message}"
              for path, message in errors])

@@ -402,6 +402,48 @@ class TestAudit:
         assert "no such file" in err and "nope.csv" in err
 
 
+class TestCachedParser:
+    """main parses every call with the one parser build_parser caches, so
+    no option of one call may carry over to the next."""
+
+    # (argv of each call, the exit code of each)
+    SEQUENCES = {
+        "continue-on-error-then-halt": (
+            [["run", SQRT_TRAP, "--trials", "200", "--continue-on-error"],
+             ["run", SQRT_TRAP, "--trials", "200"]], [0, 1]),
+        "thresholds-then-defaults": (
+            [["audit", CORRELATED, "--trials", "500", "--z", "3", "--epsilon", "0.1"],
+             ["audit", CORRELATED, "--trials", "500"]], [0, 0]),
+        "usage-error-between-good-calls": (
+            [["run", PROJECT, "--trials", "100", "--seed", "7"],
+             ["run", PROJECT, "--trials", "0"],
+             ["run", PROJECT, "--trials", "100"]], [0, 3, 0]),
+    }
+
+    @staticmethod
+    def outcome(capsys, argv, out):
+        """(exit code, stdout, stderr, {file name: bytes}) of main(argv + --out out)."""
+        out.mkdir()
+        code = main([*argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        return (code, captured.out, captured.err,
+                {p.name: read(p) for p in sorted(out.iterdir())})
+
+    @pytest.mark.parametrize("name", SEQUENCES)
+    def test_back_to_back_calls_equal_lone_calls(self, tmp_path, capsys, name):
+        calls, codes = self.SEQUENCES[name]
+        lone = []
+        for i, argv in enumerate(calls):
+            cli.build_parser.cache_clear()  # a parser no call has used
+            lone.append(self.outcome(capsys, argv, tmp_path / f"lone{i}"))
+        assert [code for code, *_ in lone] == codes
+        assert lone[0] != lone[-1]  # an option carried over would show
+        cli.build_parser.cache_clear()
+        back_to_back = [self.outcome(capsys, argv, tmp_path / f"next{i}")
+                        for i, argv in enumerate(calls)]
+        assert back_to_back == lone
+
+
 def one_error_line(capsys, prefix):
     err = capsys.readouterr().err
     lines = err.splitlines()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -303,6 +304,93 @@ class TestParameterValidation:
                        (int(-1e308), int(1e308))):
             with pytest.raises(ValueError, match=r"within \+-2\*\*53"):
                 DiscreteUniform(lo, hi)
+
+
+class DrawCheckedNormal(Normal):
+    """Normal with the range check it had before its two constants: it drew
+    the variates at U_MIN and U_MAX."""
+
+    def __post_init__(self):
+        if not self.sd > 0:
+            raise ValueError(f"normal needs sd > 0, got {self.sd}")
+        with np.errstate(all="ignore"):
+            ends = self.inverse_cdf(np.array([U_MIN, U_MAX]))
+        if not np.isfinite(ends).all():
+            raise ValueError(f"normal(mean={self.mean}, sd={self.sd}) "
+                             f"draws variates beyond the float range")
+
+
+class DrawCheckedLognormal(Lognormal):
+    """Lognormal with the range check it had before its constant: it drew
+    the variate at U_MAX."""
+
+    def __post_init__(self):
+        if not self.log_sd > 0:
+            raise ValueError(f"lognormal needs log_sd > 0, got {self.log_sd}")
+        try:
+            with np.errstate(all="ignore"):
+                top = self.inverse_cdf(np.array([U_MAX]))[0]
+        except OverflowError:
+            top = math.inf
+        if not math.isfinite(top):
+            raise ValueError(f"lognormal(log_mean={self.log_mean}, log_sd={self.log_sd}) "
+                             f"draws variates beyond the float range")
+
+
+def construction(cls, *params):
+    """None if cls(*params) builds, else its exception's type and text."""
+    try:
+        cls(*params)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+Z_MAX = float(norm_ppf(U_MAX))
+LOG_MAX = math.log(sys.float_info.max)  # 709.78..., where math.exp overflows
+# ints, huge ints among them, floats anywhere, and floats near the largest
+NUMBERS = (hst.integers(-10 ** 6, 10 ** 6) | hst.integers(-2 ** 1030, 2 ** 1030)
+           | hst.floats() | hst.floats(1.7e308, 1.8e308) | hst.floats(-1.8e308, -1.7e308))
+SDS = NUMBERS | hst.floats(0.0, 1e-300) | hst.floats(1e305, 1e308)
+
+
+@hst.composite
+def near_exp_overflow(draw):
+    """(log_mean, log_sd) whose exponent at U_MAX lies near 709.78, where
+    math.exp overflows."""
+    log_sd = draw(hst.floats(1e-300, 1e3) | hst.integers(1, 80))
+    exponent = hst.floats(709.7, 709.9) | hst.floats(LOG_MAX - 1e-12, LOG_MAX + 1e-12)
+    return draw(exponent) - log_sd * Z_MAX, log_sd
+
+
+class TestRangeCheckAgainstDraws:
+    """The constants accept and reject the parameters that drawing at the
+    ends of the range did, with the same error."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(NUMBERS, SDS)
+    @example(1.79e308, 1e305)
+    @example(-1.79e308, 1e305)
+    @example(0, 1e308)
+    @example(0.0, 5e-324)
+    @example(1.7976931348623157e308, 5e-324)
+    def test_normal(self, mean, sd):
+        assert construction(Normal, mean, sd) == construction(DrawCheckedNormal, mean, sd)
+
+    @settings(max_examples=500, deadline=None)
+    @given(hst.tuples(NUMBERS, SDS) | near_exp_overflow())
+    @example((701.5, 1))
+    @example((701.6, 1))
+    @example((0, 87))
+    @example((0, 1e308))
+    @example((LOG_MAX, 5e-324))
+    def test_lognormal(self, params):
+        assert (construction(Lognormal, *params)
+                == construction(DrawCheckedLognormal, *params))
+
+    def test_exponents_near_the_edge_go_both_ways(self):
+        assert construction(Lognormal, LOG_MAX - Z_MAX - 1e-9, 1) is None
+        assert construction(Lognormal, LOG_MAX - Z_MAX + 1e-9, 1) is not None
 
 
 class TestSamplingFidelity:
