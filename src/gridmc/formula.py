@@ -1,30 +1,32 @@
-"""Excel-style formula language: tokenizer, recursive-descent parser, AST, renderer.
+"""Excel-style formula language: tokenizer, operator-precedence parser, AST, renderer.
 
 Grammar (whitespace-insensitive, function names case-insensitive):
 
     formula := "=" expr | number
-    expr    := cmp
-    cmp     := add (("=" | "<>" | "<" | "<=" | ">" | ">=") add)?
-    add     := mul (("+" | "-") mul)*
-    mul     := pow (("*" | "/") pow)*
-    pow     := unary ("^" unary)*
-    unary   := "-" unary | atom
-    atom    := number | cellref | call | "(" expr ")"
-    call    := name "(" args ")"
-    args    := (expr | range) ("," (expr | range))*
-    range   := cellref ":" cellref
+    expr    := operand (binop operand)*
+    operand := "-"* (number | cellref | call | "(" expr ")")
+    call    := name "(" arg ("," arg)* ")"
+    arg     := expr | cellref ":" cellref
+
+The binary operators bind by _PRECEDENCE, loosest first: the comparisons
+= <> < <= > >=, then + -, then * /, then ^. Each is left-associative, and
+an expr holds at most one comparison. Unary minus binds tighter than every
+binary operator, so -2^2 is (-2)^2.
 
 A range may stand only where FUNCTIONS allows: in SUM, AVERAGE, MIN, MAX and
 NPV's cashflows; IRR's cashflows must be a range, and LOOKUP's table a range of
 two columns. An argument of the wrong shape is a FormulaError at its position.
+So is a number beyond the float range.
 
-Compiling and evaluating a formula recurse through its AST, a frame or two
-per level, so a formula more than MAX_DEPTH levels deep is a FormulaError,
-as is one nested too deeply for the parser's own recursion.
+A formula may nest at most MAX_DEPTH levels, where a level is a
+parenthesis or a call argument the parser enters, or a node on one path
+from the AST's root to a leaf. Parsing, compiling, evaluating and rendering
+each take one Python frame a level, so every formula that parses runs.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -92,9 +94,13 @@ class Call:
 
 Node = Lit | Ref | Neg | Bin | Call
 
-# the most nodes on one path from a formula's root to a leaf; a sum of 500
-# terms is 500 deep
+# the most levels a formula nests: a sum of 500 terms is 500 nodes deep, and
+# 499 parentheses around a cell are 500 levels of parsing
 MAX_DEPTH = 500
+
+# binary operators, loosest first; the parser and the renderer both read it
+_PRECEDENCE = {"=": 1, "<>": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
+               "+": 2, "-": 2, "*": 3, "/": 3, "^": 4}
 
 # name -> (min arity, max arity or None for variadic, argument shapes).
 # The shapes go by position, the last one repeating: "x" a number, "a" a
@@ -122,7 +128,7 @@ _NEEDS = {"r": "a range of cashflows", "t": "a two-column range"}
 _TOKEN_RE = re.compile(
     r"""
     (?P<number>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?)
-    | (?P<ident>[A-Za-z]{1,8}[0-9]*)
+    | (?P<ident>[A-Za-z]+[0-9]*)
     | (?P<op><>|<=|>=|[=<>+\-*/^(),:]|−)
     | (?P<ws>\s+)
     """,
@@ -152,8 +158,7 @@ _CELLREF_RE = re.compile(r"^[A-Za-z]{1,2}[1-9][0-9]*$")
 
 
 class _Parser:
-    def __init__(self, text: str, tokens):
-        self.text = text
+    def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
 
@@ -171,118 +176,109 @@ class _Parser:
             raise FormulaError(f"expected {value!r}", pos)
         return self.next()
 
-    def fail(self, expected: str):
-        kind, val, pos = self.peek()
-        raise FormulaError(f"expected {expected}", pos)
+    def parse_expr(self, level: int = 1) -> Node:
+        """The expr that starts here, `level` levels deep.
 
-    # grammar rules -----------------------------------------------------
+        Operands and binary operators go on two stacks. An operator is
+        reduced when one of no tighter precedence follows it, and all are
+        reduced at the first token that cannot continue the expr, such as
+        a second comparison. Only a parenthesis or a call argument
+        recurses, one level deeper.
+        """
+        if level > MAX_DEPTH:
+            raise FormulaError(f"formula nested more than {MAX_DEPTH} levels deep",
+                               self.peek()[2])
+        operands, ops, compared = [], [], False
+        while True:
+            minuses = 0
+            while self.peek()[1] == "-":
+                self.next()
+                minuses += 1
+            kind, val, pos = self.next()
+            if kind == "number":
+                node = _literal(val, float(val), pos)
+            elif kind == "ident" and _CELLREF_RE.match(val):
+                node = Ref(parse_cell(val))
+            elif kind == "ident":
+                name = val.upper()
+                if self.peek()[1] != "(":
+                    raise FormulaError(f"expected '(' after function name {name}",
+                                       self.peek()[2])
+                if name not in FUNCTIONS:
+                    raise FormulaError(f"unknown function {name}", pos)
+                args, starts = [], []
+                while not args or self.peek()[1] == ",":
+                    self.next()  # "(" or ","
+                    k, v, p = self.peek()
+                    starts.append(p)
+                    if (k == "ident" and _CELLREF_RE.match(v)
+                            and self.tokens[self.i + 1][1] == ":"):
+                        k2, v2, p2 = self.tokens[self.i + 2]
+                        if k2 != "ident" or not _CELLREF_RE.match(v2):
+                            raise FormulaError("expected cell address after ':'", p2)
+                        self.i += 3
+                        args.append(RangeRef(parse_cell(v), parse_cell(v2)))
+                    else:
+                        args.append(self.parse_expr(level + 1))
+                self.expect(")")
+                node = _checked_call(name, pos, args, starts)
+            elif val == "(":
+                node = self.parse_expr(level + 1)
+                self.expect(")")
+            else:
+                raise FormulaError("expected expression", pos)
+            for _ in range(minuses):
+                node = Neg(node)
+            operands.append(node)
 
-    def parse_expr(self) -> Node:
-        left = self.parse_add()
-        kind, val, _ = self.peek()
-        if val in ("=", "<>", "<", "<=", ">", ">="):
+            op = self.peek()[1]
+            prec = _PRECEDENCE.get(op, 0)
+            if compared and prec == 1:  # comparisons do not chain
+                prec = 0
+            while ops and _PRECEDENCE[ops[-1]] >= prec:
+                right = operands.pop()
+                operands.append(Bin(ops.pop(), operands.pop(), right))
+            if not prec:
+                return operands.pop()
             self.next()
-            right = self.parse_add()
-            return Bin(val, left, right)
-        return left
+            ops.append(op)
+            compared = compared or prec == 1
 
-    def parse_add(self) -> Node:
-        node = self.parse_mul()
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            node = Bin(op, node, self.parse_mul())
-        return node
 
-    def parse_mul(self) -> Node:
-        node = self.parse_pow()
-        while self.peek()[1] in ("*", "/"):
-            op = self.next()[1]
-            node = Bin(op, node, self.parse_pow())
-        return node
+def _literal(text: str, value: float, position: int) -> Lit:
+    """The Lit of a number; one that reads as inf or nan is an error."""
+    if not math.isfinite(value):
+        raise FormulaError(f"{text} is beyond the float range", position)
+    return Lit(value)
 
-    def parse_pow(self) -> Node:
-        node = self.parse_unary()
-        while self.peek()[1] == "^":
-            self.next()
-            node = Bin("^", node, self.parse_unary())
-        return node
 
-    def parse_unary(self) -> Node:
-        if self.peek()[1] == "-":
-            self.next()
-            return Neg(self.parse_unary())
-        return self.parse_atom()
-
-    def parse_atom(self) -> Node:
-        kind, val, pos = self.peek()
-        if kind == "number":
-            self.next()
-            return Lit(float(val))
-        if kind == "ident":
-            return self.parse_ident()
-        if val == "(":
-            self.next()
-            node = self.parse_expr()
-            self.expect(")")
-            return node
-        self.fail("expression")
-
-    def parse_ident(self) -> Node:
-        kind, val, pos = self.next()
-        if _CELLREF_RE.match(val):
-            return Ref(parse_cell(val))
-        name = val.upper()
-        if self.peek()[1] != "(":
-            raise FormulaError(f"expected '(' after function name {name}", self.peek()[2])
-        if name not in FUNCTIONS:
-            raise FormulaError(f"unknown function {name}", pos)
-        args, starts = [], []
-        while not args or self.peek()[1] == ",":
-            self.next()  # "(" or ","
-            starts.append(self.peek()[2])
-            args.append(self.parse_arg())
-        self.expect(")")
-        lo, hi, shapes = FUNCTIONS[name]
-        if len(args) < lo or (hi is not None and len(args) > hi):
-            raise FormulaError(
-                f"{name} takes {lo}{'' if hi == lo else ('+' if hi is None else f'..{hi}')}"
-                f" arguments, got {len(args)}",
-                pos,
-            )
-        for i, (arg, start) in enumerate(zip(args, starts)):
-            shape = shapes[min(i, len(shapes) - 1)]
-            is_range = isinstance(arg, RangeRef)
-            if shape == "x" and is_range:
-                raise FormulaError(f"{name} takes no range as argument {i + 1}", start)
-            if shape in _NEEDS and not (is_range and (shape == "r" or arg.n_cols == 2)):
-                raise FormulaError(f"{name} needs {_NEEDS[shape]}", start)
-        return Call(name, tuple(args))
-
-    def parse_arg(self):
-        # A range is only valid here (cellref ":" cellref); parse_ident checks its place.
-        kind, val, pos = self.peek()
-        if kind == "ident" and _CELLREF_RE.match(val) and self.tokens[self.i + 1][1] == ":":
-            self.next()
-            self.next()  # ":"
-            kind2, val2, pos2 = self.next()
-            if kind2 != "ident" or not _CELLREF_RE.match(val2):
-                raise FormulaError("expected cell address after ':'", pos2)
-            return RangeRef(parse_cell(val), parse_cell(val2))
-        return self.parse_expr()
+def _checked_call(name: str, position: int, args: list, starts: list) -> Call:
+    """The call, once its arity and the shape of each argument (which
+    starts at starts[i]) are checked against FUNCTIONS."""
+    lo, hi, shapes = FUNCTIONS[name]
+    if len(args) < lo or (hi is not None and len(args) > hi):
+        raise FormulaError(
+            f"{name} takes {lo}{'' if hi == lo else ('+' if hi is None else f'..{hi}')}"
+            f" arguments, got {len(args)}",
+            position,
+        )
+    for i, (arg, start) in enumerate(zip(args, starts)):
+        shape = shapes[min(i, len(shapes) - 1)]
+        is_range = isinstance(arg, RangeRef)
+        if shape == "x" and is_range:
+            raise FormulaError(f"{name} takes no range as argument {i + 1}", start)
+        if shape in _NEEDS and not (is_range and (shape == "r" or arg.n_cols == 2)):
+            raise FormulaError(f"{name} needs {_NEEDS[shape]}", start)
+    return Call(name, tuple(args))
 
 
 def parse_formula(text: str) -> Node:
     """Parse a formula ("=...") or a bare numeric literal into an AST."""
     stripped = text.strip()
     if stripped.startswith("="):
-        body = stripped[1:]
         offset = text.index("=") + 1
-        tokens = _tokenize(body, offset)
-        p = _Parser(body, tokens)
-        try:
-            node = p.parse_expr()
-        except RecursionError:
-            raise FormulaError("formula nested too deeply to parse", p.peek()[2]) from None
+        p = _Parser(_tokenize(stripped[1:], offset))
+        node = p.parse_expr()
         kind, val, pos = p.peek()
         if kind != "eof":
             raise FormulaError(f"unexpected token {val!r}", pos)
@@ -290,17 +286,14 @@ def parse_formula(text: str) -> Node:
             raise FormulaError(f"formula nested more than {MAX_DEPTH} levels deep", offset)
         return node
     try:
-        return Lit(float(stripped))
+        value = float(stripped)
     except ValueError:
         raise FormulaError("expected '=' formula or numeric literal", 0) from None
+    return _literal(stripped, value, len(text) - len(text.lstrip()))
 
 
 # ---------------------------------------------------------------------------
 # Rendering (canonical text; reparses to an equal AST)
-
-_PRECEDENCE = {"=": 1, "<>": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
-               "+": 2, "-": 2, "*": 3, "/": 3, "^": 4}
-
 
 def _render(node, parent_prec: int, right_side: bool) -> str:
     if isinstance(node, Lit):
@@ -326,8 +319,10 @@ def _render(node, parent_prec: int, right_side: bool) -> str:
             return f"({text})"
         return text
     if isinstance(node, Call):
-        args = ",".join(_render(a, 0, False) for a in node.args)
-        return f"{node.name}({args})"
+        args = []
+        for a in node.args:  # a loop, as a generator would add a frame a level
+            args.append(_render(a, 0, False))
+        return f"{node.name}({','.join(args)})"
     raise TypeError(f"not an AST node: {node!r}")
 
 

@@ -406,9 +406,9 @@ def _lookup(mode: float, key: float, *table: float) -> float:
 # run in the order the formula language defines, so a row's first recorded
 # error is the one a one-row evaluation meets first.
 #
-# _compile is the only function that recurses, one frame per level of the
-# AST, and an evaluation takes at most two frames a level; parse_formula
-# bounds the levels by MAX_DEPTH.
+# _compile recurses one frame per level of the AST, and so does an
+# evaluation: each compiled node calls its children's functions in its own
+# frame. parse_formula bounds the levels by MAX_DEPTH.
 
 def _compile(node) -> Callable:
     if isinstance(node, Lit):
@@ -428,17 +428,18 @@ def _compile(node) -> Callable:
     return _compile_call(node.name, args)
 
 
-def _compile_args(args) -> Callable:
-    """The values of several compiled arguments, ranges expanded."""
-    def values(ps, rows):
-        out = []
+def _on_columns(args, kernel: Callable) -> Callable:
+    """A call that evaluates its arguments in order, ranges expanded, in
+    its own frame, then returns kernel(ps, rows, columns)."""
+    def call(ps, rows):
+        cols = []
         for a in args:
             if callable(a):
-                out.append(a(ps, rows))
+                cols.append(a(ps, rows))
             else:
-                out.extend(ps.values[c] for c in a)
-        return out
-    return values
+                cols.extend(ps.values[c] for c in a)
+        return kernel(ps, rows, cols)
+    return call
 
 
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
@@ -475,11 +476,9 @@ def _compile_call(name: str, args: list) -> Callable:
             return np.where(taken, tf(ps, t_rows), ff(ps, f_rows))
         return if_
     if name in ("SUM", "AVERAGE"):
-        args_fn = _compile_args(args)
         average = name == "AVERAGE"
 
-        def sum_(ps, rows):
-            cols = args_fn(ps, rows)
+        def sum_(ps, rows, cols):
             total, proved = _certified_sum(cols)
             live = ps.live(rows)
             exact = live & ~proved
@@ -487,19 +486,18 @@ def _compile_call(name: str, args: list) -> Callable:
             if exact.any():  # fn.fsum's value or error, signed zeros included
                 total[exact] = _rowwise(ps, exact, _sum, *cols)[exact]
             return total / len(cols) if average else total
-        return sum_
+        return _on_columns(args, sum_)
     if name in ("MIN", "MAX"):
-        args_fn = _compile_args(args)
         # Python's min and max: a later value replaces the kept one only
         # when strictly smaller (larger), so ties and -0.0 keep the first.
         beats = operator.lt if name == "MIN" else operator.gt
 
-        def extreme(ps, rows):
-            acc, *rest = args_fn(ps, rows)
+        def extreme(ps, rows, cols):
+            acc, *rest = cols
             for x in rest:
                 acc = np.where(beats(x, acc), x, acc)
             return acc
-        return extreme
+        return _on_columns(args, extreme)
     if name == "ABS":
         f = args[0]
         return lambda ps, rows: abs(f(ps, rows))
@@ -517,16 +515,12 @@ def _compile_call(name: str, args: list) -> Callable:
         scalar_fn = _ln if name == "LN" else _exp
         return lambda ps, rows: _rowwise(ps, rows, scalar_fn, f(ps, rows))
     if name == "NPV":
-        rate_fn = args[0]
-        flows_fn = _compile_args(args[1:])
-
-        def npv(ps, rows):
-            rate = rate_fn(ps, rows)
-            flows = flows_fn(ps, rows)
+        def npv(ps, rows, cols):
+            rate, *flows = cols
             ps.fail(rows, rate <= -1.0, ErrorKind.DOMAIN_ERROR,
                     lambda i: f"NPV rate {float(rate[i])} <= -1")
             return fn.discount(rate, flows)
-        return npv
+        return _on_columns(args, npv)
     # the parser has checked the shapes: IRR's flows and LOOKUP's table are ranges
     if name == "IRR":
         cells = args[0]

@@ -15,7 +15,9 @@ from gridmc.audit import FindingKind
 from gridmc.cells import parse_cell
 from gridmc.cli import main
 from gridmc.document import ModelDocument
+from gridmc.formula import MAX_DEPTH
 from tests.conftest import EXAMPLES, example_path, portfolio_documents
+from tests.test_formula import DEPTH_CASES
 
 PROJECT = example_path("project-npv.json")
 HARDCODE = example_path("project-npv-hardcode.json")
@@ -721,19 +723,28 @@ class TestErrorExits:
 
     @pytest.mark.parametrize("formula, message", [
         ("=" + "+".join(["A1"] * 600), "formula nested more than 500 levels deep"),
-        ("=" + "(" * 3000 + "A1" + ")" * 3000, "formula nested too deeply to parse"),
-        ("=" + "-" * 3000 + "A1", "formula nested too deeply to parse"),
-    ], ids=["600-term-sum", "3000-parentheses", "3000-minuses"])
+        ("=" + "(" * 3000 + "A1" + ")" * 3000, "formula nested more than 500 levels deep"),
+        ("=" + "-" * 3000 + "A1", "formula nested more than 500 levels deep"),
+        *[(make(MAX_DEPTH + 1), "formula nested more than 500 levels deep")
+          for make, _ in DEPTH_CASES.values()],
+    ], ids=["600-term-sum", "3000-parentheses", "3000-minuses",
+            *[f"past-the-limit-{name}" for name in DEPTH_CASES]])
     def test_formula_too_deep_is_a_build_error(self, tmp_path, capsys, formula, message):
         out = tmp_path / "out"
         assert main(["run", write_xy_doc(tmp_path, formula), "--out", str(out)]) == 1
         assert one_error_line(capsys, f"build error: A2: {message} (at position ")
         assert not out.exists()
 
+    def test_number_beyond_the_float_range_is_a_build_error(self, tmp_path, capsys):
+        assert main(["validate", write_xy_doc(tmp_path, "=A1+1e400")]) == 1
+        assert one_error_line(capsys, "build error:") == (
+            "build error: A2: 1e400 is beyond the float range (at position 4)")
+
     @pytest.mark.parametrize("formula, value", [
         ("=" + "+".join(["A1"] * 400), lambda x: 400 * x),
         ("=" + "IF(A1>0," * 100 + "A1" + ",0)" * 100, lambda x: x),
-    ], ids=["400-term-sum", "100-deep-IF"])
+        *[(make(MAX_DEPTH), lambda x, v=v: x * v / 2.0) for make, v in DEPTH_CASES.values()],
+    ], ids=["400-term-sum", "100-deep-IF", *[f"at-the-limit-{name}" for name in DEPTH_CASES]])
     def test_deep_formula_runs(self, tmp_path, capsys, formula, value):
         out = tmp_path / "out"
         assert main(["run", write_xy_doc(tmp_path, formula), "--trials", "100",

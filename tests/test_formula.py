@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gridmc.cells import CellRef, parse_cell
 from gridmc.formula import (
@@ -16,6 +16,7 @@ from gridmc.formula import (
     render_formula,
 )
 from gridmc.model import CalcError, ModelBuildError, build_model, evaluate
+from tests import parser_oracle
 
 
 def ref(text):
@@ -76,6 +77,23 @@ class TestParse:
     def test_unknown_function(self):
         with pytest.raises(FormulaError, match="unknown function"):
             parse_formula("=FOO(1)")
+        # a name is read whole, however long
+        for name, args in [("SUMPRODUCT", "A1:A3"), ("ROUNDDOWN", "A1,0")]:
+            with pytest.raises(FormulaError) as exc:
+                parse_formula(f"={name}({args})")
+            assert str(exc.value) == f"unknown function {name} (at position 1)"
+
+    @pytest.mark.parametrize("text, message", [
+        ("=A1+1e400", "1e400 is beyond the float range (at position 4)"),
+        ("=-1E309*A1", "1E309 is beyond the float range (at position 2)"),
+        ("1e400", "1e400 is beyond the float range (at position 0)"),
+        (" -1e400", "-1e400 is beyond the float range (at position 1)"),
+        ("nan", "nan is beyond the float range (at position 0)"),
+    ])
+    def test_number_beyond_the_float_range(self, text, message):
+        with pytest.raises(FormulaError) as exc:
+            parse_formula(text)
+        assert str(exc.value) == message
 
     def test_arity_checked(self):
         with pytest.raises(FormulaError, match="arguments"):
@@ -119,22 +137,58 @@ class TestParse:
             parse_formula(chain(MAX_DEPTH + 1))
 
     def test_nesting_past_the_parsers_recursion(self):
-        # each nested call costs the parser several frames: 500 of them run
-        # out of Python's recursion limit before MAX_DEPTH applies
-        parse_formula("=" + "ABS(" * 100 + "A1" + ")" * 100)
-        with pytest.raises(FormulaError, match="nested too deeply to parse"):
+        # nested calls reach MAX_DEPTH, far past the ~120 that a parser
+        # spending several frames a level reaches in Python's recursion limit
+        parse_formula("=" + "ABS(" * (MAX_DEPTH - 1) + "A1" + ")" * (MAX_DEPTH - 1))
+        with pytest.raises(FormulaError, match=f"nested more than {MAX_DEPTH} levels deep"):
             parse_formula("=" + "ABS(" * MAX_DEPTH + "A1" + ")" * MAX_DEPTH)
 
     def test_formulas_at_the_depth_limit_build_and_evaluate(self):
-        # compiling takes a frame per level and evaluating up to two
-        sums = "=" + "+".join(["A1"] * MAX_DEPTH)
-        minuses = "=" + "-" * (MAX_DEPTH - 1) + "A1"
-        nested = "=" + "SUM(A1," * 100 + "A1" + ")" * 100
-        m = build_model([("A1", None, "2"), ("A2", None, sums), ("A3", None, minuses),
-                         ("A4", None, nested)])
-        result = evaluate(m)
-        assert [result[parse_cell(c)] for c in ("A2", "A3", "A4")] == [
-            2.0 * MAX_DEPTH, 2.0 * (-1) ** (MAX_DEPTH - 1), 202.0]
+        # every stage takes a frame a level, so the limit is the same from
+        # a caller deep in its own stack
+        check_depth_limit()
+        calls_nested(300, check_depth_limit)
+
+
+def nest(head, k):
+    """A formula of k copies of head around A1, each closed by ')'."""
+    return "=" + head * k + "A1" + ")" * k
+
+
+# (formula k levels deep, its value when A1 is 2)
+DEPTH_CASES = {
+    "SUM-nest": (lambda k: nest("SUM(A1,", k - 1), 2.0 * MAX_DEPTH),
+    "AVERAGE-nest": (lambda k: nest("AVERAGE(A1,", k - 1), 2.0),
+    "MIN-nest": (lambda k: nest("MIN(A1,", k - 1), 2.0),
+    "MAX-nest": (lambda k: nest("MAX(A1,", k - 1), 2.0),
+    "NPV-nest": (lambda k: nest("NPV(0,", k - 1), 2.0),
+    "ABS-nest": (lambda k: nest("ABS(", k - 1), 2.0),
+    "IF-nest": (lambda k: nest("IF(A1>0,A1,", k - 2), 2.0),
+    "parentheses": (lambda k: nest("(", k - 1), 2.0),
+    "sum": (lambda k: "=" + "+".join(["A1"] * k), 2.0 * MAX_DEPTH),
+    "minuses": (lambda k: "=" + "-" * (k - 1) + "A1", -2.0),
+}
+
+
+def check_depth_limit():
+    """Each DEPTH_CASES formula builds, evaluates and renders at MAX_DEPTH
+    levels, and is a FormulaError one level deeper."""
+    cells = [(f"B{i}", None, make(MAX_DEPTH)) for i, (make, _) in
+             enumerate(DEPTH_CASES.values(), start=1)]
+    model = build_model([("A1", None, "2")] + cells)
+    result = evaluate(model)
+    assert [result[parse_cell(a)] for a, _, _ in cells] == [v for _, v in DEPTH_CASES.values()]
+    for a, _, _ in cells:
+        text = render_formula(model.defs[parse_cell(a)].ast)
+        assert render_formula(parse_formula(text)) == text
+    for make, _ in DEPTH_CASES.values():
+        with pytest.raises(FormulaError, match=f"formula nested more than {MAX_DEPTH} levels deep"):
+            parse_formula(make(MAX_DEPTH + 1))
+
+
+def calls_nested(frames, fn):
+    """fn(), called `frames` Python frames deeper than this call."""
+    return fn() if frames == 0 else calls_nested(frames - 1, fn)
 
 
 CORPUS = [
@@ -284,3 +338,79 @@ def test_any_call_builds_or_is_a_build_error(call, values):
         assert len(exc.diagnostics) == 1 and exc.diagnostics[0].startswith("D1: ")
         return
     assert isinstance(evaluate(model), (dict, CalcError))
+
+
+# Token strings over the grammar's vocabulary, for the differential test
+# against the recursive-descent parser in tests/parser_oracle.py. The
+# numbers all fit a float: the oracle reads 1e400 as Lit(inf).
+_NUMBERS = ["0", "1", "2.5", ".5", "10.", "1e3", "7E-2"]
+_CELLS = ["A1", "b2", "ZZ99", "AA10"]
+_RANGES = ["A1:B3", "C1:C2", "a1 : A3"]
+_NAMES = [*FUNCTIONS, "sum", "FOO", "SUMPRODUCT"]
+_OPERATORS = ["=", "<>", "<", "<=", ">", ">=", "+", "-", "*", "/", "^"]
+_VOCABULARY = [*_NUMBERS, *_CELLS, *_RANGES, *_NAMES, *_OPERATORS,
+               "−", "(", ")", ",", ":"]
+
+
+_operator = st.sampled_from(_OPERATORS)
+_minuses = st.lists(st.sampled_from(["-", "−"]), max_size=2)
+_leaf = st.sampled_from(_NUMBERS + _CELLS)
+_name = st.sampled_from(_NAMES)
+_range = st.sampled_from(_RANGES)
+_token = st.sampled_from(_VOCABULARY)
+_edit = st.sampled_from(["insert", "delete", "replace"])
+
+
+def _expr_tokens(draw, depth):
+    """The tokens of a grammatical expr that nests at most `depth` levels."""
+    tokens = []
+    for i in range(draw(st.integers(1, 3))):
+        if i:
+            tokens.append(draw(_operator))
+        tokens += draw(_minuses)
+        kind = draw(st.integers(0, 4)) if depth else 0
+        if kind < 3:
+            tokens.append(draw(_leaf))
+        elif kind == 3:
+            tokens += ["(", *_expr_tokens(draw, depth - 1), ")"]
+        else:
+            tokens += [draw(_name), "("]
+            for j in range(draw(st.integers(1, 3))):
+                tokens += [","] if j else []
+                if draw(st.integers(0, 3)) == 0:
+                    tokens.append(draw(_range))
+                else:
+                    tokens += _expr_tokens(draw, depth - 1)
+            tokens.append(")")
+    return tokens
+
+
+@st.composite
+def _token_strings(draw):
+    """Formula text: vocabulary tokens at random, or a grammatical string
+    with up to two tokens inserted, deleted or replaced."""
+    if draw(st.integers(0, 3)) == 0:
+        tokens = draw(st.lists(_token, min_size=1, max_size=12))
+    else:
+        tokens = _expr_tokens(draw, 3)
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, len(tokens)))
+            edit = draw(_edit)
+            new = [draw(_token)] if edit != "delete" else []
+            tokens[i:i + (edit != "insert")] = new
+    return "=" + " ".join(tokens)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except FormulaError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_token_strings())
+def test_parser_agrees_with_the_recursive_descent_oracle(text):
+    expected = _outcome(parser_oracle.parse_formula, text)
+    assume(not str(expected).startswith("formula nested too deeply to parse"))
+    assert _outcome(parse_formula, text) == expected
