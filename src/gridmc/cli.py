@@ -336,7 +336,7 @@ def cmd_step(args) -> int:
                 print("reset to trial 0")
             else:
                 print(_STEP_HELP)
-        except (KeyError, IndexError) as exc:
+        except KeyError as exc:
             print(f"error: {exc.args[0]}")
     return EXIT_OK
 

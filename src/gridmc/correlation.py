@@ -13,11 +13,11 @@ only sorting permutation, whatever the sort does within a tie on the
 CPU at hand; where they do not (a tie, +-0.0 or NaN), the column is
 argsorted again with kind="stable", which gives the index order.
 
-The normal scores are drawn TRIALS_BLOCK rows at a time and standardized
-in place, and the score matrix is freed as soon as it is decorrelated, so
-at most two n x k float matrices besides the input and the output are
-alive at once. The RNG is counter-based: a block of rows drawn on its own
-is bit-identical to those rows of the whole grid.
+A run reorders each block of its trials on its own, with normal scores
+drawn at the block's own trial indices, so a block depends on no trial
+outside it and correlation holds one block's scores. They are drawn
+TRIALS_BLOCK rows at a time and standardized in place, and the score
+matrix is freed as soon as it is decorrelated.
 """
 
 from __future__ import annotations
@@ -96,8 +96,8 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
 
 
 def _scores(n: int, spec: CorrelationSpec, src: RandomSource,
-            stream_offset: int) -> np.ndarray:
-    """n x k normal scores, correlated so that their ranks meet spec."""
+            stream_offset: int, trial_offset: int = 0) -> np.ndarray:
+    """Normal scores of n trials from trial_offset, correlated so their ranks meet spec."""
     # Spearman target -> Pearson target for the normal scores.
     target = 2.0 * np.sin(np.pi * spec.as_array() / 6.0)
     np.fill_diagonal(target, 1.0)
@@ -106,7 +106,7 @@ def _scores(n: int, spec: CorrelationSpec, src: RandomSource,
     z = np.empty((n, spec.size))
     for start in range(0, n, TRIALS_BLOCK):
         stop = min(start + TRIALS_BLOCK, n)
-        z[start:stop] = norm_ppf(src.uniform_block(np.arange(start, stop), streams))
+        z[start:stop] = norm_ppf(src.uniform_block(np.arange(start, stop) + trial_offset, streams))
     # both moments of the raw scores, as (z - z.mean()) / z.std() takes them
     mean, sd = z.mean(axis=0), z.std(axis=0)
     z -= mean
@@ -120,12 +120,14 @@ def _scores(n: int, spec: CorrelationSpec, src: RandomSource,
 
 
 def induce_rank_correlation(columns: np.ndarray, spec: CorrelationSpec,
-                            src: RandomSource, stream_offset: int = 0) -> np.ndarray:
+                            src: RandomSource, stream_offset: int = 0,
+                            trial_offset: int = 0) -> np.ndarray:
     """Reorder each column so pairwise Spearman correlations approach spec.
 
     Every output column is a permutation of the matching input column.
     Gaussian scores are drawn from src at assumption indices
-    stream_offset .. stream_offset + k - 1.
+    stream_offset .. stream_offset + k - 1 and trial indices
+    trial_offset .. trial_offset + n - 1.
     """
     columns = np.asarray(columns, dtype=float)
     n, k = columns.shape
@@ -135,7 +137,7 @@ def induce_rank_correlation(columns: np.ndarray, spec: CorrelationSpec,
     if n < 10 * k:
         raise CorrelationError(f"need at least {10 * k} trials for {k} columns, got {n}")
 
-    scores = _scores(n, spec, src, stream_offset)
+    scores = _scores(n, spec, src, stream_offset, trial_offset)
     out = np.empty_like(columns)
     for j in range(k):
         order = np.argsort(scores[:, j])

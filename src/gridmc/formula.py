@@ -2,7 +2,7 @@
 
 Grammar (whitespace-insensitive, function names case-insensitive):
 
-    formula := "=" expr | number
+    formula := "=" expr | "-"? number
     expr    := operand (binop operand)*
     operand := "-"* (number | cellref | call | "(" expr ")")
     call    := name "(" arg ("," arg)* ")"
@@ -125,9 +125,11 @@ _NEEDS = {"r": "a range of cashflows", "t": "a two-column range"}
 # ---------------------------------------------------------------------------
 # Tokenizer
 
+_NUMBER = r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
+_BARE_RE = re.compile(rf"-?(?:{_NUMBER})")  # a cell's literal without "="
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<number>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?)
+    rf"""
+    (?P<number>{_NUMBER})
     | (?P<ident>[A-Za-z]+[0-9]*)
     | (?P<op><>|<=|>=|[=<>+\-*/^(),:]|−)
     | (?P<ws>\s+)
@@ -285,11 +287,9 @@ def parse_formula(text: str) -> Node:
         if _depth(node) > MAX_DEPTH:
             raise FormulaError(f"formula nested more than {MAX_DEPTH} levels deep", offset)
         return node
-    try:
-        value = float(stripped)
-    except ValueError:
-        raise FormulaError("expected '=' formula or numeric literal", 0) from None
-    return _literal(stripped, value, len(text) - len(text.lstrip()))
+    if not _BARE_RE.fullmatch(stripped):
+        raise FormulaError("expected '=' formula or numeric literal", 0)
+    return _literal(stripped, float(stripped), len(text) - len(text.lstrip()))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ _C1 = 0xBF58476D1CE4E5B9
 _C2 = 0x94D049BB133111EB
 U_MIN = 2.0 ** -54  # the smallest and largest variates uniform_block returns
 U_MAX = 1.0 - 2.0 ** -53
-TRIALS_BLOCK = 1024  # trials sampled, evaluated and exported at a time
+TRIALS_BLOCK = 1024  # trials sampled, rank-correlated, evaluated and exported at a time
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:

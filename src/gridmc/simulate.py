@@ -239,42 +239,62 @@ def _sample_matrix(spec: SimulationSpec, n: int, start: int = 0) -> np.ndarray:
     return values
 
 
+def _block_bounds(spec: SimulationSpec, t: int) -> tuple:
+    """The first trial and the end of the block that holds trial t: blocks are
+    max(TRIALS_BLOCK, 10 k) trials from trial 0 on, enough rows for
+    Iman-Conover, and a tail shorter than one joins the block before it.
+    Past the run's last trial each block is whole, as in a longer run."""
+    size = max(TRIALS_BLOCK, 10 * len(spec.assumptions))
+    start = t // size * size
+    if t < spec.trials and spec.trials - start < 2 * size:  # the run's last block
+        return max(spec.trials // size - 1, 0) * size, spec.trials
+    return start, start + size
+
+
+def _sample_block(spec: SimulationSpec, start: int, stop: int) -> np.ndarray:
+    """Assumption values for the block of trials start..stop-1, rank-correlated
+    within the block, so a block depends on no trial outside it."""
+    values = _sample_matrix(spec, stop - start, start)
+    if spec.has_correlation() and len(spec.assumptions) > 0:
+        values = induce_rank_correlation(values, spec.correlation, RandomSource(spec.seed),
+                                         len(spec.assumptions), start)
+    return values
+
+
 def sample_assumptions(spec: SimulationSpec) -> np.ndarray:
     """Full post-correlation assumption matrix for the run."""
-    values = _sample_matrix(spec, spec.trials)
-    if spec.has_correlation() and len(spec.assumptions) > 0:
-        src = RandomSource(spec.seed)
-        values = induce_rank_correlation(
-            values, spec.correlation, src, stream_offset=len(spec.assumptions))
+    values = _trial_array(spec.trials, len(spec.assumptions))
+    stop = 0
+    while stop < spec.trials:
+        start, stop = _block_bounds(spec, stop)
+        values[start:stop] = _sample_block(spec, start, stop)
     return values
 
 
 def run(model: Model, spec: SimulationSpec) -> TrialStore:
-    """Execute the full simulation, TRIALS_BLOCK trials per evaluation pass.
+    """Execute the full simulation, sampling and evaluating one block at a time.
 
     stop_on_error=True halts at the first calculation error, keeping all
-    prior complete trials plus the dossier, and evaluates no later block;
+    prior complete trials plus the dossier, and samples no later block;
     otherwise erroneous trials are recorded separately and excluded from
     the matrices.
     """
     spec.validate(model)
     forecast_cells = [f.cell for f in spec.forecasts]
     limit_cells = [lim.cell for lim in spec.limits]
-    # Iman-Conover ranks every row, so a correlated run samples them all
-    # first; an uncorrelated one samples each block as it comes. The kept
-    # rows are packed to the front of these matrices as the blocks go by.
-    correlated = spec.has_correlation()
-    values = (sample_assumptions(spec) if correlated
-              else _trial_array(spec.trials, len(spec.assumptions)))
+    # the kept rows are packed to the front of these matrices as the blocks go by
+    values = _trial_array(spec.trials, len(spec.assumptions))
     forecasts = _trial_array(spec.trials, len(forecast_cells))
     monitored = _trial_array(spec.trials, len(limit_cells))
     trial_indices = _trial_array(spec.trials, dtype=np.intp)
     kept = 0
     errors = []
     dossier = None
-    for start in range(0, spec.trials, TRIALS_BLOCK):
-        n = min(TRIALS_BLOCK, spec.trials - start)
-        block = values[start:start + n] if correlated else _sample_matrix(spec, n, start)
+    stop = 0
+    while stop < spec.trials:
+        start, stop = _block_bounds(spec, stop)
+        n = stop - start
+        block = _sample_block(spec, start, stop)
         batch = evaluate_batch(
             model, {c: block[:, j] for j, c in enumerate(spec.assumption_cells)}, n)
         failed = sorted(batch.errors)
@@ -288,10 +308,9 @@ def run(model: Model, spec: SimulationSpec) -> TrialStore:
         else:
             errors += trapped
         rows = slice(kept, kept + np.count_nonzero(ok))
+        values[rows] = block[ok]
         _capture(batch, forecast_cells, ok, forecasts[rows])
         _capture(batch, limit_cells, ok, monitored[rows])
-        # last: a correlated block and its batch columns are views of values
-        values[rows] = block[ok]
         trial_indices[rows] = start + np.flatnonzero(ok)
         kept = rows.stop
         if dossier is not None:
@@ -346,15 +365,18 @@ class StepSession:
     """Interactive single-trial stepping over the run's RNG stream.
 
     Stepping then running is equivalent to running: step t draws row t of
-    the run's assumptions. A correlated run's rows are sampled once, at the
-    start, so its session ends at the run's last trial.
+    the run's assumptions, and past the run's last trial, row t of any run
+    in which t's block is whole. A correlated session draws the whole block
+    of its step and keeps that one block; it draws trial 0's at the start.
     """
 
     def __init__(self, model: Model, spec: SimulationSpec):
         spec.validate(model)
         self.model = model
         self.spec = spec
-        self._correlated = sample_assumptions(spec) if spec.has_correlation() else None
+        # (start, stop, values) of the block a correlated session last drew
+        bounds = _block_bounds(spec, 0)
+        self._block = (*bounds, _sample_block(spec, *bounds)) if spec.has_correlation() else None
         self.reset()
 
     def reset(self) -> None:
@@ -363,15 +385,15 @@ class StepSession:
         self._current = base if not isinstance(base, CalcError) else None
 
     def step(self) -> TrialOutcome:
-        """The next trial; an IndexError past a correlated run's last trial."""
+        """The next trial."""
         t = self.next_trial
-        if self._correlated is None:
+        if self._block is None:
             values = _sample_matrix(self.spec, t + 1)[t]
-        elif t < self.spec.trials:
-            values = self._correlated[t]
         else:
-            raise IndexError(f"trial {t} is past the {self.spec.trials} trials of the "
-                             "correlated run; reset to step again")
+            start, stop = _block_bounds(self.spec, t)
+            if self._block[:2] != (start, stop):
+                self._block = start, stop, _sample_block(self.spec, start, stop)
+            values = self._block[2][t - start]
         overrides = {c: float(values[j])
                      for j, c in enumerate(self.spec.assumption_cells)}
         result = evaluate(self.model, overrides)

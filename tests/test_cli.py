@@ -219,6 +219,25 @@ class TestRun:
         assert rows == [10, simulate.TRIALS_BLOCK]
         assert files["10"] == files["1000000"]
 
+    def test_halted_correlated_run_stops_at_its_first_block(self, tmp_path, monkeypatch):
+        # the correlated trap fails in its first block: a 1M-trial run samples
+        # and evaluates that block alone, and writes the dossier and trials of
+        # a 2,048-trial run, whose first block is the same
+        path = write_doc(tmp_path, CORRELATED_TRAP)
+        sampled, evaluated = [], []
+        sample_matrix, evaluate_batch = simulate._sample_matrix, simulate.evaluate_batch
+        monkeypatch.setattr(simulate, "_sample_matrix",
+                            lambda *a: sampled.append(a[1]) or sample_matrix(*a))
+        monkeypatch.setattr(simulate, "evaluate_batch",
+                            lambda *a, **kw: evaluated.append(a[2]) or evaluate_batch(*a, **kw))
+        files = {}
+        for trials in ("2048", "1000000"):
+            assert main(["run", path, "--trials", trials,
+                         "--out", str(tmp_path / trials)]) == 1
+            files[trials] = [read(tmp_path / trials / f) for f in ("dossier.json", "trials.csv")]
+        assert sampled == evaluated == 2 * [simulate.TRIALS_BLOCK]
+        assert files["2048"] == files["1000000"]
+
     @pytest.mark.parametrize("command", ["run", "audit"])
     def test_integral_floats_in_run_block(self, tmp_path, capsys, command):
         # the schema counts 200.0 as an integer; the run must too
@@ -464,6 +483,39 @@ def write_doc(tmp_path, doc, name="doc.json"):
     return str(path)
 
 
+# X ~ Normal(0, 1) under =SQRT(A1), so about half the trials fail, and
+# Y ~ U(0, 1) rank-correlated with X
+CORRELATED_TRAP = {
+    "name": "correlated-sqrt-trap",
+    "cells": [{"address": "A1", "label": "X", "formula": 1},
+              {"address": "A2", "label": "Root", "formula": "=SQRT(A1)"},
+              {"address": "B1", "label": "Y", "formula": 0.5}],
+    "assumptions": [{"cell": "X", "distribution": {"type": "normal", "mean": 0, "sd": 1}},
+                    {"cell": "Y", "distribution": {"type": "uniform", "min": 0, "max": 1}}],
+    "correlations": [{"a": "X", "b": "Y", "rho": 0.5}],
+    "forecasts": [{"cell": "A2", "label": "Root"}],
+}
+
+
+def trial_rows(path):
+    """The values of each row of a trials.csv, without its trial column."""
+    with open(path) as fh:
+        return [[float(v) for v in row[1:]] for row in list(csv.reader(fh))[1:]]
+
+
+def stepped(lines):
+    """(trial, values) of each step a session printed: its two lines hold the
+    assumptions, then the forecasts, in trials.csv's column order."""
+    steps = []
+    for trial, forecasts in zip(lines[::2], lines[1::2]):
+        head, assumptions = trial.split(": ", 1)
+        steps.append((int(head.removeprefix("trial ")),
+                      [float(part.split("=")[1])
+                       for line in (assumptions, forecasts.split(": ", 1)[1])
+                       for part in line.split(", ")]))
+    return steps
+
+
 def write_xy_doc(tmp_path, formula):
     """A document of X ~ uniform(1, 2) in A1 and the forecast Y = formula in A2."""
     doc = {"name": "scaled",
@@ -554,10 +606,19 @@ class TestErrorExits:
 
     @pytest.mark.parametrize("command", ["run", "audit", "scenario", "step"])
     def test_trial_count_too_large_to_hold(self, tmp_path, capsys, monkeypatch, command):
+        if command == "step":
+            # a session holds one block, so it steps; its trial 0 is that of
+            # any run whose first block is whole
+            assert main(["run", CORRELATED, "--trials", "2048", "--out", str(tmp_path)]) == 0
+            capsys.readouterr()
+            monkeypatch.setattr("sys.stdin", io.StringIO("step\nquit\n"))
+            assert main(["step", CORRELATED, "--trials", str(10 ** 20)]) == 0
+            assert stepped(capsys.readouterr().out.splitlines()) == [
+                (0, trial_rows(tmp_path / "trials.csv")[0])]
+            return
         # 10**20 rows are beyond numpy's largest dimension: nothing is allocated
-        monkeypatch.setattr("sys.stdin", io.StringIO("step\nquit\n"))
-        out = [] if command == "step" else ["--out", str(tmp_path)]
-        assert main([command, CORRELATED, "--trials", str(10 ** 20), *out]) == 1
+        assert main([command, CORRELATED, "--trials", str(10 ** 20),
+                     "--out", str(tmp_path)]) == 1
         assert one_error_line(capsys, "error:") == (
             f"error: {10 ** 20} trials are too many to hold in memory")
         assert os.listdir(tmp_path) == []
@@ -734,6 +795,13 @@ class TestErrorExits:
         assert main(["run", write_xy_doc(tmp_path, formula), "--out", str(out)]) == 1
         assert one_error_line(capsys, f"build error: A2: {message} (at position ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("literal", ["1_000", "٣"])
+    def test_bare_literal_outside_the_number_grammar_is_a_build_error(
+            self, tmp_path, capsys, literal):
+        assert main(["validate", write_xy_doc(tmp_path, literal)]) == 1
+        assert one_error_line(capsys, "build error:") == (
+            "build error: A2: expected '=' formula or numeric literal (at position 0)")
 
     def test_number_beyond_the_float_range_is_a_build_error(self, tmp_path, capsys):
         assert main(["validate", write_xy_doc(tmp_path, "=A1+1e400")]) == 1
@@ -947,36 +1015,21 @@ class TestStep:
         assert "error:" in capsys.readouterr().out
 
     def test_correlated_steps_equal_run_rows(self, monkeypatch, capsys, tmp_path):
-        args = ["--trials", "200", "--seed", "7"]
-        assert main(["run", CORRELATED, *args, "--out", str(tmp_path)]) == 0
-        with open(tmp_path / "trials.csv") as fh:
-            rows = [[float(v) for v in row[1:]] for row in list(csv.reader(fh))[1:]]
-        assert len(rows) == 200
+        # steps 0..199 are the 200-trial run's rows; past its end, steps 200
+        # and 201 are rows of a run whose first block is whole
+        rows = {}
+        for trials in ("200", "1024"):
+            assert main(["run", CORRELATED, "--trials", trials, "--seed", "7",
+                         "--out", str(tmp_path / trials)]) == 0
+            rows[trials] = trial_rows(tmp_path / trials / "trials.csv")
+        assert len(rows["200"]) == 200 and rows["1024"][:200] != rows["200"]
         capsys.readouterr()
-        assert self.run_step(monkeypatch, "run 199\nstep\nstep\nreset\nstep\nquit\n",
-                             path=CORRELATED, extra=args) == 0
+        assert self.run_step(monkeypatch, "run 201\nstep\nreset\nstep\nquit\n",
+                             path=CORRELATED, extra=["--trials", "200", "--seed", "7"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[400:402] == [("error: trial 200 is past the 200 trials of the "
-                                   "correlated run; reset to step again"),
-                                  "reset to trial 0"]
-        del lines[400:402]
-        steps = [lines[i:i + 2] for i in range(0, len(lines), 2)]
-        assert len(steps) == 201
-        for t, (trial, forecasts) in enumerate(steps):
-            assert trial.startswith(f"trial {t % 200}: ")
-            values = [float(part.split("=")[1])
-                      for line in (trial.split(": ", 1)[1], forecasts.split(": ", 1)[1])
-                      for part in line.split(", ")]
-            assert values == rows[t % 200]
-
-    def test_correlated_notice(self, monkeypatch, capsys):
-        assert self.run_step(monkeypatch, "run 200\nstep\nstep\nquit\n",
-                             path=CORRELATED, extra=["--trials", "200"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 402
-        assert lines[398].startswith("trial 199: ")
-        assert lines[400:] == 2 * [("error: trial 200 is past the 200 trials of the "
-                                    "correlated run; reset to step again")]
+        assert lines.pop(404) == "reset to trial 0"
+        assert stepped(lines) == [*enumerate(rows["200"]), (200, rows["1024"][200]),
+                                  (201, rows["1024"][201]), (0, rows["200"][0])]
 
     def test_correlated_session_needs_the_run_trials(self, monkeypatch, capsys, tmp_path):
         assert main(["run", CORRELATED, "--trials", "20", "--out", str(tmp_path)]) == 1

@@ -1,5 +1,5 @@
-"""Column-at-a-time sampling and block-at-a-time Iman-Conover scores against
-the formulas they replace, and the memory that sampling holds."""
+"""Column-at-a-time sampling and block-at-a-time Iman-Conover against the
+formulas they replace, and the memory that sampling holds."""
 
 import tracemalloc
 from contextlib import nullcontext
@@ -41,22 +41,23 @@ KINDS = [
 ]
 
 
-def reference_sample_matrix(spec, n):
-    """Pre-correlation values from one n x k block of uniforms."""
+def reference_sample_matrix(spec, n, start=0):
+    """Pre-correlation values of trials start.. from one n x k block of uniforms."""
     src = RandomSource(spec.seed)
     k = len(spec.assumptions)
     values = np.empty((n, k))
     if k == 0:
         return values
-    u = src.uniform_block(np.arange(n), np.arange(k))
+    u = src.uniform_block(np.arange(start, start + n), np.arange(k))
     for j, dist in enumerate(spec.distributions):
         values[:, j] = inverse_cdf_array(dist, u[:, j])
     return values
 
 
-def reference_scores(n, spec, src, stream_offset):
+def reference_scores(n, spec, src, stream_offset, trial_offset=0):
     """The Iman-Conover scores from one n x k block of uniforms."""
-    u = src.uniform_block(np.arange(n), np.arange(stream_offset, stream_offset + spec.size))
+    u = src.uniform_block(np.arange(trial_offset, trial_offset + n),
+                          np.arange(stream_offset, stream_offset + spec.size))
     return correlate_scores(norm_ppf(u), spec)
 
 
@@ -79,9 +80,9 @@ def correlate_scores(z, spec):
     return z @ np.linalg.inv(l_sample).T @ _psd_sqrt(target).T
 
 
-def reference_induce(columns, spec, src, stream_offset=0):
+def reference_induce(columns, spec, src, stream_offset=0, trial_offset=0):
     return reorder_by_scores(columns, reference_scores(columns.shape[0], spec, src,
-                                                       stream_offset))
+                                                       stream_offset, trial_offset))
 
 
 def reorder_by_scores(columns, scores):
@@ -94,12 +95,28 @@ def reorder_by_scores(columns, scores):
     return out
 
 
+def reference_blocks(trials, k):
+    """(start, stop) of a run's blocks, listed: max(TRIALS_BLOCK, 10 k) trials
+    each, with a tail shorter than one block joined to the block before it."""
+    size = max(TRIALS_BLOCK, 10 * k)
+    starts = list(range(0, trials, size))
+    if len(starts) > 1 and trials - starts[-1] < size:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [trials]))
+
+
 def reference_sample_assumptions(spec):
-    values = reference_sample_matrix(spec, spec.trials)
-    if spec.has_correlation() and len(spec.assumptions) > 0:
-        values = reference_induce(values, spec.correlation, RandomSource(spec.seed),
-                                  stream_offset=len(spec.assumptions))
-    return values
+    """Each block sampled and rank-correlated on its own, its scores drawn
+    at its own trials."""
+    k = len(spec.assumptions)
+    blocks = []
+    for start, stop in reference_blocks(spec.trials, k):
+        values = reference_sample_matrix(spec, stop - start, start)
+        if spec.has_correlation() and k > 0:
+            values = reference_induce(values, spec.correlation, RandomSource(spec.seed),
+                                      stream_offset=k, trial_offset=start)
+        blocks.append(values)
+    return np.concatenate(blocks) if blocks else np.empty((0, k))
 
 
 def bits_equal(a, b):
@@ -140,17 +157,18 @@ class TestAgainstWholeGrid:
 
     @settings(max_examples=80, deadline=None)
     @given(k=st.integers(1, 30), extra=st.integers(0, 300), seed=SEEDS,
-           offset=st.integers(0, 2 ** 32), matrix_seed=st.integers(0, 2 ** 32))
-    def test_induce_rank_correlation(self, k, extra, seed, offset, matrix_seed):
+           offset=st.integers(0, 2 ** 32), trial_offset=st.integers(0, 2 ** 40),
+           matrix_seed=st.integers(0, 2 ** 32))
+    def test_induce_rank_correlation(self, k, extra, seed, offset, trial_offset, matrix_seed):
         n = 10 * k + extra
         columns = np.random.default_rng(matrix_seed).normal(size=(n, k))
         spec = random_correlation(k, matrix_seed)
+        args = (spec, RandomSource(seed), offset, trial_offset)
         # the output is read off the scores' ranks, which hide a last-bit
         # difference: the scores themselves must be equal too
-        assert bits_equal(_scores(n, spec, RandomSource(seed), offset),
-                          reference_scores(n, spec, RandomSource(seed), offset))
-        got = induce_rank_correlation(columns, spec, RandomSource(seed), offset)
-        assert bits_equal(got, reference_induce(columns, spec, RandomSource(seed), offset))
+        assert bits_equal(_scores(n, *args), reference_scores(n, *args))
+        assert bits_equal(induce_rank_correlation(columns, *args),
+                          reference_induce(columns, *args))
 
     @settings(max_examples=15, deadline=None)
     @given(kinds=st.lists(st.integers(0, len(KINDS) - 1), min_size=2, max_size=12),
@@ -164,6 +182,23 @@ class TestAgainstWholeGrid:
         _, spec = ModelDocument.load(example_path("project-npv-correlated.json")).build(
             trials=2000)
         assert spec.has_correlation()
+        assert bits_equal(sample_assumptions(spec), reference_sample_assumptions(spec))
+
+    @pytest.mark.parametrize("trials", [2047, 2048, 3000, 5000])
+    def test_block_by_block(self, trials):
+        # 2,047 trials are one block; 2,048 are two whole ones; 3,000 and
+        # 5,000 end in a block that took in a shorter tail
+        _, spec = ModelDocument.load(example_path("project-npv-correlated.json")).build(
+            trials=trials)
+        assert len(reference_blocks(trials, len(spec.assumptions))) == {
+            2047: 1, 2048: 2, 3000: 2, 5000: 4}[trials]
+        assert bits_equal(sample_assumptions(spec), reference_sample_assumptions(spec))
+
+    def test_blocks_of_ten_trials_an_assumption(self):
+        # past 102 assumptions a block is 10 k trials, Iman-Conover's minimum
+        dists = [KINDS[j % len(KINDS)] for j in range(110)]
+        spec = spec_for(dists, 3000, 5, banded(110, 0.3))
+        assert reference_blocks(3000, 110) == [(0, 1100), (1100, 3000)]
         assert bits_equal(sample_assumptions(spec), reference_sample_assumptions(spec))
 
 
@@ -233,6 +268,13 @@ class TestMemory:
         dists = [Uniform(0.0, 1.0 + j) if j % 2 else Triangular(0.0, j, 2.0 * j + 1)
                  for j in range(24)]
         assert self.peak_ratio(spec_for(dists, 5000, 3, banded(24, 0.3))) <= 4.5
+
+    def test_24_assumptions_at_50000_trials(self):
+        # correlation holds one block's scores, so beside the output they
+        # shrink as the run grows
+        dists = [Uniform(0.0, 1.0 + j) if j % 2 else Triangular(0.0, j, 2.0 * j + 1)
+                 for j in range(24)]
+        assert self.peak_ratio(spec_for(dists, 50000, 3, banded(24, 0.3))) <= 2.0
 
     def test_4_assumptions_at_20000_trials(self):
         dists = [Uniform(0.0, 1.0), Triangular(-1.0, 0.0, 2.0),

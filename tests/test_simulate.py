@@ -242,8 +242,8 @@ def one_pass(model, spec):
 
 
 class TestBlocks:
-    """run evaluates TRIALS_BLOCK trials at a time and keeps what one pass
-    over every trial keeps, bit for bit."""
+    """run samples, correlates and evaluates a block of trials at a time and
+    keeps what one pass over every trial keeps, bit for bit."""
 
     @pytest.mark.parametrize("correlated", [False, True])
     @pytest.mark.parametrize("stop_on_error", [True, False])
@@ -269,6 +269,26 @@ class TestBlocks:
                           (store.forecast_matrix, forecasts),
                           (store.monitored_matrix, monitored)):
             assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+    def test_correlated_runs_share_their_whole_blocks(self):
+        # a 3,072-trial run is three whole blocks, which a 5,000-trial run
+        # shares: the same kept rows and errors up to trial 3,071
+        model = build_model([("A1", "x", 0.5), ("A2", "y", 0.5),
+                             ("A3", "r", "=SQRT(0.999-A1)+A2")])
+        spec = SimulationSpec(
+            assumptions=[(C("A1"), Uniform(0, 1)), (C("A2"), Uniform(0, 1))],
+            forecasts=[Forecast(C("A3"), "r")],
+            correlation=CorrelationSpec.from_pairs(2, {(0, 1): 0.6}),
+            trials=3072, seed=8, stop_on_error=False)
+        prefix, store = run(model, spec), run(model, replace(spec, trials=5000))
+        rows = store.trial_indices < 3072
+        assert prefix.errors and len(store.errors) > len(prefix.errors)
+        assert [e for e in store.errors if e.trial < 3072] == prefix.errors
+        assert np.array_equal(store.trial_indices[rows], prefix.trial_indices)
+        for got, want in ((store.assumption_matrix[rows], prefix.assumption_matrix),
+                          (store.forecast_matrix[rows], prefix.forecast_matrix)):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -354,18 +374,22 @@ class TestStepSession:
         with pytest.raises(KeyError):
             session.show("Z99")
 
-    def test_notice_when_correlated(self):
+    def test_correlated_steps_equal_run_rows(self):
+        # each step is that row of the run; past the run's last trial, step t
+        # is row t of a run in which t's block is whole
         corr = CorrelationSpec.from_pairs(2, {(0, 1): 0.8})
-        model, spec = linear_model(trials=50, correlation=corr)
-        store = run(model, spec)
+        model, spec = linear_model(trials=3000, correlation=corr)
+        longer = run(model, replace(spec, trials=7000)).assumption_matrix
+        want = np.concatenate([run(model, spec).assumption_matrix, longer[3000:4096]])
         session = StepSession(model, spec)
-        outcomes = session.run(50)
-        assert [o.assumptions[C("A1")] for o in outcomes] == list(store.assumption_matrix[:, 0])
-        for _ in range(2):
-            with pytest.raises(IndexError, match="^trial 50 is past the 50 trials of the "
-                                                 "correlated run; reset to step again$"):
-                session.step()
-            assert session.next_trial == 50
+        got = [list(o.assumptions.values()) for o in session.run(4096)]
+        assert np.array_equal(got, want)
+        # a run shorter than one block: its own rows, then a whole block's
+        model, spec = linear_model(trials=50, correlation=corr)
+        session = StepSession(model, spec)
+        got = [list(o.assumptions.values()) for o in session.run(51)]
+        assert np.array_equal(got[:50], run(model, spec).assumption_matrix)
+        assert np.array_equal(got[50], sample_assumptions(replace(spec, trials=1024))[50])
         model, spec = linear_model(trials=50)
         session = StepSession(model, spec)
         assert session.run(51)[-1].trial == 50
