@@ -23,6 +23,8 @@ matrix is freed as soon as it is decorrelated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -38,7 +40,14 @@ class CorrelationError(ValueError):
 
 @dataclass(frozen=True)
 class CorrelationSpec:
-    """Square symmetric matrix of target Spearman coefficients."""
+    """Square symmetric matrix of target Spearman coefficients.
+
+    Frozen, so what depends on the matrix alone is worked out on its first
+    use and kept on the instance: why it is not a valid correlation matrix,
+    if it is not; whether it is the identity; and the root of its normal
+    scores' target. A run reorders many blocks against one spec and pays
+    for each of these once.
+    """
 
     matrix: tuple  # tuple of tuples, row major
 
@@ -63,29 +72,49 @@ class CorrelationSpec:
     def size(self) -> int:
         return len(self.matrix)
 
+    @cached_property
     def is_identity(self) -> bool:
         return np.array_equal(self.as_array(), np.eye(self.size))
 
+    @cached_property
+    def _problem(self) -> Optional[str]:
+        """Why the matrix is not symmetric, unit-diagonal, in-range and PSD;
+        None where it is."""
+        m = self.as_array()
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            return "correlation matrix must be square"
+        if not np.allclose(np.diag(m), 1.0, rtol=0, atol=0):
+            return "correlation matrix diagonal must be 1"
+        if not np.array_equal(m, m.T):
+            return "correlation matrix must be symmetric"
+        if np.any(np.abs(m) > 1.0):
+            bad = np.argwhere(np.abs(m) > 1.0)[0]
+            return (f"correlation entry ({bad[0]},{bad[1]}) = {m[bad[0], bad[1]]} "
+                    f"outside [-1, 1]")
+        eigenvalues = np.linalg.eigvalsh(m)
+        if eigenvalues.min() < PSD_TOL:
+            return (f"correlation matrix is not positive semi-definite "
+                    f"(most negative eigenvalue {eigenvalues.min():.3e})")
+        return None
+
+    @cached_property
+    def score_root(self) -> np.ndarray:
+        """L.T, read-only, for L @ L.T the Pearson target of the normal
+        scores: the Spearman target mapped by 2 sin(pi rho / 6)."""
+        target = 2.0 * np.sin(np.pi * self.as_array() / 6.0)
+        np.fill_diagonal(target, 1.0)
+        root = _psd_sqrt(target).T
+        root.flags.writeable = False
+        return root
+
 
 def validate_correlation(spec: CorrelationSpec) -> None:
-    """Raise CorrelationError unless symmetric, unit-diagonal, in-range, PSD."""
-    m = spec.as_array()
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise CorrelationError("correlation matrix must be square")
-    k = m.shape[0]
-    if not np.allclose(np.diag(m), 1.0, rtol=0, atol=0):
-        raise CorrelationError("correlation matrix diagonal must be 1")
-    if not np.array_equal(m, m.T):
-        raise CorrelationError("correlation matrix must be symmetric")
-    if np.any(np.abs(m) > 1.0):
-        bad = np.argwhere(np.abs(m) > 1.0)[0]
-        raise CorrelationError(
-            f"correlation entry ({bad[0]},{bad[1]}) = {m[bad[0], bad[1]]} outside [-1, 1]")
-    eigenvalues = np.linalg.eigvalsh(m)
-    if eigenvalues.min() < PSD_TOL:
-        raise CorrelationError(
-            f"correlation matrix is not positive semi-definite "
-            f"(most negative eigenvalue {eigenvalues.min():.3e})")
+    """Raise CorrelationError unless symmetric, unit-diagonal, in-range, PSD.
+
+    The matrix is checked once per spec; an invalid one raises on every call.
+    """
+    if spec._problem is not None:
+        raise CorrelationError(spec._problem)
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -98,10 +127,6 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
 def _scores(n: int, spec: CorrelationSpec, src: RandomSource,
             stream_offset: int, trial_offset: int = 0) -> np.ndarray:
     """Normal scores of n trials from trial_offset, correlated so their ranks meet spec."""
-    # Spearman target -> Pearson target for the normal scores.
-    target = 2.0 * np.sin(np.pi * spec.as_array() / 6.0)
-    np.fill_diagonal(target, 1.0)
-
     streams = np.arange(stream_offset, stream_offset + spec.size)
     z = np.empty((n, spec.size))
     for start in range(0, n, TRIALS_BLOCK):
@@ -116,7 +141,7 @@ def _scores(n: int, spec: CorrelationSpec, src: RandomSource,
     l_sample = np.linalg.cholesky(sample)
     decorrelated = z @ np.linalg.inv(l_sample).T
     del z
-    return decorrelated @ _psd_sqrt(target).T
+    return decorrelated @ spec.score_root
 
 
 def induce_rank_correlation(columns: np.ndarray, spec: CorrelationSpec,

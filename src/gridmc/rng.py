@@ -52,7 +52,11 @@ def _unit(x: np.ndarray) -> np.ndarray:
     """The top 53 bits of x, shifted into the open unit interval.
 
     The draw of all-ones bits, 1 - 2**-54, rounds to 1.0 in float64: it is
-    clamped to U_MAX, the largest draw below 1.
+    clamped to U_MAX, the largest draw below 1. x is overwritten: it is
+    shifted in place, and its one float copy is scaled in place.
     """
-    u = ((x >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    x >>= np.uint64(11)
+    u = x.astype(np.float64)
+    u += 0.5
+    u *= 2.0 ** -53
     return np.minimum(u, U_MAX, out=u)

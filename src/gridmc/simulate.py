@@ -124,7 +124,7 @@ class SimulationSpec:
         return [d for _, d in self.assumptions]
 
     def has_correlation(self) -> bool:
-        return self.correlation is not None and not self.correlation.is_identity()
+        return self.correlation is not None and not self.correlation.is_identity
 
 
 def check_labels(model: Model, forecasts: list) -> None:
@@ -223,19 +223,23 @@ def _trial_array(trials: int, *width: int, dtype=float) -> np.ndarray:
         raise SimulationError(f"{trials} trials are too many to hold in memory") from None
 
 
-def _sample_matrix(spec: SimulationSpec, n: int, start: int = 0) -> np.ndarray:
-    """Pre-correlation assumption values for trials start..start+n-1."""
-    src = RandomSource(spec.seed)
+def _sample_matrix(spec: SimulationSpec, n: int, start: int = 0,
+                   u: Optional[np.ndarray] = None) -> np.ndarray:
+    """Pre-correlation assumption values for trials start..start+n-1.
+
+    Column j is spec's j-th inverse CDF applied to u[:, j], where u is the
+    n x k grid of uniforms of those trials. Without u, the uniforms are
+    drawn one column at a time, as an uncorrelated step draws them; the RNG
+    is counter-based, so a column equals that column of the whole grid.
+    """
     k = len(spec.assumptions)
     values = _trial_array(n, k)
     if k == 0:
         return values
-    trials = np.arange(start, start + n)
+    src, trials = RandomSource(spec.seed), np.arange(start, start + n)
     for j, dist in enumerate(spec.distributions):
-        # one column of draws at a time: the RNG is counter-based, so the
-        # column equals that column of the whole n x k block
-        u = src.uniform_block(trials, [j])[:, 0]
-        values[:, j] = dist.inverse_cdf(u)
+        values[:, j] = dist.inverse_cdf(
+            u[:, j] if u is not None else src.uniform_block(trials, [j])[:, 0])
     return values
 
 
@@ -253,11 +257,18 @@ def _block_bounds(spec: SimulationSpec, t: int) -> tuple:
 
 def _sample_block(spec: SimulationSpec, start: int, stop: int) -> np.ndarray:
     """Assumption values for the block of trials start..stop-1, rank-correlated
-    within the block, so a block depends on no trial outside it."""
-    values = _sample_matrix(spec, stop - start, start)
-    if spec.has_correlation() and len(spec.assumptions) > 0:
-        values = induce_rank_correlation(values, spec.correlation, RandomSource(spec.seed),
-                                         len(spec.assumptions), start)
+    within the block, so a block depends on no trial outside it.
+
+    The block's n x k value uniforms are one uniform_block call, handed to
+    _sample_matrix and freed before Iman-Conover draws its scores from
+    streams k..2k-1.
+    """
+    k = len(spec.assumptions)
+    src = RandomSource(spec.seed)
+    values = _sample_matrix(spec, stop - start, start,
+                            src.uniform_block(np.arange(start, stop), np.arange(k)))
+    if spec.has_correlation() and k > 0:
+        values = induce_rank_correlation(values, spec.correlation, src, k, start)
     return values
 
 

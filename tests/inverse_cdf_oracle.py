@@ -3,7 +3,7 @@
 These are the per-element methods gridmc's distributions had before each
 became one array expression, kept as the oracle the array methods are tested
 against bit for bit. The normal quantile comes from the masked norm_ppf
-oracle.
+oracle, called once per array by inverse_cdf_array.
 """
 
 import itertools
@@ -50,7 +50,16 @@ def inverse_cdf(dist, u: float) -> float:
 
 
 def inverse_cdf_array(dist, u) -> np.ndarray:
-    """inverse_cdf of each element of u, in an array of u's shape."""
+    """inverse_cdf of each element of u, in an array of u's shape.
+
+    A Normal or Lognormal takes the masked norm_ppf of the whole array in one
+    call, then its mean + sd * z, and exp, on each element's Python float.
+    """
     u = np.asarray(u, dtype=float)
-    return np.array([inverse_cdf(dist, x) for x in u.ravel().tolist()],
-                    dtype=float).reshape(u.shape)
+    if isinstance(dist, Normal):
+        out = [dist.mean + dist.sd * z for z in norm_ppf(u.ravel()).tolist()]
+    elif isinstance(dist, Lognormal):
+        out = [math.exp(dist.log_mean + dist.log_sd * z) for z in norm_ppf(u.ravel()).tolist()]
+    else:
+        out = [inverse_cdf(dist, x) for x in u.ravel().tolist()]
+    return np.array(out, dtype=float).reshape(u.shape)

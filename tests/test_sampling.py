@@ -1,6 +1,8 @@
-"""Column-at-a-time sampling and block-at-a-time Iman-Conover against the
-formulas they replace, and the memory that sampling holds."""
+"""Block-at-a-time sampling and Iman-Conover against the formulas they
+replace, the column-at-a-time draws of a step against a block's, the
+spec-only work done once per spec, and the memory that sampling holds."""
 
+import inspect
 import tracemalloc
 from contextlib import nullcontext
 
@@ -26,7 +28,15 @@ from gridmc.distributions import (
 )
 from gridmc.document import ModelDocument
 from gridmc.rng import TRIALS_BLOCK, RandomSource
-from gridmc.simulate import SimulationSpec, _sample_matrix, sample_assumptions
+from gridmc.simulate import (
+    SimulationSpec,
+    StepSession,
+    _block_bounds,
+    _sample_block,
+    _sample_matrix,
+    run,
+    sample_assumptions,
+)
 from tests.conftest import example_path
 from tests.inverse_cdf_oracle import inverse_cdf_array
 from tests.norm_ppf_oracle import norm_ppf
@@ -249,6 +259,58 @@ class TestReorder:
         spec = CorrelationSpec.identity(5)
         got = induce_rank_correlation(columns, spec, RandomSource(0))
         assert bits_equal(got, reorder_by_scores(columns, scores))
+
+
+class TestDrawPaths:
+    """A block draws its value uniforms in one n x k call, and an uncorrelated
+    step one column at a time: the RNG is counter-based, so both give the
+    same bits."""
+
+    @pytest.mark.parametrize("t,bounds", [
+        (0, (0, 1024)),  # the run's first block
+        (1024, (1024, 3071)),  # 2,047 rows: the last block took in a tail
+        (5000, (4096, 5120)),  # past the run's end
+    ])
+    def test_block_equals_column_draws(self, t, bounds):
+        spec = spec_for(KINDS * 2, 3071, 2 ** 64 - 3)
+        assert not spec.has_correlation()
+        start, stop = _block_bounds(spec, t)
+        assert (start, stop) == bounds
+        assert bits_equal(_sample_block(spec, start, stop),
+                          _sample_matrix(spec, stop - start, start))
+
+    def test_steps_equal_run(self):
+        model, spec = ModelDocument.load(example_path("project-npv.json")).build(trials=1024)
+        assert not spec.has_correlation()
+        store = run(model, spec)
+        assert store.trial_indices[:400].tolist() == list(range(400))
+        steps = [[o.assumptions[c] for c in spec.assumption_cells]
+                 for o in StepSession(model, spec).run(400)]
+        assert bits_equal(np.array(steps), store.assumption_matrix[:400])
+
+
+class TestSpecOnlyWork:
+    """The correlation's check, its target's root and whether it is the
+    identity are worked out once per spec, not once per block."""
+
+    def test_eigen_calls_do_not_grow_with_blocks(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(*args, _original=getattr(np.linalg, name), **kwargs):
+                if inspect.currentframe().f_back.f_globals["__name__"] == correlation.__name__:
+                    calls.append(_original.__name__)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        counts = {}
+        for trials in (20480, 1024):  # 20 blocks, then 1
+            _, spec = ModelDocument.load(example_path("project-npv-correlated.json")).build(
+                trials=trials)
+            assert len(reference_blocks(trials, len(spec.assumptions))) == {
+                20480: 20, 1024: 1}[trials]
+            calls.clear()
+            sample_assumptions(spec)
+            counts[trials] = len(calls)
+        assert counts[20480] == counts[1024] > 0
 
 
 class TestMemory:
