@@ -103,6 +103,7 @@ class TornadoBar:
 class TornadoResult:
     base: float
     bars: list  # sorted by swing, descending
+    medians: tuple  # every assumption's median, in spec order; not in to_json
 
     def bar(self, label: str) -> TornadoBar:
         for b in self.bars:
@@ -333,8 +334,9 @@ def tornado(model: Model, spec: SimulationSpec,
     while every other assumption sits at its median.
 
     The sweep's rows do not depend on the forecast, so one batch serves
-    every forecast. Returns {forecast label: TornadoResult}. Declared
-    correlations are deliberately ignored; isolation is the point.
+    every forecast. Returns {forecast label: TornadoResult}; each result's
+    medians is the sweep's row of medians. Declared correlations are
+    deliberately ignored; isolation is the point.
     """
     if not (0.0 < q_low < q_high < 1.0):
         raise ValueError("need 0 < q_low < q_high < 1")
@@ -349,6 +351,7 @@ def tornado(model: Model, spec: SimulationSpec,
         rows[2 * j + 1, j], rows[2 * j + 2, j] = low, high
     batch = evaluate_batch(
         model, {c: rows[:, j] for j, c in enumerate(spec.assumption_cells)}, 2 * k + 1)
+    medians = tuple(rows[0].tolist())
     if 0 in batch.errors:
         raise SimulationError(f"tornado base case failed: {batch.errors[0]}")
     torn = {}
@@ -366,7 +369,7 @@ def tornado(model: Model, spec: SimulationSpec,
                 error, swing, direction = str(failure), 0.0, 0
             bars.append(TornadoBar(model.label_of(cell), lo, hi, swing, direction, error))
         bars.sort(key=lambda b: -b.swing)
-        torn[f.label] = TornadoResult(base=batch.value(f.cell, 0), bars=bars)
+        torn[f.label] = TornadoResult(base=batch.value(f.cell, 0), bars=bars, medians=medians)
     return torn
 
 

@@ -119,7 +119,6 @@ def detect_disconnected(store: TrialStore, sens: dict, torn: dict,
                               f"completed trials, got {n}")
     rho_threshold = thresholds.z * math.sqrt(1.0 / n)
     spec = store.spec
-    medians = [d.median for d in spec.distributions]
     pairs = []  # (assumption index, finding) under both thresholds
     for f in spec.forecasts:
         swing_threshold = _swing_threshold(thresholds.epsilon, store.forecast_values(f.label))
@@ -140,7 +139,7 @@ def detect_disconnected(store: TrialStore, sens: dict, torn: dict,
                         "tornado_swing": bar.swing,
                         "swing_threshold": swing_threshold,
                     },
-                    witness=tuple(medians),
+                    witness=torn[f.label].medians,
                 )))
     hits = Counter(j for j, _ in pairs)
     return [finding for j, finding in pairs if hits[j] == len(spec.forecasts)]

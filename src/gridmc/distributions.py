@@ -44,26 +44,32 @@ def norm_ppf(u):
     takes and returns an array of its shape. NaN gives NaN; 0, 1, values
     outside (0, 1) and infinities raise ValueError.
 
-    Every element runs both formulas, branch-free; np.where picks each
-    result. The tail's log is numpy's: math.log rounds differently from
-    numpy's SIMD log on some inputs.
+    The central formula runs on every element, branch-free; the tail
+    formula runs only on the elements below _P_LOW or above 1 - _P_LOW,
+    and overwrites their results. The tail's log is numpy's: math.log
+    rounds differently from numpy's SIMD log on some inputs.
     """
     u = np.asarray(u, dtype=float)
     if np.count_nonzero((u <= 0.0) | (u >= 1.0)):
         raise ValueError("u must lie strictly inside (0, 1)")
     q = u - 0.5
-    mid = _horner(r := q * q, _A)
-    mid *= q
-    mid /= _horner(r, _B)
-    # one tail formula for both tails. No formula warns on elements it does
-    # not serve: log's argument is <= 0.5, mid's denominator >= 1.1e-4
-    t = np.sqrt(-2.0 * np.log(np.minimum(u, 1.0 - u)))
-    tail = _horner(t, _C)
-    tail /= _horner(t, _D)
-    # C(t)/D(t) < 0 for every t >= 2.72, and a tail element has t > 2.72, so
-    # copysign with q's sign gives the bits of tail below _P_LOW and of -tail
-    # above 1 - _P_LOW
-    return np.where((u < _P_LOW) | (u > 1 - _P_LOW), np.copysign(tail, q), mid)
+    z = _horner(r := q * q, _A)
+    z *= q
+    z /= _horner(r, _B)
+    # a 0-d u gives a numpy scalar, which takes no masked write. The central
+    # formula does not warn on a tail element: its denominator is >= 1.1e-4
+    z = np.asarray(z)
+    tails = (u < _P_LOW) | (u > 1 - _P_LOW)
+    if tails.any():
+        ut = u[tails]
+        t = np.sqrt(-2.0 * np.log(np.minimum(ut, 1.0 - ut)))
+        tail = _horner(t, _C)
+        tail /= _horner(t, _D)
+        # C(t)/D(t) < 0 for every t >= 2.72, and a tail element has t > 2.72,
+        # so copysign with q's sign gives the bits of tail below _P_LOW and
+        # of -tail above 1 - _P_LOW
+        z[tails] = np.copysign(tail, ut - 0.5)
+    return z
 
 
 # the standard-normal variates at the ends of the sampled range: a Normal or
@@ -79,10 +85,6 @@ class Distribution:
         """F^{-1} of each element of a float array u, all in (0, 1): an
         array of u's shape, monotone non-decreasing in u."""
         raise NotImplementedError
-
-    @property
-    def median(self) -> float:
-        return float(self.inverse_cdf(np.array([0.5]))[0])
 
 
 @dataclass(frozen=True)

@@ -242,8 +242,11 @@ def evaluate_batch(model: Model, columns: dict, n: int) -> Batch:
             else:
                 ps.cell = ref
                 value = model._compiled[ref](ps, None)
-                ps.fail(None, ~np.isfinite(value), ErrorKind.DOMAIN_ERROR,
-                        lambda i: f"non-finite result {float(value[i])!r}")
+                # a finite sum proves every entry finite; an inf or nan in a
+                # dead row, or a sum that overflows, looks at the rows
+                if not math.isfinite(value.sum()):
+                    ps.fail(None, ~np.isfinite(value), ErrorKind.DOMAIN_ERROR,
+                            lambda i: f"non-finite result {float(value[i])!r}")
                 ps.values[ref] = value
     return Batch(ps.values, ps.errors)
 

@@ -68,7 +68,10 @@ class SimulationSpec:
     seed: int = DEFAULT_SEED
     stop_on_error: bool = True
 
-    def validate(self, model: Model) -> None:
+    def validate(self, model: Model, labels: bool = True) -> None:
+        """Raise SimulationError where the spec does not fit the model.
+        labels=False skips check_labels, for a caller that ran it on these
+        forecasts."""
         cells = [c for c, _ in self.assumptions]
         if len(set(cells)) != len(cells):
             raise SimulationError("assumption cells must be distinct")
@@ -77,7 +80,8 @@ class SimulationSpec:
                 raise SimulationError(f"assumption cell {c} is not in the model")
         if not self.forecasts:
             raise SimulationError("at least one forecast is required")
-        check_labels(model, self.forecasts)
+        if labels:
+            check_labels(model, self.forecasts)
         for f in self.forecasts:
             if f.cell not in model.defs:
                 raise SimulationError(f"forecast cell {f.cell} is not in the model")

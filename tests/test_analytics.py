@@ -513,7 +513,7 @@ class TestTornado:
             assumptions=[(C("A1"), Uniform(0, 1)), (C("A2"), Uniform(0, 1)),
                          (C("A3"), Uniform(0.6, 0.8))],
             forecasts=[Forecast(C("A4"), "f"), Forecast(C("A5"), "g")], trials=20, seed=1)
-        medians = {c: d.median for c, d in spec.assumptions}
+        medians = {c: inverse_cdf(d, 0.5) for c, d in spec.assumptions}
 
         oracle = Oracle(model)
 

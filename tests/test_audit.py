@@ -32,10 +32,17 @@ from gridmc.simulate import (
     replay,
     run,
 )
+from tests.conftest import portfolio_documents
+from tests.inverse_cdf_oracle import inverse_cdf
 
 
 def C(text):
     return parse_cell(text)
+
+
+def bits(values) -> list:
+    """The bit patterns of a sequence of floats."""
+    return np.array(list(values), dtype=float).view(np.uint64).tolist()
 
 
 def audit_of(doc, seed=42):
@@ -175,6 +182,25 @@ class TestDisconnected:
         found = run_audit(model, spec).by_kind(FindingKind.DISCONNECTED)
         assert [(f.evidence["assumption"], f.evidence["forecast"]) for f in found] == [
             ("Year1Sales", "ProjectNPV"), ("Year1Sales", "Root")]
+
+    def test_witness_is_the_tornados_row_of_medians(self, hardcode_doc):
+        # every shape's median: the witness is taken from the tornado's sweep,
+        # and both equal the per-element oracle's bit for bit
+        docs = [hardcode_doc] + [ModelDocument.from_json(data)
+                                 for data in portfolio_documents((1, 2, 3))]
+        shapes = set()
+        for doc in docs:
+            model, spec = doc.build(trials=1000)
+            shapes |= {type(d).__name__ for d in spec.distributions}
+            medians = bits(inverse_cdf(d, 0.5) for d in spec.distributions)
+            torn = analytics.tornado(model, spec)
+            found = run_audit(model, spec).by_kind(FindingKind.DISCONNECTED)
+            assert found
+            for finding in found:
+                assert bits(finding.witness) == bits(torn[finding.evidence["forecast"]].medians)
+                assert bits(finding.witness) == medians
+        assert shapes == {"Uniform", "Triangular", "Normal", "Lognormal",
+                          "DiscreteUniform", "Custom"}
 
     def test_minimum_trial_count(self):
         model = build_model([("A1", "x", 0.5), ("A2", "f", "=A1")])

@@ -118,6 +118,10 @@ def assert_row_matches(batch, i, expected):
 
 # Rows for cells of constants only: every row takes the same value or error.
 _ROWS = [[1.0] * len(INPUTS)] * 3
+# finite inputs whose column sums overflow: no row may fail for it
+_HUGE = [[1e308] * len(INPUTS)] * 3
+# row 0 fails at C1 (SQRT(-1)) and holds inf at C2, after its error
+_DEAD_INF = [[-1.0, 1e308, 1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 1.0, 1.0, 1.0, 1.0]]
 
 
 @settings(max_examples=500, deadline=None)
@@ -129,6 +133,8 @@ _ROWS = [[1.0] * len(INPUTS)] * 3
 @example(model_of("=1e308*10"), _ROWS)
 @example(model_of("=IF(0,1/0,2)", "=IF(1,2,1/0)"), _ROWS)
 @example(model_of("=1", "=C1+2*3", "=MIN(C1,C2)<=MAX(4,C2)", "=ABS(-C3)"), _ROWS)
+@example(model_of("=A1", "=C1*0.5+B1"), _HUGE)
+@example(model_of("=SQRT(A1)", "=A2*10"), _DEAD_INF)
 def test_batch_equals_oracle(model, matrix):
     batch = batch_of(model, matrix)
     for ref, value in batch.values.items():

@@ -136,6 +136,55 @@ class TestNormPpfAgainstBranchingOracle:
                 norm_ppf(form(bad))
 
 
+def _tail_mix(case: str) -> np.ndarray:
+    """24,000 uniforms (1,000 x 24 for the grid) with no tail element, only
+    tail elements, one tail element, or as a run's uniform_block draws them."""
+    rng = np.random.default_rng(27)
+    central = rng.uniform(P_LOW, 1 - P_LOW, 24_000)
+    if case == "no tail":
+        return central
+    if case == "tails only":
+        low = rng.uniform(1e-300, P_LOW * 0.999, 24_000)
+        return np.where(rng.random(24_000) < 0.5, low, 1.0 - low)
+    if case == "one tail":
+        central[9_137] = 1.0 - 1e-3
+        return central
+    return RandomSource(27).uniform_block(np.arange(1_000), np.arange(24))
+
+
+# array forms a block of uniforms can reach norm_ppf in: as is, a list, a
+# strided view (_sample_matrix passes columns u[:, j]) and a 2-D grid
+ARRAY_FORMS = (
+    lambda u: u,
+    lambda u: u.tolist(),
+    lambda u: np.stack([u, u], axis=-1)[..., 0],
+    lambda u: u.reshape(-1, 24),
+)
+
+
+class TestNormPpfTailsOnly:
+    """The tail formula runs on the tail elements alone, with the bits of the
+    oracle and no warning, however few tail elements there are."""
+
+    @pytest.mark.parametrize("case, n_tail", [("no tail", 0), ("tails only", 24_000),
+                                              ("one tail", 1), ("uniform_block", None)])
+    def test_against_the_oracle(self, case, n_tail):
+        u = _tail_mix(case)
+        tails = (u < P_LOW) | (u > 1 - P_LOW)
+        if n_tail is None:
+            assert tails.any()
+        else:
+            assert np.count_nonzero(tails) == n_tail
+        want = norm_ppf_oracle.norm_ppf(u)
+        for form in ARRAY_FORMS:
+            with np.errstate(all="raise"):
+                got = norm_ppf(form(u))
+            assert type(got) is np.ndarray and same_bits(got, want.reshape(got.shape))
+        for x, w in zip(u[tails][:50].tolist(), want[tails][:50].tolist()):
+            for got, _ in in_every_form(x):
+                assert same_bits(got, w)
+
+
 def inverse(dist, *u):
     """dist's inverse CDF of the floats u, as one array."""
     return dist.inverse_cdf(np.array(u, dtype=float))
@@ -162,7 +211,7 @@ class TestInverseCdf:
         u = np.full((2, 3), 0.5)
         got = dist.inverse_cdf(u)
         assert type(got) is np.ndarray and got.shape == (2, 3)
-        assert type(dist.median) is float and np.all(got == dist.median)
+        assert np.all(got == inverse_cdf_oracle.inverse_cdf(dist, 0.5))
 
     def test_custom_step_function(self):
         c = Custom([(1, 0.2), (2, 0.5), (4, 0.3)])

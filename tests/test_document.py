@@ -8,12 +8,13 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridmc import document, simulate
 from gridmc.cells import parse_cell
 from gridmc.correlation import CorrelationError
 from gridmc.distributions import Triangular, Uniform
 from gridmc.document import DocumentError, ModelDocument, _compile, validate_schema
 from gridmc.model import evaluate
-from gridmc.simulate import run
+from gridmc.simulate import check_labels, run
 from tests.conftest import EXAMPLES, example_path, portfolio_documents
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -251,6 +252,20 @@ class TestBuild:
             ModelDocument.from_json(data).build()
         joined = "; ".join(exc.value.diagnostics)
         assert "ghost1" in joined and "ghost2" in joined
+
+    def test_labels_checked_once(self, project_doc, monkeypatch):
+        # build checks the labels before resolving limits and expectations,
+        # and its spec.validate does not check them again
+        calls = []
+
+        def counted(model, forecasts):
+            calls.append(len(forecasts))
+            return check_labels(model, forecasts)
+
+        monkeypatch.setattr(document, "check_labels", counted)
+        monkeypatch.setattr(simulate, "check_labels", counted)
+        project_doc.build()
+        assert calls == [1]
 
     def test_project_fixture_builds(self, project_doc):
         model, spec = project_doc.build()

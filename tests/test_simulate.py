@@ -309,10 +309,11 @@ class TestReplay:
 
     def test_median_vector_equals_tornado_base(self):
         model, spec = linear_model()
-        medians = [d.median for d in spec.distributions]
+        medians = [inverse_cdf(d, 0.5) for d in spec.distributions]
         result = replay(model, spec, medians)
         torn = tornado(model, spec)["f"]
         assert result[C("A3")] == torn.base
+        assert torn.medians == tuple(medians)
 
     def test_length_mismatch(self):
         model, spec = linear_model()
