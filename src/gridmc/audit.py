@@ -261,11 +261,11 @@ def check_intervals(store: TrialStore) -> list:
 
 
 def error_census(store: TrialStore) -> list:
-    """Aggregate continue-mode trial errors per (cell, kind), each with a
-    replayable dossier witness."""
+    """Aggregate continue-mode trial errors per (cell, kind), in row-major
+    cell order, each with a replayable dossier witness."""
     groups = {}
     for te in store.errors:
-        key = (str(te.error.cell), te.error.kind.value)
+        key = (te.error.cell, te.error.kind.value)
         groups.setdefault(key, []).append(te)
     total = store.spec.trials
     findings = []
@@ -273,9 +273,9 @@ def error_census(store: TrialStore) -> list:
         first = tes[0]
         findings.append(AuditFinding(
             kind=FindingKind.ERROR_CENSUS,
-            cells=(cell,),
+            cells=(str(cell),),
             evidence={
-                "cell": cell,
+                "cell": str(cell),
                 "error_kind": kind,
                 "count": len(tes),
                 "rate": len(tes) / total,

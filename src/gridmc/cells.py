@@ -10,9 +10,10 @@ _CELL_RE = re.compile(r"^([A-Z]{1,2})([1-9][0-9]*)$")
 MAX_COLUMN = 26 * 26 + 26 - 1  # "ZZ"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class CellRef:
-    """A single cell address: column index (A=0) and 1-based row."""
+    """A single cell address: column index (A=0) and 1-based row. Cells
+    sort row-major: by row, then by column."""
 
     col: int
     row: int
@@ -31,9 +32,8 @@ class CellRef:
             letters = chr(ord("A") + hi) + chr(ord("A") + lo)
         return f"{letters}{self.row}"
 
-    @property
-    def row_major_key(self) -> tuple:
-        return (self.row, self.col)
+    def __lt__(self, other: "CellRef") -> bool:
+        return (self.row, self.col) < (other.row, other.col)
 
 
 def parse_cell(text: str) -> CellRef:

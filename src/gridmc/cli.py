@@ -120,11 +120,11 @@ def _load(path) -> ModelDocument:
         raise SystemExit(EXIT_USAGE)
 
 
-def _build(doc: ModelDocument, args, stop_on_error=True):
+def _build(doc: ModelDocument, args):
     try:
         return doc.build(trials=getattr(args, "trials", None),
                          seed=getattr(args, "seed", None),
-                         stop_on_error=stop_on_error)
+                         stop_on_error=not getattr(args, "continue_on_error", False))
     except ModelBuildError as exc:
         for d in exc.diagnostics:
             print(f"build error: {d}", file=sys.stderr)
@@ -144,16 +144,12 @@ def _forecast_name(model, spec, name):
         raise SystemExit(EXIT_USAGE)
 
 
-def cmd_validate(args) -> int:
-    doc = _load(args.path)
-    _build(doc, args)
+def cmd_validate(args, doc, model, spec) -> int:
     print("ok")
     return EXIT_OK
 
 
-def cmd_run(args) -> int:
-    doc = _load(args.path)
-    model, spec = _build(doc, args, stop_on_error=not args.continue_on_error)
+def cmd_run(args, doc, model, spec) -> int:
     store = run(model, spec)
     report.export_trials(store, report.out_path(args.out, "trials.csv"))
     if store.errors:
@@ -179,9 +175,7 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def cmd_tornado(args) -> int:
-    doc = _load(args.path)
-    model, spec = _build(doc, args)
+def cmd_tornado(args, doc, model, spec) -> int:
     label, forecast = _forecast_name(model, spec, args.forecast)
     if not (0.0 < args.low < args.high < 1.0):
         print("error: need 0 < --low < --high < 1", file=sys.stderr)
@@ -196,9 +190,7 @@ def cmd_tornado(args) -> int:
     return EXIT_OK
 
 
-def cmd_scenario(args) -> int:
-    doc = _load(args.path)
-    model, spec = _build(doc, args)
+def cmd_scenario(args, doc, model, spec) -> int:
     label, _ = _forecast_name(model, spec, args.forecast)
     if args.lo is not None and args.hi is not None and args.lo > args.hi:
         print("error: --min must be <= --max", file=sys.stderr)
@@ -266,9 +258,7 @@ def _read_history(path, spec, model):
     return history, observed
 
 
-def cmd_audit(args) -> int:
-    doc = _load(args.path)
-    model, spec = _build(doc, args)
+def cmd_audit(args, doc, model, spec) -> int:
     thresholds = Thresholds(z=args.z, epsilon=args.epsilon)
     history = observed = None
     if args.history:
@@ -307,9 +297,7 @@ def _print_outcome(outcome):
         print("  forecasts: " + ", ".join(f"{k}={v!r}" for k, v in outcome.forecasts.items()))
 
 
-def cmd_step(args) -> int:
-    doc = _load(args.path)
-    model, spec = _build(doc, args)
+def cmd_step(args, doc, model, spec) -> int:
     session = StepSession(model, spec)
     for line in sys.stdin:
         words = line.split()
@@ -355,7 +343,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        doc = _load(args.path)
+        return _COMMANDS[args.command](args, doc, *_build(doc, args))
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK
     except (CorrelationError, SimulationError) as exc:

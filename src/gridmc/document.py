@@ -303,7 +303,7 @@ class ModelDocument:
             seed=int(seed if seed is not None else run_defaults.get("seed", DEFAULT_SEED)),
             stop_on_error=stop_on_error,
         )
-        spec.validate(model, labels=False)  # checked above
+        spec.validate(model)
         return model, spec
 
     def bake_scenario(self, spec: SimulationSpec, assumption_values,

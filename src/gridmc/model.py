@@ -89,7 +89,8 @@ class Model:
     def cell_by_name(self, name: str, forecasts=()) -> CellRef:
         """The one cell a name means: the label of one of `forecasts`, a cell
         label, or a defined cell's A1 address in any letter case. A name that
-        means no cell, or two, is a KeyError; see simulate.check_labels."""
+        means no cell, or two, is a KeyError; see build_model and
+        simulate.check_labels."""
         cells = {f.cell for f in forecasts if f.label == name}
         if name in self.labels:
             cells.add(self.labels[name])
@@ -102,7 +103,7 @@ class Model:
         if len(cells) == 1:
             return cells.pop()
         if cells:
-            listed = ", ".join(map(str, sorted(cells, key=lambda c: c.row_major_key)))
+            listed = ", ".join(map(str, sorted(cells)))
             raise KeyError(f"{name!r} names {len(cells)} cells: {listed}")
         raise KeyError(f"unknown cell {name}" if ref else f"unknown cell or label {name!r}")
 
@@ -112,7 +113,7 @@ class Model:
 
     def precedents(self, ref: CellRef) -> list:
         """Direct precedent cells of a formula, in row-major order."""
-        return sorted(self._reads[ref], key=lambda c: c.row_major_key)
+        return sorted(self._reads[ref])
 
 
 EvalResult = Union[dict, CalcError]
@@ -134,7 +135,8 @@ def build_model(cell_defs) -> Model:
     """Build a Model from (address, label, formula-text) triples.
 
     Collects every parse error and undefined reference before failing;
-    a cycle is reported with one full path.
+    then a cycle is reported with one full path, and then the first label
+    that spells another defined cell's address.
     """
     defs = {}
     labels = {}
@@ -159,8 +161,7 @@ def build_model(cell_defs) -> Model:
     deps = {}
     for ref, d in defs.items():
         prec = referenced_cells(d.ast)
-        missing = sorted((p for p in prec if p not in defs), key=lambda c: c.row_major_key)
-        for p in missing:
+        for p in sorted(p for p in prec if p not in defs):
             diagnostics.append(f"{ref}: RefError, references undefined cell {p}")
         deps[ref] = {p for p in prec if p in defs}
     if diagnostics:
@@ -171,6 +172,11 @@ def build_model(cell_defs) -> Model:
         raise ModelBuildError([f"cycle detected: {_find_cycle(deps)}"])
 
     model = Model(defs=defs, order=order, labels=labels, _reads=deps)
+    for label in labels:  # a label that spells another defined cell's address
+        try:
+            model.cell_by_name(label)
+        except KeyError as exc:
+            raise ModelBuildError([f"label {exc.args[0]}"]) from None
     for ref, d in defs.items():
         model._compiled[ref] = _compile(d.ast)
     return model
@@ -183,7 +189,8 @@ def _topo_order(deps):
     for ref, ps in deps.items():
         for p in ps:
             dependents[p].append(ref)
-    ready = [ref.row_major_key + (ref,) for ref, ps in remaining.items() if not ps]
+    # (row, col, ref): integer keys compare faster than CellRef.__lt__
+    ready = [(ref.row, ref.col, ref) for ref, ps in remaining.items() if not ps]
     heapq.heapify(ready)
     order = []
     while ready:
@@ -192,7 +199,7 @@ def _topo_order(deps):
         for dep in dependents[ref]:
             remaining[dep].discard(ref)
             if not remaining[dep]:
-                heapq.heappush(ready, dep.row_major_key + (dep,))
+                heapq.heappush(ready, (dep.row, dep.col, dep))
     if len(order) != len(deps):
         return None
     return order
@@ -201,13 +208,12 @@ def _topo_order(deps):
 def _find_cycle(deps):
     """One cycle's path, from the depth-first walk in row-major order:
     iterative, so a cycle through any number of cells is found."""
-    key = operator.attrgetter("row_major_key")
     state = {}  # 0 on the path, 1 done
-    for root in sorted(deps, key=key):
+    for root in sorted(deps):
         if root in state:
             continue
         state[root] = 0
-        path, pending = [root], [iter(sorted(deps[root], key=key))]
+        path, pending = [root], [iter(sorted(deps[root]))]
         while pending:
             for p in pending[-1]:
                 if state.get(p) == 0:
@@ -215,7 +221,7 @@ def _find_cycle(deps):
                 if p not in state:
                     state[p] = 0
                     path.append(p)
-                    pending.append(iter(sorted(deps[p], key=key)))
+                    pending.append(iter(sorted(deps[p])))
                     break
             else:
                 state[path.pop()] = 1

@@ -68,10 +68,8 @@ class SimulationSpec:
     seed: int = DEFAULT_SEED
     stop_on_error: bool = True
 
-    def validate(self, model: Model, labels: bool = True) -> None:
-        """Raise SimulationError where the spec does not fit the model.
-        labels=False skips check_labels, for a caller that ran it on these
-        forecasts."""
+    def validate(self, model: Model) -> None:
+        """Raise SimulationError where the spec does not fit the model."""
         cells = [c for c, _ in self.assumptions]
         if len(set(cells)) != len(cells):
             raise SimulationError("assumption cells must be distinct")
@@ -80,8 +78,7 @@ class SimulationSpec:
                 raise SimulationError(f"assumption cell {c} is not in the model")
         if not self.forecasts:
             raise SimulationError("at least one forecast is required")
-        if labels:
-            check_labels(model, self.forecasts)
+        check_labels(model, self.forecasts)
         for f in self.forecasts:
             if f.cell not in model.defs:
                 raise SimulationError(f"forecast cell {f.cell} is not in the model")
@@ -132,11 +129,11 @@ class SimulationSpec:
 
 
 def check_labels(model: Model, forecasts: list) -> None:
-    """Reject a label that names two cells: a cell label spelling another cell's
-    address, or a forecast label naming another forecast's or cell's cell; and
-    two forecast labels whose histograms would share one file."""
+    """Reject a forecast label that names a second cell, by another forecast's
+    label, a cell label or an address, and two forecast labels whose
+    histograms would share one file. build_model checks the cell labels."""
     labels = [f.label for f in forecasts]
-    for label in [*labels, *model.labels]:
+    for label in labels:
         if labels.count(label) > 1:
             raise SimulationError(f"duplicate forecast label {label!r}")
         try:
@@ -381,8 +378,9 @@ class StepSession:
 
     Stepping then running is equivalent to running: step t draws row t of
     the run's assumptions, and past the run's last trial, row t of any run
-    in which t's block is whole. A correlated session draws the whole block
-    of its step and keeps that one block; it draws trial 0's at the start.
+    in which t's block is whole. An uncorrelated session draws step t's row
+    alone. A correlated session draws the whole block of its step and keeps
+    that one block; it draws trial 0's at the start.
     """
 
     def __init__(self, model: Model, spec: SimulationSpec):
@@ -403,7 +401,7 @@ class StepSession:
         """The next trial."""
         t = self.next_trial
         if self._block is None:
-            values = _sample_matrix(self.spec, t + 1)[t]
+            values = _sample_matrix(self.spec, 1, t)[0]
         else:
             start, stop = _block_bounds(self.spec, t)
             if self._block[:2] != (start, stop):

@@ -301,6 +301,19 @@ class TestErrorCensus:
         assert isinstance(result, CalcError)
         assert findings[0].witness[0] > 0
 
+    def test_cells_listed_row_major(self):
+        # A1 < -0.5 fails at B9 and A1 > 0.5 at B10: B9 comes first, as in
+        # the evaluation order, although "B10" < "B9" as text
+        model = build_model([("A1", "x", 1), ("B9", None, "=SQRT(A1+0.5)"),
+                             ("B10", None, "=SQRT(0.5-A1)"), ("C1", "f", "=A1")])
+        spec = SimulationSpec(
+            assumptions=[(C("A1"), Uniform(-1, 1))],
+            forecasts=[Forecast(C("C1"), "f")],
+            trials=200, seed=42, stop_on_error=False)
+        findings = error_census(run(model, spec))
+        assert [f.evidence["cell"] for f in findings] == ["B9", "B10"]
+        assert [f.cells for f in findings] == [("B9",), ("B10",)]
+
     def test_no_errors_no_findings(self, project_doc):
         model, spec = project_doc.build()
         store = run(model, replace(spec, stop_on_error=False))

@@ -961,8 +961,13 @@ class TestNameMeaningTwoCells:
          "label 'Out' names 2 cells: A2, A3"),
         (lambda d: d["cells"][2].update(label="C3") or d["forecasts"][0].update(label="A3"),
          "label 'A3' names 2 cells: A2, A3"),
+        # build_model checks the cell labels before any forecast label
+        (lambda d: d.update(forecasts=[{"cell": "A1", "label": "Out"},
+                                       {"cell": "A3", "label": "Out"}]),
+         "label 'A2' names 2 cells: A2, A3"),
     ], ids=["label-spells-address", "label-spells-lower-address",
-            "forecast-label-is-a-cell-label", "forecast-label-is-an-address"])
+            "forecast-label-is-a-cell-label", "forecast-label-is-an-address",
+            "label-before-duplicate-forecast-label"])
     @pytest.mark.parametrize("command", ["validate", "run", "audit", "tornado", "step"])
     def test_build_error(self, tmp_path, capsys, monkeypatch, command, edit, message):
         doc = json.loads(json.dumps(SHADOWED))

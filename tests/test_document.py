@@ -8,12 +8,11 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridmc import document, simulate
 from gridmc.cells import parse_cell
 from gridmc.correlation import CorrelationError
 from gridmc.distributions import Triangular, Uniform
 from gridmc.document import DocumentError, ModelDocument, _compile, validate_schema
-from gridmc.model import evaluate
+from gridmc.model import Model, evaluate
 from gridmc.simulate import check_labels, run
 from tests.conftest import EXAMPLES, example_path, portfolio_documents
 
@@ -253,19 +252,24 @@ class TestBuild:
         joined = "; ".join(exc.value.diagnostics)
         assert "ghost1" in joined and "ghost2" in joined
 
-    def test_labels_checked_once(self, project_doc, monkeypatch):
-        # build checks the labels before resolving limits and expectations,
-        # and its spec.validate does not check them again
-        calls = []
+    def test_check_labels_resolves_forecast_labels_only(self, monkeypatch):
+        # build_model checks the cell labels, so check_labels resolves each
+        # forecast's label and none of the document's cell labels
+        model, spec = ModelDocument.from_json(portfolio_documents([1])[0]).build(trials=300)
+        assert len(model.labels) == 27 and len(spec.forecasts) == 1
+        names = []
+        resolve = Model.cell_by_name
 
-        def counted(model, forecasts):
-            calls.append(len(forecasts))
-            return check_labels(model, forecasts)
+        def counted(self, name, forecasts=()):
+            names.append(name)
+            return resolve(self, name, forecasts)
 
-        monkeypatch.setattr(document, "check_labels", counted)
-        monkeypatch.setattr(simulate, "check_labels", counted)
-        project_doc.build()
-        assert calls == [1]
+        monkeypatch.setattr(Model, "cell_by_name", counted)
+        check_labels(model, spec.forecasts)
+        assert names == [f.label for f in spec.forecasts]
+        names.clear()
+        spec.validate(model)
+        assert names == [f.label for f in spec.forecasts]
 
     def test_project_fixture_builds(self, project_doc):
         model, spec = project_doc.build()

@@ -48,6 +48,27 @@ class TestBuild:
         m = make({"B1": 1, "A1": 2, "A2": "=A1+B1"})
         assert m.order == [C("A1"), C("B1"), C("A2")]
 
+    def test_cells_sort_row_major(self):
+        cells = [C(text) for text in ("B2", "A10", "AA1", "B1", "A2", "A1")]
+        assert sorted(cells) == [C(text) for text in ("A1", "B1", "AA1", "A2", "B2", "A10")]
+        assert min(cells) == C("A1") and max(cells) == C("A10")
+
+    @pytest.mark.parametrize("label", ["A2", "a2"])
+    def test_label_spelling_another_cells_address(self, label):
+        with pytest.raises(ModelBuildError) as exc:
+            build_model([("A1", "x", 1), ("A2", None, "=A1*2"), ("A3", label, 3)])
+        assert exc.value.diagnostics == [f"label {label!r} names 2 cells: A2, A3"]
+
+    @pytest.mark.parametrize("label", ["A3", "a3", "A4", "X2"])
+    def test_label_spelling_its_own_or_an_undefined_address(self, label):
+        model = build_model([("A1", "x", 1), ("A2", None, "=A1*2"), ("A3", label, 3)])
+        assert model.cell_by_name(label) == C("A3")
+
+    def test_cycle_reported_before_a_label_naming_two_cells(self):
+        with pytest.raises(ModelBuildError) as exc:
+            build_model([("A1", None, "=B1"), ("B1", None, "=A1"), ("A2", "B1", 2)])
+        assert exc.value.diagnostics == ["cycle detected: A1->B1->A1"]
+
 
 class TestEvaluate:
     def test_basic(self):

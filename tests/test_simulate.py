@@ -6,7 +6,8 @@ import pytest
 
 from gridmc.cells import parse_cell
 from gridmc.correlation import CorrelationSpec
-from gridmc.distributions import Normal, Uniform
+from gridmc.distributions import (
+    Custom, DiscreteUniform, Lognormal, Normal, Triangular, Uniform)
 from gridmc.functions import ErrorKind
 from gridmc.model import CalcError, build_model, evaluate, evaluate_batch
 from gridmc.rng import RandomSource
@@ -374,6 +375,32 @@ class TestStepSession:
         session = StepSession(model, spec)
         with pytest.raises(KeyError):
             session.show("Z99")
+
+    def test_uncorrelated_step_draws_its_row_alone(self, monkeypatch):
+        # step t equals row t of a run, across block bounds and far into the
+        # run, and draws trial t alone, one distribution shape a column
+        shapes = [Uniform(0, 8), Triangular(0, 2, 10), Normal(5, 2), Lognormal(0.3, 0.5),
+                  DiscreteUniform(1, 6), Custom([(1, 0.2), (2, 0.5), (4, 0.3)])]
+        cells = [C(f"A{i + 1}") for i in range(len(shapes))]
+        model = build_model([(str(c), None, 1) for c in cells] + [("B1", "s", "=SUM(A1:A6)")])
+        spec = SimulationSpec(assumptions=list(zip(cells, shapes)),
+                              forecasts=[Forecast(C("B1"), "s")], trials=100001, seed=7)
+        rows = run(model, spec).assumption_matrix
+        asked = []
+        draw = RandomSource.uniform_block
+
+        def counted(self, trials, streams):
+            asked.append(len(trials))
+            return draw(self, trials, streams)
+
+        monkeypatch.setattr(RandomSource, "uniform_block", counted)
+        session = StepSession(model, spec)
+        for t in (0, 1, 1023, 1024, 2047, 2048, 5000, 100000):
+            session.next_trial = t
+            outcome = session.step()
+            assert outcome.trial == t and outcome.error is None
+            assert list(outcome.assumptions.values()) == rows[t].tolist()
+        assert asked and set(asked) == {1}
 
     def test_correlated_steps_equal_run_rows(self):
         # each step is that row of the run; past the run's last trial, step t
