@@ -219,7 +219,7 @@ def cmd_scenario(args, doc, model, spec) -> int:
 def _read_history(path, spec, model):
     import csv
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise DocumentError([f"not UTF-8 text: {exc}"]) from None

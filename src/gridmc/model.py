@@ -1,10 +1,16 @@
 """Cell model: build the dependency DAG and evaluate it over columns.
 
-`build_model` compiles each cell's formula once into a function of the
-columns computed so far. `evaluate_batch` runs n trials through those
-functions in one pass, cell by cell in topological order: every value
-in a pass, constants included, is a float64 column with one entry per
-trial. `evaluate` is the same pass over a single trial.
+A Model numbers its cells by their place in the topological order,
+their slots, and compiles each cell's formula once into a function of
+the columns computed so far: a reference reads its cell's slot and a
+range the list of its cells' slots. `evaluate_batch` runs n
+trials through the model's program, one (slot, cell, function) entry
+per cell in order, over a plain list of columns: every value in a pass,
+constants included, is a float64 column with one entry per trial, and
+no cell is looked up by its CellRef until the values leave the pass.
+Each literal reads its row of one read-only block that the pass makes
+at its start, one row per distinct bit pattern, so -0.0 and 0.0 keep
+rows of their own. `evaluate` is the same pass over a single trial.
 
 Calculation errors are values (CalcError), not exceptions. A failing
 sub-expression records (kind, detail) for the rows still live and takes
@@ -30,6 +36,7 @@ from __future__ import annotations
 import heapq
 import math
 import operator
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -78,13 +85,25 @@ class CellDef:
 
 @dataclass
 class Model:
-    """Immutable after build_model; evaluation is pure and reentrant."""
+    """Immutable after build_model; evaluation is pure and reentrant.
+
+    The program is compiled from `order` whenever a Model is made, so
+    `dataclasses.replace(model, order=alt)` evaluates in `alt`."""
 
     defs: dict  # CellRef -> CellDef, insertion order = definition order
     order: list  # topological evaluation order
     labels: dict  # label -> CellRef
-    _compiled: dict = field(default_factory=dict, repr=False)
     _reads: dict = field(default_factory=dict, repr=False)  # CellRef -> precedents
+    _slots: dict = field(init=False, repr=False, compare=False)  # CellRef -> slot
+    _program: list = field(init=False, repr=False, compare=False)  # (slot, cell, fn)
+    _literals: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._slots = {ref: slot for slot, ref in enumerate(self.order)}
+        literals = {}  # bit pattern -> row of the literal block
+        self._program = [(slot, ref, _compile(self.defs[ref].ast, self._slots, literals))
+                         for slot, ref in enumerate(self.order)]
+        self._literals = np.frombuffer(b"".join(literals), dtype="<f8")
 
     def cell_by_name(self, name: str, forecasts=()) -> CellRef:
         """The one cell a name means: the label of one of `forecasts`, a cell
@@ -177,8 +196,6 @@ def build_model(cell_defs) -> Model:
             model.cell_by_name(label)
         except KeyError as exc:
             raise ModelBuildError([f"label {exc.args[0]}"]) from None
-    for ref, d in defs.items():
-        model._compiled[ref] = _compile(d.ast)
     return model
 
 
@@ -237,42 +254,55 @@ def evaluate_batch(model: Model, columns: dict, n: int) -> Batch:
     is kept in Batch.errors and the row takes no further part. A computed
     inf or nan is a DOMAIN_ERROR at the cell that produced it.
     """
-    for ref in columns:
-        if ref not in model.defs:
-            raise KeyError(f"override targets unknown cell {ref}")
-    ps = _Pass(n)
-    with np.errstate(all="ignore"):
-        for ref in model.order:
-            if ref in columns:
-                ps.values[ref] = np.asarray(columns[ref], dtype=float)
-            else:
-                ps.cell = ref
-                value = model._compiled[ref](ps, None)
-                # a finite sum proves every entry finite; an inf or nan in a
-                # dead row, or a sum that overflows, looks at the rows
-                if not math.isfinite(value.sum()):
-                    ps.fail(None, ~np.isfinite(value), ErrorKind.DOMAIN_ERROR,
-                            lambda i: f"non-finite result {float(value[i])!r}")
-                ps.values[ref] = value
-    return Batch(ps.values, ps.errors)
+    ps = _run_pass(model, columns, n)
+    return Batch(dict(zip(model.order, ps.values)), ps.errors)
 
 
 def evaluate(model: Model, overrides: Optional[dict] = None) -> EvalResult:
     """Evaluate one trial: the full CellRef -> value map, or its first
     CalcError in topological order."""
     columns = {ref: np.array([float(v)]) for ref, v in (overrides or {}).items()}
-    batch = evaluate_batch(model, columns, 1)
-    if batch.errors:
-        return batch.errors[0]
-    return {ref: float(v[0]) for ref, v in batch.values.items()}
+    ps = _run_pass(model, columns, 1)
+    if ps.errors:
+        return ps.errors[0]
+    return dict(zip(model.order, np.concatenate(ps.values).tolist()))
+
+
+def _run_pass(model: Model, columns: dict, n: int) -> _Pass:
+    """The pass of evaluate_batch: every slot's column, and the first errors."""
+    ps = _Pass(n, model._literals, len(model.order))
+    values = ps.values
+    for ref, column in columns.items():
+        slot = model._slots.get(ref)
+        if slot is None:
+            raise KeyError(f"override targets unknown cell {ref}")
+        values[slot] = np.asarray(column, dtype=float)
+    with np.errstate(all="ignore"):
+        for slot, cell, f in model._program:
+            if values[slot] is not None:  # overridden
+                continue
+            ps.cell = cell
+            value = f(ps, None)
+            # a finite sum proves every entry finite; an inf or nan in a
+            # dead row, or a sum that overflows, looks at the rows
+            if not math.isfinite(value.sum()):
+                ps.fail(None, ~np.isfinite(value), ErrorKind.DOMAIN_ERROR,
+                        lambda i: f"non-finite result {float(value[i])!r}")
+            values[slot] = value
+    return ps
 
 
 class _Pass:
     """Columns, live rows and first errors of one evaluation pass."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, literals: np.ndarray, cells: int):
         self.n = n
-        self.values = {}  # CellRef -> column
+        self.values = [None] * cells  # slot -> column
+        # row i: literal i in every trial; a read-only block, as the columns
+        # of literal cells leave the pass in Batch.values
+        self.literals = np.empty((len(literals), n))
+        self.literals[:] = literals[:, None]
+        self.literals.flags.writeable = False
         self.alive = np.ones(n, dtype=bool)  # rows with no error yet
         self.errors = {}  # row -> CalcError
         self.cell = None  # the cell being computed
@@ -411,7 +441,10 @@ def _lookup(mode: float, key: float, *table: float) -> float:
 # AST -> column function compilation
 #
 # A compiled node is f(ps, rows) -> a column of ps.n values, where rows
-# masks the rows the node is evaluated for (None: every row). Sub-expressions
+# masks the rows the node is evaluated for (None: every row). A reference
+# reads ps.values[slot], a range is the list of its cells' slots, and a
+# literal reads its row of ps.literals; `slots` maps each cell to its slot,
+# and `literals` each literal's bit pattern to its row. Sub-expressions
 # run in the order the formula language defines, so a row's first recorded
 # error is the one a one-row evaluation meets first.
 #
@@ -419,21 +452,25 @@ def _lookup(mode: float, key: float, *table: float) -> float:
 # evaluation: each compiled node calls its children's functions in its own
 # frame. parse_formula bounds the levels by MAX_DEPTH.
 
-def _compile(node) -> Callable:
+def _compile(node, slots: dict, literals: dict) -> Callable:
     if isinstance(node, Lit):
-        v = node.value
-        return lambda ps, rows: np.full(ps.n, v)
+        row = literals.setdefault(struct.pack("<d", node.value), len(literals))
+        return lambda ps, rows: ps.literals[row]
     if isinstance(node, Ref):
-        cell = node.cell
-        return lambda ps, rows: ps.values[cell]
+        slot = slots[node.cell]
+        return lambda ps, rows: ps.values[slot]
     if isinstance(node, Neg):
-        f = _compile(node.operand)
+        f = _compile(node.operand, slots, literals)
         return lambda ps, rows: -f(ps, rows)
     if isinstance(node, Bin):
-        return _compile_bin(node.op, _compile(node.left), _compile(node.right))
-    args = []  # a range as its cells in row-major order
+        return _compile_bin(node.op, _compile(node.left, slots, literals),
+                            _compile(node.right, slots, literals))
+    args = []  # a range as its cells' slots in row-major order
     for a in node.args:  # a loop, as a comprehension would add a frame
-        args.append(a.cells() if isinstance(a, RangeRef) else _compile(a))
+        args.append([slots[c] for c in a.cells()] if isinstance(a, RangeRef)
+                    else _compile(a, slots, literals))
+    if node.name == "IRR" and len(args) == 1:  # the guess defaults to 0.1
+        args.append(_compile(Lit(0.1), slots, literals))
     return _compile_call(node.name, args)
 
 
@@ -446,7 +483,7 @@ def _on_columns(args, kernel: Callable) -> Callable:
             if callable(a):
                 cols.append(a(ps, rows))
             else:
-                cols.extend(ps.values[c] for c in a)
+                cols.extend([ps.values[s] for s in a])
         return kernel(ps, rows, cols)
     return call
 
@@ -532,16 +569,15 @@ def _compile_call(name: str, args: list) -> Callable:
         return _on_columns(args, npv)
     # the parser has checked the shapes: IRR's flows and LOOKUP's table are ranges
     if name == "IRR":
-        cells = args[0]
-        guess_fn = args[1] if len(args) == 2 else _compile(Lit(0.1))
+        slots, guess_fn = args
         return lambda ps, rows: _rowwise(
-            ps, rows, _irr, guess_fn(ps, rows), *[ps.values[c] for c in cells])
+            ps, rows, _irr, guess_fn(ps, rows), *[ps.values[s] for s in slots])
     if name == "LOOKUP":
-        key_fn, cells, mode_fn = args  # cells row-major: key, value, key, value, ...
+        key_fn, slots, mode_fn = args  # slots row-major: key, value, key, value, ...
 
         def lookup(ps, rows):
             mode = mode_fn(ps, rows)
             return _rowwise(ps, rows, _lookup, mode, key_fn(ps, rows),
-                            *[ps.values[c] for c in cells])
+                            *[ps.values[s] for s in slots])
         return lookup
     raise ValueError(f"unknown function {name}")

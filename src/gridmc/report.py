@@ -6,7 +6,9 @@ TRIALS_BLOCK rows at a time straight from the arrays: each block is one
 `repr` gives it, computed for the whole block with integer arithmetic,
 and one write. The export holds one block at a time, however many trials
 ran. `write_csv` writes the small tables whose rows mix labels, counts
-and None: errors.csv, histogram-*.csv and tornado.csv.
+and None: errors.csv, histogram-*.csv and tornado.csv. Every file is
+UTF-8, and a label with a comma, a double quote or a line break is
+quoted as the csv module quotes it; a label without them keeps its bytes.
 """
 
 from __future__ import annotations
@@ -28,10 +30,25 @@ def write_json(path, payload) -> None:
 
 
 def write_csv(path, header, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+    """A header and rows; text is quoted where it needs to be, and any
+    other value is written as str writes it, None included."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_csv_line(header))
         for row in rows:
-            fh.write(",".join(map(str, row)) + "\n")
+            fh.write(",".join(_csv_field(v) if isinstance(v, str) else str(v)
+                              for v in row) + "\n")
+
+
+def _csv_field(text: str) -> str:
+    """text as one CSV field, in double quotes where it holds a comma, a
+    double quote or a line break (the csv module's minimal quoting)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_line(fields) -> str:
+    return ",".join(map(_csv_field, fields)) + "\n"
 
 
 def forecast_report(store: TrialStore, f: Forecast, torn=None, sens=None) -> dict:
@@ -97,12 +114,11 @@ def _write_trial_table(path, header, trials, *matrices) -> None:
     # the formatter's tables
     from . import floattext
 
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(_csv_line(header).encode("utf-8"))
         for start in range(0, len(trials), TRIALS_BLOCK):
             block = slice(start, start + TRIALS_BLOCK)
-            rows = floattext.csv_rows(trials[block], np.hstack([a[block] for a in matrices]))
-            fh.write(rows.decode("ascii"))
+            fh.write(floattext.csv_rows(trials[block], np.hstack([a[block] for a in matrices])))
 
 
 def export_errors(store: TrialStore, path) -> None:

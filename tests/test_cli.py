@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -421,6 +422,55 @@ class TestAudit:
                      str(tmp_path / "nope.csv"), "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "no such file" in err and "nope.csv" in err
+
+
+class TestQuotedLabels:
+    """A label with a comma, a double quote or a line break is one quoted
+    field of every CSV gridmc writes, and reads back as a history header."""
+
+    SALES = 'Year 1 Sales, "EU"'
+    NPV = "NPV\nafter tax"
+
+    def doc(self, tmp_path):
+        with open(PROJECT) as fh:  # every use of the label
+            doc = json.loads(fh.read().replace('"Year1Sales"', json.dumps(self.SALES)))
+        doc["forecasts"][0]["label"] = self.NPV
+        return write_doc(tmp_path, doc)
+
+    @staticmethod
+    def rows(path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))
+
+    def test_tables_parse_to_equal_field_counts(self, tmp_path):
+        path = self.doc(tmp_path)
+        assert main(["run", path, "--trials", "50", "--out", str(tmp_path / "run")]) == 0
+        assert main(["tornado", path, "--out", str(tmp_path / "tornado")]) == 0
+        assert main(["scenario", path, "--trials", "50", "--min=-1e9",
+                     "--out", str(tmp_path / "scenario")]) == 0
+        trials = self.rows(tmp_path / "run" / "trials.csv")
+        assert trials[0] == ["trial", self.SALES, "SalesGrowth", "COGSGrowth", "OpexPct",
+                             self.NPV]
+        scenario = self.rows(tmp_path / "scenario" / "scenario.csv")
+        assert scenario[0] == trials[0]
+        tornado = self.rows(tmp_path / "tornado" / "tornado.csv")
+        assert self.SALES in [row[0] for row in tornado]
+        for table, width in ((trials, 6), (scenario, 6), (tornado, 3)):
+            assert len(table) > 1
+            assert {len(row) for row in table} == {width}
+
+    def test_history_with_quoted_header(self, tmp_path):
+        path = self.doc(tmp_path)
+        assert main(["run", path, "--trials", "20", "--out", str(tmp_path)]) == 0
+        # trials.csv without its trial column: the assumptions, then the
+        # observed forecast, under gridmc's own header
+        text = (tmp_path / "trials.csv").read_bytes().decode("utf-8")
+        history = tmp_path / "history.csv"
+        history.write_bytes(re.sub(r"(?m)^(trial|[0-9]+),", "", text).encode("utf-8"))
+        assert self.rows(history)[0] == [self.SALES, "SalesGrowth", "COGSGrowth",
+                                         "OpexPct", self.NPV]
+        assert main(["audit", path, "--history", str(history),
+                     "--out", str(tmp_path / "audit")]) == 0
 
 
 class TestCachedParser:

@@ -1,11 +1,15 @@
 import dataclasses
+import math
 import random
 
+import numpy as np
 import pytest
 
 from gridmc.cells import CellRef, parse_cell
+from gridmc.document import ModelDocument
 from gridmc.functions import ErrorKind
-from gridmc.model import CalcError, ModelBuildError, build_model, evaluate
+from gridmc.model import CalcError, ModelBuildError, build_model, evaluate, evaluate_batch
+from tests.conftest import example_path
 
 
 def C(text):
@@ -129,9 +133,11 @@ class TestEvaluate:
         assert err.cell == C("A2")
 
     def test_unknown_override_rejected(self):
-        m = make({"A1": 1})
-        with pytest.raises(KeyError):
+        m = make({"A1": 1, "A2": "=A1*2"})
+        with pytest.raises(KeyError, match="override targets unknown cell Z9"):
             evaluate(m, {C("Z9"): 1.0})
+        with pytest.raises(KeyError, match="override targets unknown cell B1"):
+            evaluate_batch(m, {C("A1"): np.ones(2), C("B1"): np.ones(2)}, 2)
 
     def test_determinism_bit_identical(self):
         m = make({"A1": 0.1, "A2": "=A1*3+EXP(A1)", "A3": "=A2^1.5/7"})
@@ -187,3 +193,55 @@ class TestTopologicalSoundness:
             assert alt != m.order or len(m.order) <= 2
             reordered = dataclasses.replace(m, order=alt)
             assert evaluate(reordered) == baseline
+
+
+class TestSlots:
+    """Cells evaluate in slots numbered by `order`, and literals read rows of
+    one read-only block with a row per bit pattern."""
+
+    @pytest.mark.parametrize("first, second", [("-0.0", "0"), ("0", "-0.0")])
+    def test_signed_zero_literals_keep_their_signs(self, first, second):
+        m = make({"A1": first, "A2": second, "B1": "=A1", "B2": "=A2",
+                  "C1": "=MIN(A1,A2)", "C2": "=MAX(A2,A1)"})
+        expected = {"A1": first, "A2": second, "B1": first, "B2": second,
+                    "C1": first, "C2": second}
+        signs = {C(cell): math.copysign(1.0, float(text)) for cell, text in expected.items()}
+        one = evaluate(m)
+        batch = evaluate_batch(m, {}, 3)
+        for ref, sign in signs.items():
+            assert math.copysign(1.0, one[ref]) == sign, ref
+            assert (np.copysign(1.0, batch.values[ref]) == sign).all(), ref
+
+    def test_literal_columns_are_read_only(self):
+        m = make({"A1": 5, "A2": "=A1+1", "A3": "=MAX(7)"})
+        batch = evaluate_batch(m, {}, 2)
+        for cell in ("A1", "A3"):
+            with pytest.raises(ValueError, match="read-only"):
+                batch.values[C(cell)][0] = 1.0
+        assert batch.values[C("A2")].tolist() == [6.0, 6.0]
+        assert evaluate_batch(m, {}, 2).values[C("A1")].tolist() == [5.0, 5.0]
+
+    def test_replaced_order_sets_the_first_error(self):
+        # A2 divides by zero and B2 takes a negative root: the first error
+        # is the one the order reaches first
+        m = make({"A1": 0, "B1": -1, "A2": "=1/A1", "B2": "=SQRT(B1)"})
+        assert evaluate(m).cell == C("A2")
+        alt = dataclasses.replace(m, order=[C("A1"), C("B1"), C("B2"), C("A2")])
+        assert evaluate(alt).cell == C("B2")
+        assert evaluate_batch(alt, {}, 2).errors[1].cell == C("B2")
+        assert evaluate(m).cell == C("A2")
+
+    def test_one_row_evaluation_hashes_few_cells(self, monkeypatch):
+        # each CellRef lookup is a Python-level __hash__ call; a pass looks
+        # up the overrides' cells and builds the result once
+        model, spec = ModelDocument.load(example_path("project-npv.json")).build()
+        overrides = {c: 0.1 for c in spec.assumption_cells}
+        calls = []
+
+        def counted(self, _original=CellRef.__hash__):
+            calls.append(self)
+            return _original(self)
+        monkeypatch.setattr(CellRef, "__hash__", counted)
+        result = evaluate(model, overrides)
+        assert not isinstance(result, CalcError)
+        assert 0 < len(calls) <= 3 * len(model.order)
