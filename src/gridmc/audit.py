@@ -15,8 +15,9 @@ from typing import Optional
 import numpy as np
 
 from . import analytics
-from .model import Model, evaluate_batch
-from .simulate import TRIALS_BLOCK, SimulationError, SimulationSpec, TrialStore, in_bounds, run
+from .model import Model
+from .simulate import (TRIALS_BLOCK, SimulationError, SimulationSpec, TrialStore, in_bounds, run,
+                       run_blocks)
 
 
 class FindingKind(str, Enum):
@@ -215,9 +216,9 @@ def check_limits(store: TrialStore) -> list:
     """Theoretical-limit violations on monitored cells, one finding per
     cell with the worst trial as witness."""
     findings = []
-    for j, lim in enumerate(store.spec.limits):
+    for j, lim, breached in _breaches(store):
         col = store.monitored_matrix[:, j]
-        violating = np.flatnonzero(~in_bounds(col, lim.min, lim.max))
+        violating = np.flatnonzero(breached)
         if len(violating) == 0:
             continue
         outside = col[violating]  # worst: the first trial farthest from [min, max]
@@ -236,6 +237,12 @@ def check_limits(store: TrialStore) -> list:
             witness=tuple(store.assumption_matrix[worst].tolist()),
         ))
     return findings
+
+
+def _breaches(store: TrialStore) -> list:
+    """(column, limit, mask of the rows outside it) for each limit, in spec order."""
+    return [(j, lim, ~in_bounds(store.monitored_matrix[:, j], lim.min, lim.max))
+            for j, lim in enumerate(store.spec.limits)]
 
 
 def check_intervals(store: TrialStore) -> list:
@@ -295,13 +302,14 @@ class BackcastResult:
 
 def backcast(model: Model, spec: SimulationSpec, history,
              observed: Optional[list] = None) -> BackcastResult:
-    """Replay historical assumption rows through the model, once each,
-    TRIALS_BLOCK rows per evaluation pass.
+    """Replay historical assumption rows through the model, once each, in
+    blocks of TRIALS_BLOCK rows through run's loop (run_blocks), in
+    continue mode: a failed row is recorded, never a halt or an error.
 
     history: rows of assumption values matching spec's assumption order.
     observed: optional parallel rows of observed forecast values.
     Findings come row by row: a row's CalcError, or else each breached
-    limit in spec order.
+    limit in spec order. A witness is the caller's row as given.
     """
     history = list(history)
     if not history:
@@ -314,53 +322,33 @@ def backcast(model: Model, spec: SimulationSpec, history,
         raise ValueError("observed rows must match history rows")
 
     matrix = np.array(history, dtype=float)
-    if observed is not None:
-        observed = np.array(observed, dtype=float)
+    store = run_blocks(model, replace(spec, trials=len(history), stop_on_error=False),
+                       ((start, matrix[start:start + TRIALS_BLOCK])
+                        for start in range(0, len(history), TRIALS_BLOCK)))
+
+    def failure(row, cell, **evidence):
+        return AuditFinding(FindingKind.BACKCAST_FAILURE, (str(cell),), {"row": row, **evidence},
+                            witness=tuple(history[row]))
+
+    by_row = {te.trial: [failure(te.trial, te.error.cell, error_kind=te.error.kind.value,
+                                 detail=te.error.detail)] for te in store.errors}
+    for j, lim, breached in _breaches(store):
+        for row, value in zip(store.trial_indices[breached].tolist(),
+                              store.monitored_matrix[breached, j].tolist()):
+            by_row.setdefault(row, []).append(failure(
+                row, lim.cell, limit_cell=str(lim.cell), value=value,
+                declared_min=lim.min, declared_max=lim.max))
     labels = [f.label for f in spec.forecasts]
-    findings = []
-    residual_rows = []
-    abs_residuals = {label: [] for label in labels}
-    for start in range(0, len(history), TRIALS_BLOCK):
-        block = matrix[start:start + TRIALS_BLOCK]
-        batch = evaluate_batch(
-            model, {c: block[:, j] for j, c in enumerate(spec.assumption_cells)}, len(block))
-        ok = np.ones(len(block), dtype=bool)
-        ok[list(batch.errors)] = False
-        breached = [~in_bounds(batch.values[lim.cell], lim.min, lim.max) for lim in spec.limits]
-        for i in np.flatnonzero(np.logical_or.reduce([~ok, *breached])).tolist():
-            row = start + i
-            error = batch.errors.get(i)
-            if error is not None:
-                findings.append(AuditFinding(
-                    kind=FindingKind.BACKCAST_FAILURE,
-                    cells=(str(error.cell),),
-                    evidence={"row": row, "error_kind": error.kind.value,
-                              "detail": error.detail},
-                    witness=tuple(history[row]),
-                ))
-                continue
-            for lim, mask in zip(spec.limits, breached):
-                if mask[i]:
-                    findings.append(AuditFinding(
-                        kind=FindingKind.BACKCAST_FAILURE,
-                        cells=(str(lim.cell),),
-                        evidence={"row": row, "limit_cell": str(lim.cell),
-                                  "value": batch.value(lim.cell, i),
-                                  "declared_min": lim.min, "declared_max": lim.max},
-                        witness=tuple(history[row]),
-                    ))
-        if observed is not None:
-            rows = np.flatnonzero(ok)
-            residuals = [batch.values[f.cell][rows] - observed[start + rows, fi]
-                         for fi, f in enumerate(spec.forecasts)]
-            residual_rows += [dict(zip(["row", *labels], values)) for values in
-                              zip((start + rows).tolist(), *(r.tolist() for r in residuals))]
-            for label, r in zip(labels, residuals):
-                abs_residuals[label] += np.abs(r).tolist()
-    mar = {label: (sum(v) / len(v) if v else None)
-           for label, v in abs_residuals.items()}
-    return BackcastResult(findings=findings, residuals=residual_rows,
-                          mean_abs_residual=mar)
+    residuals, rows = np.empty((0, len(labels))), []
+    if observed is not None:
+        residuals = store.forecast_matrix - np.array(observed, dtype=float)[store.trial_indices]
+        rows = store.trial_indices.tolist()
+    return BackcastResult(
+        findings=[f for row in sorted(by_row) for f in by_row[row]],
+        residuals=[dict(zip(["row", *labels], [row, *values]))
+                   for row, values in zip(rows, residuals.tolist())],
+        mean_abs_residual={label: (sum(np.abs(r).tolist()) / len(r) if len(r) else None)
+                           for label, r in zip(labels, residuals.T)})
 
 
 def run_audit(model: Model, spec: SimulationSpec,

@@ -20,7 +20,7 @@ from .audit import Thresholds, run_audit
 from .correlation import CorrelationError
 from .document import DocumentError, ModelDocument
 from .model import CalcError, ModelBuildError
-from .simulate import SimulationError, StepSession, histogram_file, run
+from .simulate import SimulationError, StepSession, file_stem, histogram_file, run
 
 EXIT_OK = 0
 EXIT_CALC_ERROR = 1
@@ -210,7 +210,7 @@ def cmd_scenario(args, doc, model, spec) -> int:
             return EXIT_USAGE
         i = subset.indices.index(args.apply)
         baked = doc.bake_scenario(spec, subset.assumptions[i], args.apply)
-        path = report.out_path(args.out, f"{doc.name}.scenario{args.apply}.json")
+        path = report.out_path(args.out, f"{file_stem(doc.name)}.scenario{args.apply}.json")
         report.write_json(path, baked)
         print(f"wrote {path}")
     return EXIT_OK
@@ -219,7 +219,7 @@ def cmd_scenario(args, doc, model, spec) -> int:
 def _read_history(path, spec, model):
     import csv
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             rows = list(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise DocumentError([f"not UTF-8 text: {exc}"]) from None
@@ -230,13 +230,13 @@ def _read_history(path, spec, model):
     header = [h.strip() for h in rows[0]]
     a_labels = [model.label_of(c) for c in spec.assumption_cells]
     f_labels = [f.label for f in spec.forecasts]
-    if header[:len(a_labels)] != a_labels:
+    if header[:len(a_labels)] != [label.strip() for label in a_labels]:
         raise DocumentError(
             [f"history header must start with assumption labels {a_labels}, got {header}"])
     extra = header[len(a_labels):]
     observed_cols = None
     if extra:
-        if extra != f_labels:
+        if extra != [label.strip() for label in f_labels]:
             raise DocumentError(
                 [f"trailing history columns must be forecast labels {f_labels}, got {extra}"])
         observed_cols = True

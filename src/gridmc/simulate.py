@@ -14,7 +14,7 @@ import numpy as np
 from .cells import CellRef
 from .correlation import CorrelationSpec, induce_rank_correlation, validate_correlation
 from .distributions import Distribution
-from .model import Batch, CalcError, Model, evaluate, evaluate_batch
+from .model import CalcError, Model, evaluate, evaluate_batch
 from .rng import TRIALS_BLOCK, RandomSource
 
 DEFAULT_TRIALS = 5000
@@ -150,8 +150,13 @@ def check_labels(model: Model, forecasts: list) -> None:
 
 def histogram_file(label: str) -> str:
     """The name of the file `gridmc run` writes a forecast's histogram to."""
-    safe = "".join(ch if ch.isalnum() or ch in "-_" else "_" for ch in label)
-    return f"histogram-{safe}.csv"
+    return f"histogram-{file_stem(label)}.csv"
+
+
+def file_stem(name: str) -> str:
+    """name with each character other than a letter, a digit, - or _ made _,
+    so a file named after it stays in the output directory."""
+    return "".join(ch if ch.isalnum() or ch in "-_" else "_" for ch in name)
 
 
 def check_bounds(lo: Optional[float], hi: Optional[float], what: str) -> None:
@@ -273,25 +278,49 @@ def _sample_block(spec: SimulationSpec, start: int, stop: int) -> np.ndarray:
     return values
 
 
-def sample_assumptions(spec: SimulationSpec) -> np.ndarray:
-    """Full post-correlation assumption matrix for the run."""
-    values = _trial_array(spec.trials, len(spec.assumptions))
+def _sampled_blocks(spec: SimulationSpec):
+    """(first trial, values) of each block of the run, each sampled only when
+    the loop asks for it, so a halted run samples no later block."""
     stop = 0
     while stop < spec.trials:
         start, stop = _block_bounds(spec, stop)
-        values[start:stop] = _sample_block(spec, start, stop)
+        yield start, _sample_block(spec, start, stop)
+
+
+def sample_assumptions(spec: SimulationSpec) -> np.ndarray:
+    """Full post-correlation assumption matrix for the run."""
+    values = _trial_array(spec.trials, len(spec.assumptions))
+    for start, block in _sampled_blocks(spec):
+        values[start:start + len(block)] = block
     return values
 
 
 def run(model: Model, spec: SimulationSpec) -> TrialStore:
-    """Execute the full simulation, sampling and evaluating one block at a time.
+    """Execute the full simulation: run_blocks over the run's blocks, each
+    sampled as the loop reaches it.
 
     stop_on_error=True halts at the first calculation error, keeping all
     prior complete trials plus the dossier, and samples no later block;
     otherwise erroneous trials are recorded separately and excluded from
-    the matrices.
+    the matrices, and a run in which every trial failed is an error.
     """
     spec.validate(model)
+    store = run_blocks(model, spec, _sampled_blocks(spec))
+    if not spec.stop_on_error and not store.completed:
+        raise SimulationError("every trial failed with a calculation error")
+    return store
+
+
+def run_blocks(model: Model, spec: SimulationSpec, blocks) -> TrialStore:
+    """Evaluate spec.trials rows of assumption values, given as an iterator of
+    (first row, values) blocks, one pass per block: the loop of both a run's
+    trials and a back-cast's history rows.
+
+    A failed row becomes a CalcErrorDossier. With stop_on_error the first
+    one halts the loop, and no later block is drawn from the iterator;
+    otherwise each is kept in errors. The other rows' assumptions, forecasts
+    and limit cells are packed in row order.
+    """
     forecast_cells = [f.cell for f in spec.forecasts]
     limit_cells = [lim.cell for lim in spec.limits]
     # the kept rows are packed to the front of these matrices as the blocks go by
@@ -302,11 +331,8 @@ def run(model: Model, spec: SimulationSpec) -> TrialStore:
     kept = 0
     errors = []
     dossier = None
-    stop = 0
-    while stop < spec.trials:
-        start, stop = _block_bounds(spec, stop)
-        n = stop - start
-        block = _sample_block(spec, start, stop)
+    for start, block in blocks:
+        n = len(block)
         batch = evaluate_batch(
             model, {c: block[:, j] for j, c in enumerate(spec.assumption_cells)}, n)
         failed = sorted(batch.errors)
@@ -321,31 +347,16 @@ def run(model: Model, spec: SimulationSpec) -> TrialStore:
             errors += trapped
         rows = slice(kept, kept + np.count_nonzero(ok))
         values[rows] = block[ok]
-        _capture(batch, forecast_cells, ok, forecasts[rows])
-        _capture(batch, limit_cells, ok, monitored[rows])
+        for out, cells in ((forecasts, forecast_cells), (monitored, limit_cells)):
+            for j, c in enumerate(cells):
+                out[rows, j] = batch.values[c][ok]
         trial_indices[rows] = start + np.flatnonzero(ok)
         kept = rows.stop
         if dossier is not None:
             break
-    if not spec.stop_on_error and not kept:
-        raise SimulationError("every trial failed with a calculation error")
-
-    return TrialStore(
-        model=model,
-        spec=spec,
-        assumption_matrix=values[:kept],
-        forecast_matrix=forecasts[:kept],
-        monitored_matrix=monitored[:kept],
-        trial_indices=trial_indices[:kept],
-        errors=errors,
-        dossier=dossier,
-    )
-
-
-def _capture(batch: Batch, cells: list, ok: np.ndarray, out: np.ndarray) -> None:
-    """Write the batch's values of cells in the rows ok marks into out's columns."""
-    for j, c in enumerate(cells):
-        out[:, j] = batch.values[c][ok]
+    return TrialStore(model=model, spec=spec, assumption_matrix=values[:kept],
+                      forecast_matrix=forecasts[:kept], monitored_matrix=monitored[:kept],
+                      trial_indices=trial_indices[:kept], errors=errors, dossier=dossier)
 
 
 def replay(model: Model, spec: SimulationSpec, assumptions):

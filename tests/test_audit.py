@@ -472,7 +472,7 @@ class TestBackcastBatch:
     def test_mixed_history_matches_replay_oracle(self, monkeypatch, with_observed, copies,
                                                  passes):
         sizes = []
-        monkeypatch.setattr("gridmc.audit.evaluate_batch",
+        monkeypatch.setattr("gridmc.simulate.evaluate_batch",
                             lambda *a: sizes.append(a[2]) or evaluate_batch(*a))
         history = self.MIXED * copies
         observed = ([[0.5 * i, -1.0 + i] for i in range(len(history))]
@@ -498,6 +498,23 @@ class TestBackcastBatch:
             else:
                 value = result[C(f.evidence["limit_cell"])]
                 assert repr(value) == repr(f.evidence["value"])
+
+    def test_every_row_failing_is_no_error(self):
+        # unlike a run, a history in which every row fails is a finding per row
+        history = [[-1.0, 0.0], [-4.0, 1.0], [-0.5, 2.0]]
+        result = self._assert_matches_oracle(history, [[0.0, 0.0]] * 3)
+        assert [(f.evidence["row"], f.evidence["error_kind"]) for f in result.findings] == \
+            [(0, "DomainError"), (1, "DomainError"), (2, "DomainError")]
+        assert result.residuals == []
+        assert result.mean_abs_residual == {"f": None, "g": None}
+
+    def test_witnesses_are_the_callers_rows(self):
+        model, spec = self._model()
+        # three breaches, a SQRT of a negative, a clean row
+        findings = backcast(model, spec, [[4, 5], [-1, 0], [1, 1]]).findings
+        assert [f.witness for f in findings] == [(4, 5)] * 3 + [(-1, 0)]
+        assert [json.dumps(f.to_json()["witness"]) for f in findings] == \
+            ["[4, 5]"] * 3 + ["[-1, 0]"]
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(

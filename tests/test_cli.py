@@ -334,6 +334,22 @@ class TestScenario:
             baked_rows = list(csv.DictReader(fh))
         assert baked_rows[0]["ProjectNPV"] == pick["ProjectNPV"]
 
+    @pytest.mark.parametrize("name, stem", [("../escape", "___escape"), ("a/b", "a_b")])
+    def test_apply_writes_inside_out(self, tmp_path, name, stem):
+        # the baked file is named after the document as histograms are after
+        # labels: a name's path separators and dots cannot leave --out
+        with open(PROJECT) as fh:
+            doc = json.load(fh)
+        doc["name"] = name
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "runs" / "out"
+        assert main(["scenario", path, "--trials", "20", "--min=-1e9", "--apply", "0",
+                     "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == sorted(["scenario.csv", f"{stem}.scenario0.json"])
+        assert os.listdir(tmp_path / "runs") == ["out"]
+        assert sorted(os.listdir(tmp_path)) == ["doc.json", "runs"]
+        assert json.loads(read(out / f"{stem}.scenario0.json"))["name"] == f"{name}.scenario0"
+
     def test_apply_outside_subset(self, tmp_path, capsys):
         assert main(["scenario", PROJECT, "--trials", "100", "--min", "1e9",
                      "--apply", "0", "--out", str(tmp_path)]) == 3
@@ -412,10 +428,44 @@ class TestAudit:
 
     def test_history_bad_header(self, tmp_path, capsys):
         hist = tmp_path / "history.csv"
-        hist.write_text("Wrong,Header\n1,2\n")
-        assert main(["audit", PROJECT, "--history", str(hist),
-                     "--out", str(tmp_path)]) == 3
-        assert "history error" in capsys.readouterr().err
+        for bom in (b"", b"\xef\xbb\xbf"):
+            hist.write_bytes(bom + b"Wrong, Header\n1,2\n")
+            assert main(["audit", PROJECT, "--history", str(hist),
+                         "--out", str(tmp_path)]) == 3
+            assert one_error_line(capsys, "history error:") == (
+                "history error: history header must start with assumption labels "
+                "['Year1Sales', 'SalesGrowth', 'COGSGrowth', 'OpexPct'], got ['Wrong', 'Header']")
+
+    def test_history_header_as_spreadsheets_write_it(self, tmp_path):
+        # a byte-order mark, as Excel's "CSV UTF-8" writes, spaces around the
+        # header's fields, and a label with a leading space read back from the
+        # run's own trials.csv all give what the same rows written plainly give
+        with open(example_path("project-npv-noclamp.json")) as fh:
+            text = fh.read()
+        plain_doc = write_doc(tmp_path, json.loads(text), "plain.json")
+        spaced_doc = write_doc(tmp_path, json.loads(text.replace('"Year1Sales"', '" Year1Sales"')),
+                               "spaced.json")
+        assert main(["run", spaced_doc, "--trials", "30", "--out", str(tmp_path / "run")]) == 0
+        trials = (tmp_path / "run" / "trials.csv").read_text(encoding="utf-8")
+        round_trip = re.sub(r"(?m)^(trial|[0-9]+),", "", trials)
+        assert round_trip.startswith(" Year1Sales,")
+        rows = round_trip.split("\n", 1)[1]
+        plain = "Year1Sales,SalesGrowth,COGSGrowth,OpexPct,ProjectNPV\n" + rows
+
+        def audit(doc, data, tag):
+            hist = tmp_path / f"{tag}.csv"
+            hist.write_bytes(data)
+            out = tmp_path / tag
+            code = main(["audit", doc, "--trials", "200", "--history", str(hist),
+                         "--out", str(out)])
+            return code, read(out / "audit.json")
+        expected = audit(plain_doc, plain.encode(), "plain")
+        assert expected[0] == 2
+        assert audit(plain_doc, b"\xef\xbb\xbf" + plain.encode(), "bom") == expected
+        assert audit(plain_doc, plain.replace(",", ", ", 4).encode(), "spaces") == expected
+        round_tripped = audit(spaced_doc, round_trip.encode(), "round-trip")
+        assert round_tripped[0] == 2
+        assert round_tripped == audit(spaced_doc, plain.encode(), "spaced-plain")
 
     def test_history_missing_file(self, tmp_path, capsys):
         assert main(["audit", PROJECT, "--history",
