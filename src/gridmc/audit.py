@@ -1,7 +1,9 @@
 """Logic-error detectors: turn simulation evidence into warnings.
 
 Each detector is a pure function; findings that carry a witness vector
-replay through the model to demonstrate the flagged behavior.
+replay through the model to demonstrate the flagged behavior. A back-cast
+history goes through a run's loop and a run's own limit and error
+detectors, so it gives one finding per defect, not one per row.
 """
 
 from __future__ import annotations
@@ -212,19 +214,28 @@ def check_signs(sens: dict, torn: dict, store: TrialStore) -> list:
     return findings
 
 
-def check_limits(store: TrialStore) -> list:
+def check_limits(store: TrialStore, *, history=None) -> list:
     """Theoretical-limit violations on monitored cells, one finding per
-    cell with the worst trial as witness."""
+    breached cell in spec order, with the worst trial as witness: the first
+    one farthest from [min, max].
+
+    Given the rows of a back-cast history, as backcast passes them, the
+    findings are BackcastFailure, name rows instead of trials, and take the
+    caller's row as witness.
+    """
+    kind, unit = ((FindingKind.LIMIT_VIOLATION, "trial") if history is None
+                  else (FindingKind.BACKCAST_FAILURE, "row"))
     findings = []
-    for j, lim, breached in _breaches(store):
+    for j, lim in enumerate(store.spec.limits):
         col = store.monitored_matrix[:, j]
-        violating = np.flatnonzero(breached)
+        violating = np.flatnonzero(~in_bounds(col, lim.min, lim.max))
         if len(violating) == 0:
             continue
-        outside = col[violating]  # worst: the first trial farthest from [min, max]
+        outside = col[violating]
         worst = violating[int(np.argmax(np.abs(outside - np.clip(outside, lim.min, lim.max))))]
+        t = int(store.trial_indices[worst])
         findings.append(AuditFinding(
-            kind=FindingKind.LIMIT_VIOLATION,
+            kind=kind,
             cells=(str(lim.cell),),
             evidence={
                 "cell": str(lim.cell),
@@ -232,17 +243,12 @@ def check_limits(store: TrialStore) -> list:
                 "declared_max": lim.max,
                 "violations": int(len(violating)),
                 "worst_value": float(col[worst]),
-                "worst_trial": int(store.trial_indices[worst]),
+                f"worst_{unit}": t,
             },
-            witness=tuple(store.assumption_matrix[worst].tolist()),
+            witness=(tuple(store.assumption_matrix[worst].tolist()) if history is None
+                     else tuple(history[t])),
         ))
     return findings
-
-
-def _breaches(store: TrialStore) -> list:
-    """(column, limit, mask of the rows outside it) for each limit, in spec order."""
-    return [(j, lim, ~in_bounds(store.monitored_matrix[:, j], lim.min, lim.max))
-            for j, lim in enumerate(store.spec.limits)]
 
 
 def check_intervals(store: TrialStore) -> list:
@@ -267,28 +273,33 @@ def check_intervals(store: TrialStore) -> list:
     return findings
 
 
-def error_census(store: TrialStore) -> list:
+def error_census(store: TrialStore, *, history=None) -> list:
     """Aggregate continue-mode trial errors per (cell, kind), in row-major
-    cell order, each with a replayable dossier witness."""
+    cell order, each with a replayable dossier witness: its first trial's.
+
+    Given the rows of a back-cast history, as check_limits takes them, the
+    findings are BackcastFailure, name rows and take the caller's row."""
+    kind, unit = ((FindingKind.ERROR_CENSUS, "trial") if history is None
+                  else (FindingKind.BACKCAST_FAILURE, "row"))
     groups = {}
     for te in store.errors:
         key = (te.error.cell, te.error.kind.value)
         groups.setdefault(key, []).append(te)
     total = store.spec.trials
     findings = []
-    for (cell, kind), tes in sorted(groups.items()):
+    for (cell, error_kind), tes in sorted(groups.items()):
         first = tes[0]
         findings.append(AuditFinding(
-            kind=FindingKind.ERROR_CENSUS,
+            kind=kind,
             cells=(str(cell),),
             evidence={
                 "cell": str(cell),
-                "error_kind": kind,
+                "error_kind": error_kind,
                 "count": len(tes),
                 "rate": len(tes) / total,
-                "first_trial": first.trial,
+                f"first_{unit}": first.trial,
             },
-            witness=first.assumptions,
+            witness=first.assumptions if history is None else tuple(history[first.trial]),
         ))
     return findings
 
@@ -302,49 +313,41 @@ class BackcastResult:
 
 def backcast(model: Model, spec: SimulationSpec, history,
              observed: Optional[list] = None) -> BackcastResult:
-    """Replay historical assumption rows through the model, once each, in
-    blocks of TRIALS_BLOCK rows through run's loop (run_blocks), in
-    continue mode: a failed row is recorded, never a halt or an error.
+    """Replay historical assumption rows through the model, once each: run's
+    loop (run_blocks) over the history in blocks of TRIALS_BLOCK rows, in
+    continue mode, so a failed row is recorded, never a halt or an error.
 
     history: rows of assumption values matching spec's assumption order.
     observed: optional parallel rows of observed forecast values.
-    Findings come row by row: a row's CalcError, or else each breached
-    limit in spec order. A witness is the caller's row as given.
+    The findings are a run's own check_limits and error_census over the
+    history's rows, as BackcastFailure: one per breached limit cell in spec
+    order, then one per (cell, error kind) in row-major order. Their
+    evidence names rows (worst_row, first_row); a witness is the caller's
+    row as given. The residuals have one row per row that evaluated.
     """
     history = list(history)
     if not history:
         raise ValueError("history must have at least one row")
-    k = len(spec.assumptions)
-    for i, row in enumerate(history):
-        if len(row) != k:
-            raise ValueError(f"history row {i} has {len(row)} values, expected {k}")
     if observed is not None and len(observed) != len(history):
         raise ValueError("observed rows must match history rows")
+    for name, rows, width in (("history", history, len(spec.assumptions)),
+                              ("observed", [] if observed is None else observed,
+                               len(spec.forecasts))):
+        for i, row in enumerate(rows):
+            if len(row) != width:
+                raise ValueError(f"{name} row {i} has {len(row)} values, expected {width}")
 
     matrix = np.array(history, dtype=float)
     store = run_blocks(model, replace(spec, trials=len(history), stop_on_error=False),
                        ((start, matrix[start:start + TRIALS_BLOCK])
                         for start in range(0, len(history), TRIALS_BLOCK)))
-
-    def failure(row, cell, **evidence):
-        return AuditFinding(FindingKind.BACKCAST_FAILURE, (str(cell),), {"row": row, **evidence},
-                            witness=tuple(history[row]))
-
-    by_row = {te.trial: [failure(te.trial, te.error.cell, error_kind=te.error.kind.value,
-                                 detail=te.error.detail)] for te in store.errors}
-    for j, lim, breached in _breaches(store):
-        for row, value in zip(store.trial_indices[breached].tolist(),
-                              store.monitored_matrix[breached, j].tolist()):
-            by_row.setdefault(row, []).append(failure(
-                row, lim.cell, limit_cell=str(lim.cell), value=value,
-                declared_min=lim.min, declared_max=lim.max))
     labels = [f.label for f in spec.forecasts]
     residuals, rows = np.empty((0, len(labels))), []
     if observed is not None:
         residuals = store.forecast_matrix - np.array(observed, dtype=float)[store.trial_indices]
         rows = store.trial_indices.tolist()
     return BackcastResult(
-        findings=[f for row in sorted(by_row) for f in by_row[row]],
+        findings=check_limits(store, history=history) + error_census(store, history=history),
         residuals=[dict(zip(["row", *labels], [row, *values]))
                    for row, values in zip(rows, residuals.tolist())],
         mean_abs_residual={label: (sum(np.abs(r).tolist()) / len(r) if len(r) else None)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 
@@ -217,44 +218,47 @@ def cmd_scenario(args, doc, model, spec) -> int:
 
 
 def _read_history(path, spec, model):
+    """(history rows, observed rows or None) of a history CSV, read row by
+    row. A bad row's error names its physical line: a quoted line break in
+    a label makes the header longer than one line."""
     import csv
-    try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except UnicodeDecodeError as exc:
-        raise DocumentError([f"not UTF-8 text: {exc}"]) from None
-    if not rows:
-        raise DocumentError(["history CSV is empty"])
-    if len(rows) == 1:
-        raise DocumentError(["history CSV has a header but no rows"])
-    header = [h.strip() for h in rows[0]]
     a_labels = [model.label_of(c) for c in spec.assumption_cells]
     f_labels = [f.label for f in spec.forecasts]
-    if header[:len(a_labels)] != [label.strip() for label in a_labels]:
-        raise DocumentError(
-            [f"history header must start with assumption labels {a_labels}, got {header}"])
-    extra = header[len(a_labels):]
-    observed_cols = None
-    if extra:
-        if extra != [label.strip() for label in f_labels]:
-            raise DocumentError(
-                [f"trailing history columns must be forecast labels {f_labels}, got {extra}"])
-        observed_cols = True
-    history, observed = [], [] if observed_cols else None
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise DocumentError(
-                [f"line {i} has {len(row)} values, the header has {len(header)}"])
-        try:
-            values = [float(v) for v in row]
-        except ValueError as exc:
-            raise DocumentError([f"line {i}: {exc}"]) from None
-        for text, value in zip(row, values):
-            if not math.isfinite(value):
-                raise DocumentError([f"line {i}: non-finite value {text!r}"])
-        history.append(values[:len(a_labels)])
-        if observed_cols:
-            observed.append(values[len(a_labels):])
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DocumentError(["history CSV is empty"])
+            first = next(reader, None)
+            if first is None:
+                raise DocumentError(["history CSV has a header but no rows"])
+            header = [h.strip() for h in header]
+            if header[:len(a_labels)] != [label.strip() for label in a_labels]:
+                raise DocumentError([f"history header must start with assumption labels "
+                                     f"{a_labels}, got {header}"])
+            extra = header[len(a_labels):]
+            if extra and extra != [label.strip() for label in f_labels]:
+                raise DocumentError([f"trailing history columns must be forecast labels "
+                                     f"{f_labels}, got {extra}"])
+            history, observed = [], [] if extra else None
+            for row in itertools.chain([first], reader):
+                line = reader.line_num
+                if len(row) != len(header):
+                    raise DocumentError(
+                        [f"line {line} has {len(row)} values, the header has {len(header)}"])
+                try:
+                    values = [float(v) for v in row]
+                except ValueError as exc:
+                    raise DocumentError([f"line {line}: {exc}"]) from None
+                for text, value in zip(row, values):
+                    if not math.isfinite(value):
+                        raise DocumentError([f"line {line}: non-finite value {text!r}"])
+                history.append(values[:len(a_labels)])
+                if extra:
+                    observed.append(values[len(a_labels):])
+    except UnicodeDecodeError as exc:
+        raise DocumentError([f"not UTF-8 text: {exc}"]) from None
     return history, observed
 
 

@@ -52,11 +52,6 @@ class CorrelationSpec:
     matrix: tuple  # tuple of tuples, row major
 
     @staticmethod
-    def identity(k: int) -> "CorrelationSpec":
-        return CorrelationSpec(tuple(tuple(1.0 if i == j else 0.0 for j in range(k))
-                                     for i in range(k)))
-
-    @staticmethod
     def from_pairs(k: int, pairs) -> "CorrelationSpec":
         """Expand {(i, j): rho} into a full matrix, zeros elsewhere."""
         m = np.eye(k)

@@ -69,10 +69,6 @@ class RangeRef:
     def n_cols(self) -> int:
         return abs(self.start.col - self.end.col) + 1
 
-    @property
-    def n_rows(self) -> int:
-        return abs(self.start.row - self.end.row) + 1
-
 
 @dataclass(frozen=True)
 class Neg:

@@ -193,7 +193,7 @@ def _compile_call(node: Call) -> Callable:
         table_arg = node.args[1]
         if not isinstance(table_arg, RangeRef) or table_arg.n_cols != 2:
             raise FormulaError("LOOKUP needs a two-column range", 0)
-        rows = [table_arg.cells()[i:i + 2] for i in range(0, 2 * table_arg.n_rows, 2)]
+        rows = [table_arg.cells()[i:i + 2] for i in range(0, len(table_arg.cells()), 2)]
         mode_fn = _compile(node.args[2])
 
         def lookup_call(v):

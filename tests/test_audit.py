@@ -31,6 +31,7 @@ from gridmc.simulate import (
     SimulationSpec,
     replay,
     run,
+    sample_assumptions,
 )
 from tests.conftest import portfolio_documents
 from tests.inverse_cdf_oracle import inverse_cdf
@@ -357,21 +358,28 @@ class TestBackcast:
         spec = SimulationSpec(assumptions=[(C("A1"), Uniform(0, 1))],
                               forecasts=[Forecast(C("A2"), "f")],
                               trials=10, seed=1)
-        result = backcast(model, spec, [[4.0], [-1.0], [9.0]])
+        result = backcast(model, spec, [[4.0], [-1.0], [9.0], [-4.0]])
         assert len(result.findings) == 1
         f = result.findings[0]
         assert f.kind is FindingKind.BACKCAST_FAILURE
-        assert f.evidence["row"] == 1
-        assert f.evidence["error_kind"] == "DomainError"
+        assert f.cells == ("A2",)
+        assert f.evidence == {"cell": "A2", "error_kind": "DomainError", "count": 2,
+                              "rate": 0.5, "first_row": 1}
         assert f.witness == (-1.0,)
 
     def test_limit_violation_row(self):
         model, spec = self._linear()
         spec.limits = [Limit(C("A3"), min=0.0)]
-        result = backcast(model, spec, [[0.9, 0.1], [0.0001, 0.9]])
+        result = backcast(model, spec, [[0.9, 0.1], [0.0001, 0.9], [0.1, 0.2], [0.5, 0.5]])
         assert len(result.findings) == 1
-        assert result.findings[0].evidence["row"] == 1
-        assert result.findings[0].evidence["value"] < 0.0
+        f = result.findings[0]
+        assert f.cells == ("A3",)
+        assert {k: f.evidence[k] for k in ("cell", "declared_min", "declared_max",
+                                           "violations", "worst_row")} == \
+            {"cell": "A3", "declared_min": 0.0, "declared_max": None, "violations": 2,
+             "worst_row": 1}
+        assert f.evidence["worst_value"] == 3 * 0.0001 - 2 * 0.9
+        assert f.witness == (0.0001, 0.9)
 
     def test_validation(self):
         model, spec = self._linear()
@@ -381,6 +389,14 @@ class TestBackcast:
             backcast(model, spec, [[0.5]])
         with pytest.raises(ValueError, match="observed"):
             backcast(model, spec, [[0.5, 0.5]], observed=[])
+        # one observed value per row where there is one forecast, not a broadcast
+        model, spec = TestBackcastBatch._model()
+        with pytest.raises(ValueError,
+                           match=r"^observed row 1 has 1 values, expected 2$"):
+            backcast(model, spec, [[4.0, 1.0], [1.0, 2.0]], observed=[[0.0, 1.0], [0.0]])
+        with pytest.raises(ValueError,
+                           match=r"^observed row 0 has 1 values, expected 2$"):
+            backcast(model, spec, [[4.0, 1.0], [1.0, 2.0]], observed=[[0.0], [1.1]])
 
     def test_run_audit_includes_backcast(self):
         model, spec = self._linear()
@@ -398,33 +414,50 @@ class TestBackcast:
 
 
 def replay_oracle(model, spec, history, observed=None):
-    """Back-casting as one replay call per history row: the findings,
-    the residual rows and the mean absolute residuals."""
-    findings, residual_rows = [], []
-    abs_residuals = {f.label: [] for f in spec.forecasts}
-    for i, row in enumerate(history):
-        result = replay(model, spec, row)
-        if isinstance(result, CalcError):
-            findings.append(AuditFinding(
-                FindingKind.BACKCAST_FAILURE, (str(result.cell),),
-                {"row": i, "error_kind": result.kind.value, "detail": result.detail},
-                tuple(row)))
-            continue
-        for lim in spec.limits:
+    """Back-casting as one replay call per history row, grouped here: per
+    limit, the rows that break it and the first of those farthest outside
+    it; per (cell, error kind), the failed rows. Returns the findings, the
+    residual rows and the mean absolute residuals."""
+    results = [replay(model, spec, row) for row in history]
+    findings = []
+    for lim in spec.limits:
+        breaches = []  # (distance outside the limit, row)
+        for i, result in enumerate(results):
+            if isinstance(result, CalcError):
+                continue
             v = result[lim.cell]
-            if (lim.min is not None and v < lim.min) or \
-               (lim.max is not None and v > lim.max):
-                findings.append(AuditFinding(
-                    FindingKind.BACKCAST_FAILURE, (str(lim.cell),),
-                    {"row": i, "limit_cell": str(lim.cell), "value": v,
-                     "declared_min": lim.min, "declared_max": lim.max},
-                    tuple(row)))
-        if observed is not None:
-            residuals = {"row": i}
-            for fi, f in enumerate(spec.forecasts):
-                residuals[f.label] = result[f.cell] - observed[i][fi]
-                abs_residuals[f.label].append(abs(residuals[f.label]))
-            residual_rows.append(residuals)
+            if lim.min is not None and v < lim.min:
+                breaches.append((lim.min - v, i))
+            elif lim.max is not None and v > lim.max:
+                breaches.append((v - lim.max, i))
+        if breaches:
+            worst = max(breaches, key=lambda b: (b[0], -b[1]))[1]
+            findings.append(AuditFinding(
+                FindingKind.BACKCAST_FAILURE, (str(lim.cell),),
+                {"cell": str(lim.cell), "declared_min": lim.min, "declared_max": lim.max,
+                 "violations": len(breaches), "worst_value": results[worst][lim.cell],
+                 "worst_row": worst},
+                tuple(history[worst])))
+    failed = {}
+    for i, result in enumerate(results):
+        if isinstance(result, CalcError):
+            failed.setdefault((result.cell, result.kind.value), []).append(i)
+    for (cell, kind), rows in sorted(failed.items()):
+        findings.append(AuditFinding(
+            FindingKind.BACKCAST_FAILURE, (str(cell),),
+            {"cell": str(cell), "error_kind": kind, "count": len(rows),
+             "rate": len(rows) / len(history), "first_row": rows[0]},
+            tuple(history[rows[0]])))
+    residual_rows = []
+    abs_residuals = {f.label: [] for f in spec.forecasts}
+    for i, result in enumerate(results):
+        if observed is None or isinstance(result, CalcError):
+            continue
+        residuals = {"row": i}
+        for fi, f in enumerate(spec.forecasts):
+            residuals[f.label] = result[f.cell] - observed[i][fi]
+            abs_residuals[f.label].append(abs(residuals[f.label]))
+        residual_rows.append(residuals)
     mar = {label: (sum(v) / len(v) if v else None) for label, v in abs_residuals.items()}
     return findings, residual_rows, mar
 
@@ -479,38 +512,44 @@ class TestBackcastBatch:
                     if with_observed else None)
         result = self._assert_matches_oracle(history, observed)
         assert sizes == passes
+        # A4 breaks in rows 2 and 5, B1 in 3 and 6, A2 in 4 and 5 (one apart
+        # from its limits in both, so the first is the worst), and A3 fails in row 1
+        assert [(f.cells[0], f.evidence.get("violations", f.evidence.get("count")),
+                 f.evidence.get("worst_row", f.evidence.get("first_row")))
+                for f in result.findings] == [
+            ("A4", 2 * copies, 5), ("B1", 2 * copies, 3), ("A2", 2 * copies, 4),
+            ("A3", copies, 1)]
         offsets = range(0, len(history), len(self.MIXED))
-        rows = [f.evidence["row"] for f in result.findings]
-        assert rows == [s + i for s in offsets for i in [1, 2, 3, 4, 5, 5, 6]]
-        assert "error_kind" in result.findings[0].evidence
-        assert [f.cells[0] for f in result.findings[4:6]] == ["A4", "A2"]
         assert [r["row"] for r in result.residuals] == (
             [s + i for s in offsets for i in [0, 2, 3, 4, 5, 6]] if with_observed else [])
 
     def test_witnesses_replay_to_the_finding(self):
         model, spec = self._model()
-        for f in backcast(model, spec, self.MIXED).findings:
+        findings = backcast(model, spec, self.MIXED).findings
+        assert len(findings) == 4
+        for f in findings:
             result = replay(model, spec, f.witness)
             if "error_kind" in f.evidence:
                 assert isinstance(result, CalcError)
-                assert (result.kind.value, result.detail) == \
-                    (f.evidence["error_kind"], f.evidence["detail"])
+                assert (str(result.cell), result.kind.value) == \
+                    (f.evidence["cell"], f.evidence["error_kind"])
             else:
-                value = result[C(f.evidence["limit_cell"])]
-                assert repr(value) == repr(f.evidence["value"])
+                value = result[C(f.evidence["cell"])]
+                assert repr(value) == repr(f.evidence["worst_value"])
 
     def test_every_row_failing_is_no_error(self):
-        # unlike a run, a history in which every row fails is a finding per row
+        # unlike a run, a history in which every row fails is a finding
         history = [[-1.0, 0.0], [-4.0, 1.0], [-0.5, 2.0]]
         result = self._assert_matches_oracle(history, [[0.0, 0.0]] * 3)
-        assert [(f.evidence["row"], f.evidence["error_kind"]) for f in result.findings] == \
-            [(0, "DomainError"), (1, "DomainError"), (2, "DomainError")]
+        assert [f.evidence for f in result.findings] == [
+            {"cell": "A3", "error_kind": "DomainError", "count": 3, "rate": 1.0,
+             "first_row": 0}]
         assert result.residuals == []
         assert result.mean_abs_residual == {"f": None, "g": None}
 
     def test_witnesses_are_the_callers_rows(self):
         model, spec = self._model()
-        # three breaches, a SQRT of a negative, a clean row
+        # three breaches in one row, a SQRT of a negative, a clean row
         findings = backcast(model, spec, [[4, 5], [-1, 0], [1, 1]]).findings
         assert [f.witness for f in findings] == [(4, 5)] * 3 + [(-1, 0)]
         assert [json.dumps(f.to_json()["witness"]) for f in findings] == \
@@ -528,6 +567,33 @@ class TestBackcastBatch:
         history = [[x, y] for x, y, _, _ in rows]
         observed = [[f, g] for _, _, f, g in rows] if with_observed else None
         self._assert_matches_oracle(history, observed)
+
+
+class TestBackcastAgreesWithTheRun:
+    """A history of a run's own sampled rows gives the run's limit and error
+    findings, with rows for trials: one detector for both."""
+
+    RENAMED = {"worst_trial": "worst_row", "first_trial": "first_row"}
+
+    @pytest.mark.parametrize("fixture, expected", [
+        ("noclamp_doc", [("D15", 25, 3178), ("E15", 150, 1791)]),
+        ("sqrt_trap_doc", [("A2", 2415, 4)]),
+    ])
+    def test_history_of_the_sampled_rows(self, request, fixture, expected):
+        model, spec = request.getfixturevalue(fixture).build(trials=5000)
+        report = run_audit(model, spec)
+        from_run = (report.by_kind(FindingKind.LIMIT_VIOLATION)
+                    + report.by_kind(FindingKind.ERROR_CENSUS))
+        from_history = backcast(model, spec, sample_assumptions(spec)).findings
+        assert [f.kind for f in from_history] == [FindingKind.BACKCAST_FAILURE] * len(from_run)
+        assert [(f.cells, json.dumps(f.to_json()["evidence"]), bits(f.witness))
+                for f in from_history] == \
+            [(f.cells, json.dumps({self.RENAMED.get(k, k): v
+                                   for k, v in f.to_json()["evidence"].items()}),
+              bits(f.witness)) for f in from_run]
+        assert [(f.cells[0], f.evidence.get("violations", f.evidence.get("count")),
+                 f.evidence.get("worst_row", f.evidence.get("first_row")))
+                for f in from_history] == expected
 
 
 class TestFindingSerialization:

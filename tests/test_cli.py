@@ -418,8 +418,9 @@ class TestAudit:
         findings = [f for r in reports for f in r.findings]
         assert {f.kind.value for f in findings} == {k.value for k in FindingKind}
         assert {tuple(f.evidence) for f in findings if f.kind is FindingKind.BACKCAST_FAILURE} \
-            == {("row", "error_kind", "detail"),
-                ("row", "limit_cell", "value", "declared_min", "declared_max")}
+            == {("cell", "error_kind", "count", "rate", "first_row"),
+                ("cell", "declared_min", "declared_max", "violations", "worst_value",
+                 "worst_row")}
         for f in findings:
             assert all(python_only(v) for v in f.evidence.values()), f
             assert f.witness is None or python_only(f.witness), f
@@ -521,6 +522,23 @@ class TestQuotedLabels:
                                          "OpexPct", self.NPV]
         assert main(["audit", path, "--history", str(history),
                      "--out", str(tmp_path / "audit")]) == 0
+
+    @pytest.mark.parametrize("rows, message", [
+        ("100,0.05,0.03,0.25,1\n100,0.05,abc,0.25,1\n",
+         "line 4: could not convert string to float: 'abc'"),
+        ("100,0.05,0.03,0.25,1\n100,0.05,0.03,0.25\n", "line 4 has 4 values, the header has 5"),
+        ("100,0.05,0.03,0.25,inf\n", "line 3: non-finite value 'inf'"),
+    ], ids=["not-a-number", "short-row", "non-finite"])
+    def test_history_errors_name_the_line_of_the_file(self, tmp_path, capsys, rows, message):
+        # the quoted line break of the forecast's label makes the header two lines
+        path = self.doc(tmp_path)
+        header = io.StringIO()
+        csv.writer(header, lineterminator="\n").writerow(
+            [self.SALES, "SalesGrowth", "COGSGrowth", "OpexPct", self.NPV])
+        history = tmp_path / "history.csv"
+        history.write_text(header.getvalue() + rows, encoding="utf-8")
+        assert main(["audit", path, "--history", str(history), "--out", str(tmp_path)]) == 3
+        assert one_error_line(capsys, "history error:") == "history error: " + message
 
 
 class TestCachedParser:

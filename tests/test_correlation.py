@@ -17,7 +17,7 @@ def spec_of(rows):
 
 class TestValidate:
     def test_identity_ok(self):
-        validate_correlation(CorrelationSpec.identity(3))
+        validate_correlation(CorrelationSpec.from_pairs(3, {}))
 
     def test_two_by_two_ok(self):
         validate_correlation(spec_of([[1, 0.8], [0.8, 1]]))
@@ -59,7 +59,7 @@ class TestInduce:
 
     def test_identity_spec_keeps_near_zero_correlation(self):
         x = self._data(1000, 3)
-        y = induce_rank_correlation(x, CorrelationSpec.identity(3), RandomSource(3))
+        y = induce_rank_correlation(x, CorrelationSpec.from_pairs(3, {}), RandomSource(3))
         for i in range(3):
             for j in range(i + 1, 3):
                 assert abs(spearman(y[:, i], y[:, j])) <= 0.06
@@ -86,7 +86,7 @@ class TestInduce:
     def test_too_few_rows_rejected(self):
         x = self._data(15, 2)
         with pytest.raises(CorrelationError, match="at least"):
-            induce_rank_correlation(x, CorrelationSpec.identity(2), RandomSource(0))
+            induce_rank_correlation(x, CorrelationSpec.from_pairs(2, {}), RandomSource(0))
 
     def test_invalid_spec_rejected(self):
         x = self._data(100, 2)

@@ -256,7 +256,7 @@ class TestReorder:
         monkeypatch.setattr(correlation, "_scores", lambda *args: scores)
         columns = rng.normal(size=(n, 5))
         columns[:, 1] = rng.integers(0, 3, n)  # ties among the values too
-        spec = CorrelationSpec.identity(5)
+        spec = CorrelationSpec.from_pairs(5, {})
         got = induce_rank_correlation(columns, spec, RandomSource(0))
         assert bits_equal(got, reorder_by_scores(columns, scores))
 
