@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .model import Model, evaluate_batch
-from .simulate import SimulationError, SimulationSpec, TrialStore, check_bounds, in_bounds
+from .model import Model
+from .simulate import (SimulationError, SimulationSpec, TrialStore, check_bounds, in_bounds,
+                       run_blocks)
 
 PERCENTILE_LEVELS = (1, 5, 10, 25, 50, 75, 90, 95, 99)
 MAX_HISTOGRAM_BINS = 100
@@ -333,10 +334,10 @@ def tornado(model: Model, spec: SimulationSpec,
     """One-at-a-time sweep: each assumption moved to its low/high quantile
     while every other assumption sits at its median.
 
-    The sweep's rows do not depend on the forecast, so one batch serves
-    every forecast. Returns {forecast label: TornadoResult}; each result's
-    medians is the sweep's row of medians. Declared correlations are
-    deliberately ignored; isolation is the point.
+    The sweep's 2k+1 rows serve every forecast: one block through run's own
+    loop (run_blocks), in continue mode. Returns {forecast label:
+    TornadoResult}; each result's medians is the sweep's row of medians.
+    Declared correlations are deliberately ignored; isolation is the point.
     """
     if not (0.0 < q_low < q_high < 1.0):
         raise ValueError("need 0 < q_low < q_high < 1")
@@ -349,19 +350,20 @@ def tornado(model: Model, spec: SimulationSpec,
         median, low, high = dist.inverse_cdf(np.array([0.5, q_low, q_high]))
         rows[:, j] = median
         rows[2 * j + 1, j], rows[2 * j + 2, j] = low, high
-    batch = evaluate_batch(
-        model, {c: rows[:, j] for j, c in enumerate(spec.assumption_cells)}, 2 * k + 1)
-    medians = tuple(rows[0].tolist())
-    if 0 in batch.errors:
-        raise SimulationError(f"tornado base case failed: {batch.errors[0]}")
+    store = run_blocks(model, replace(spec, trials=2 * k + 1, stop_on_error=False), [(0, rows)])
+    errors = {d.trial: d.error for d in store.errors}
+    if 0 in errors:
+        raise SimulationError(f"tornado base case failed: {errors[0]}")
+    values = np.full((2 * k + 1, len(spec.forecasts)), np.nan)  # a failed row stays nan
+    values[store.trial_indices] = store.forecast_matrix
+    values = values.tolist()
+    medians = tuple(store.assumption_matrix[0].tolist())
     torn = {}
-    for f in spec.forecasts:
+    for fi, f in enumerate(spec.forecasts):
         bars = []
         for j, cell in enumerate(spec.assumption_cells):
-            lo_row, hi_row = 2 * j + 1, 2 * j + 2
-            lo = None if lo_row in batch.errors else batch.value(f.cell, lo_row)
-            hi = None if hi_row in batch.errors else batch.value(f.cell, hi_row)
-            failure = batch.errors.get(hi_row) or batch.errors.get(lo_row)
+            lo, hi = (None if r in errors else values[r][fi] for r in (2 * j + 1, 2 * j + 2))
+            failure = errors.get(2 * j + 2) or errors.get(2 * j + 1)
             if failure is None:
                 error, swing = None, abs(hi - lo)
                 direction = 0 if hi == lo else (1 if hi > lo else -1)
@@ -369,7 +371,7 @@ def tornado(model: Model, spec: SimulationSpec,
                 error, swing, direction = str(failure), 0.0, 0
             bars.append(TornadoBar(model.label_of(cell), lo, hi, swing, direction, error))
         bars.sort(key=lambda b: -b.swing)
-        torn[f.label] = TornadoResult(base=batch.value(f.cell, 0), bars=bars, medians=medians)
+        torn[f.label] = TornadoResult(base=values[0][fi], bars=bars, medians=medians)
     return torn
 
 

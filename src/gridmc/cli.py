@@ -20,6 +20,7 @@ from . import analytics, report
 from .audit import Thresholds, run_audit
 from .correlation import CorrelationError
 from .document import DocumentError, ModelDocument
+from .formula import _BARE_RE
 from .model import CalcError, ModelBuildError
 from .simulate import SimulationError, StepSession, file_stem, histogram_file, run
 
@@ -36,11 +37,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _checked(kind, test, rule):
-    """An argparse type: text that kind parses and whose value passes test."""
+def _number(text: str, kind=float):
+    """kind(text) for a number from outside the program: once stripped, the
+    text must be a cell's bare literal (formula._BARE_RE), so `1_0`, `+5` and
+    non-ASCII digits are rejected. A text that float reads as nan or an
+    infinity passes, for the caller to reject in its own words."""
+    value = kind(text)
+    if not _BARE_RE.fullmatch(text.strip()) and (kind is int or math.isfinite(value)):
+        raise ValueError(f"could not convert string to {kind.__name__}: {text!r}")
+    return value
+
+
+def _checked(kind, test=lambda v: True, rule=""):
+    """An argparse type: text that _number reads as kind and whose value
+    passes test."""
     def parse(text):
         try:
-            value = kind(text)
+            value = _number(text, kind)
         except ValueError:
             what = "an integer" if kind is int else "a number"
             raise argparse.ArgumentTypeError(f"not {what}: {text!r}") from None
@@ -70,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, out=True):
         p.add_argument("path", help="model document (JSON)")
         p.add_argument("--trials", type=_positive_int, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_checked(int), default=None)
         if out:
             p.add_argument("--out", default=".", help="output directory")
 
@@ -85,15 +98,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tornado", help="one-at-a-time sensitivity sweep")
     add_common(p)
     p.add_argument("--forecast", default=None, help="forecast label (default: first)")
-    p.add_argument("--low", type=float, default=0.10)
-    p.add_argument("--high", type=float, default=0.90)
+    p.add_argument("--low", type=_checked(float), default=0.10)
+    p.add_argument("--high", type=_checked(float), default=0.90)
 
     p = sub.add_parser("scenario", help="extract trials in a forecast range")
     add_common(p)
     p.add_argument("--forecast", default=None)
     p.add_argument("--min", type=_finite, default=None, dest="lo")
     p.add_argument("--max", type=_finite, default=None, dest="hi")
-    p.add_argument("--apply", type=int, default=None, metavar="TRIAL",
+    p.add_argument("--apply", type=_checked(int), default=None, metavar="TRIAL",
                    help="bake this trial's inputs into a copy of the document")
 
     p = sub.add_parser("audit", help="run every logic-error detector")
@@ -105,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("step", help="interactive single-step session")
     p.add_argument("path")
     p.add_argument("--trials", type=_positive_int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_checked(int), default=None)
     return parser
 
 
@@ -219,8 +232,8 @@ def cmd_scenario(args, doc, model, spec) -> int:
 
 def _read_history(path, spec, model):
     """(history rows, observed rows or None) of a history CSV, read row by
-    row. A bad row's error names its physical line: a quoted line break in
-    a label makes the header longer than one line."""
+    row, each cell by _number. A bad row's error names its physical line: a
+    quoted line break in a label makes the header longer than one line."""
     import csv
     a_labels = [model.label_of(c) for c in spec.assumption_cells]
     f_labels = [f.label for f in spec.forecasts]
@@ -248,7 +261,7 @@ def _read_history(path, spec, model):
                     raise DocumentError(
                         [f"line {line} has {len(row)} values, the header has {len(header)}"])
                 try:
-                    values = [float(v) for v in row]
+                    values = [_number(v) for v in row]
                 except ValueError as exc:
                     raise DocumentError([f"line {line}: {exc}"]) from None
                 for text, value in zip(row, values):

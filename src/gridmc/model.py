@@ -145,10 +145,6 @@ class Batch:
     values: dict  # CellRef -> float64 array of n values
     errors: dict  # row -> CalcError, the first error of each failed row
 
-    def value(self, ref: CellRef, row: int) -> float:
-        """A cell's value in one row, as a Python float."""
-        return float(self.values[ref][row])
-
 
 def build_model(cell_defs) -> Model:
     """Build a Model from (address, label, formula-text) triples.

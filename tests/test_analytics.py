@@ -488,13 +488,17 @@ class TestTornado:
         t = tornado(model, spec, q_low=0.25, q_high=0.75)["f"]
         assert t.bar("x").swing == pytest.approx(3 * 0.5, abs=1e-9)
 
-    def test_bar_error_nonfatal(self):
+    # the 5-row design runs at its own trial count and in continue mode,
+    # whatever the spec's
+    @pytest.mark.parametrize("trials, stop_on_error", [(1, True), (20, True), (20, False)])
+    def test_bar_error_nonfatal(self, trials, stop_on_error):
         model = build_model([
             ("A1", "x", 0.5), ("A2", "y", 0.5), ("A3", "f", "=SQRT(A1-0.5)+A2"),
         ])
         spec = SimulationSpec(
             assumptions=[(C("A1"), Uniform(0, 1)), (C("A2"), Uniform(0, 1))],
-            forecasts=[Forecast(C("A3"), "f")], trials=20, seed=1)
+            forecasts=[Forecast(C("A3"), "f")], trials=trials, seed=1,
+            stop_on_error=stop_on_error)
         t = tornado(model, spec)["f"]
         bad = t.bar("x")
         assert bad.error is not None and bad.low is None
@@ -523,7 +527,7 @@ class TestTornado:
             return result if isinstance(result, CalcError) else result[fcell]
 
         calls = []
-        monkeypatch.setattr(analytics, "evaluate_batch",
+        monkeypatch.setattr("gridmc.simulate.evaluate_batch",
                             lambda *a, **kw: calls.append(a[2]) or evaluate_batch(*a, **kw))
         torn = tornado(model, spec)
         assert calls == [7]  # 2k+1 rows in one call for both forecasts

@@ -528,7 +528,11 @@ class TestQuotedLabels:
          "line 4: could not convert string to float: 'abc'"),
         ("100,0.05,0.03,0.25,1\n100,0.05,0.03,0.25\n", "line 4 has 4 values, the header has 5"),
         ("100,0.05,0.03,0.25,inf\n", "line 3: non-finite value 'inf'"),
-    ], ids=["not-a-number", "short-row", "non-finite"])
+        ("100,0.05,0.03,0.25,1\n1_00,0.05,0.03,0.25,1\n",
+         "line 4: could not convert string to float: '1_00'"),
+        ("\u0661\u0660\u0660,0.05,0.03,0.25,1\n",
+         "line 3: could not convert string to float: '\u0661\u0660\u0660'"),
+    ], ids=["not-a-number", "short-row", "non-finite", "underscore", "arabic-indic-digits"])
     def test_history_errors_name_the_line_of_the_file(self, tmp_path, capsys, rows, message):
         # the quoted line break of the forecast's label makes the header two lines
         path = self.doc(tmp_path)
@@ -982,15 +986,22 @@ class TestErrorExits:
         assert errors == [f"error: argument {option}: must be finite"]
         assert not os.path.exists(tmp_path / "scenario.csv")
 
-    @pytest.mark.parametrize("command, option, message", [
-        ("run", "--trials", "not an integer: 'abc'"),
-        ("audit", "--z", "not a number: 'abc'"),
-        ("audit", "--epsilon", "not a number: 'abc'"),
-        ("scenario", "--min", "not a number: 'abc'"),
-    ])
+    UNPARSEABLE = [
+        ("run", "--trials", "abc", "not an integer: 'abc'"),
+        ("audit", "--z", "abc", "not a number: 'abc'"),
+        ("audit", "--epsilon", "abc", "not a number: 'abc'"),
+        ("scenario", "--min", "abc", "not a number: 'abc'"),
+        # Python's float and int read these; a cell's literal does not
+        ("audit", "--z", "1_0", "not a number: '1_0'"),
+        ("run", "--trials", "1_000", "not an integer: '1_000'"),
+        ("tornado", "--low", "0.1_0", "not a number: '0.1_0'"),
+    ]
+
+    @pytest.mark.parametrize("command, option, text, message", UNPARSEABLE,
+                             ids=[f"{c}-{o}-{m}" for c, o, _, m in UNPARSEABLE])
     def test_unparseable_option_names_the_text(self, tmp_path, capsys,
-                                               command, option, message):
-        assert main([command, PROJECT, option, "abc", "--out", str(tmp_path)]) == 3
+                                               command, option, text, message):
+        assert main([command, PROJECT, option, text, "--out", str(tmp_path)]) == 3
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("error:")]
         assert errors == [f"error: argument {option}: {message}"]

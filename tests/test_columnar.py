@@ -112,7 +112,7 @@ def assert_row_matches(batch, i, expected):
         return
     assert i not in batch.errors, (i, batch.errors[i])
     for ref, value in expected.items():
-        got = batch.value(ref, i)
+        got = float(batch.values[ref][i])
         assert type(got) is float and same(got, value), (i, ref, got, value)
 
 
@@ -170,7 +170,7 @@ def test_if_evaluates_each_branch_only_on_its_rows():
     model = build_model([("A1", None, 1), ("A2", None, "=IF(A1>=0,SQRT(A1),LN(-A1))")])
     batch = evaluate_batch(model, {C("A1"): np.array([4.0, -1.0, 0.0, -0.5])}, 4)
     assert batch.errors == {}
-    assert [batch.value(C("A2"), i) for i in range(4)] == [2.0, 0.0, 0.0, math.log(0.5)]
+    assert [float(batch.values[C("A2")][i]) for i in range(4)] == [2.0, 0.0, 0.0, math.log(0.5)]
 
 
 def test_first_error_of_a_row_is_kept():

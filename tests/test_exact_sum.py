@@ -66,7 +66,7 @@ def check(matrix):
                 assert batch.errors.get(i) == want, (xs, batch.errors.get(i), want)
                 break
             assert i not in batch.errors, (xs, batch.errors[i])
-            got = batch.value(cell, i)
+            got = float(batch.values[cell][i])
             assert same(got, want), (xs, cell, got, want)
 
 
