@@ -88,9 +88,6 @@ class AuditReport:
             out[f.kind.value] = out.get(f.kind.value, 0) + 1
         return out
 
-    def by_kind(self, kind: FindingKind) -> list:
-        return [f for f in self.findings if f.kind == kind]
-
     @property
     def has_errors(self) -> bool:
         return any(f.severity == "error" for f in self.findings)
@@ -246,7 +243,7 @@ def check_limits(store: TrialStore, *, history=None) -> list:
                 f"worst_{unit}": t,
             },
             witness=(tuple(store.assumption_matrix[worst].tolist()) if history is None
-                     else tuple(history[t])),
+                     else tuple(np.asarray(history[t]).tolist())),
         ))
     return findings
 
@@ -299,7 +296,8 @@ def error_census(store: TrialStore, *, history=None) -> list:
                 "rate": len(tes) / total,
                 f"first_{unit}": first.trial,
             },
-            witness=first.assumptions if history is None else tuple(history[first.trial]),
+            witness=(first.assumptions if history is None
+                     else tuple(np.asarray(history[first.trial]).tolist())),
         ))
     return findings
 
@@ -317,16 +315,15 @@ def backcast(model: Model, spec: SimulationSpec, history,
     loop (run_blocks) over the history in blocks of TRIALS_BLOCK rows, in
     continue mode, so a failed row is recorded, never a halt or an error.
 
-    history: rows of assumption values matching spec's assumption order.
+    history: rows of assumption values in spec's order, or their float matrix.
     observed: optional parallel rows of observed forecast values.
     The findings are a run's own check_limits and error_census over the
     history's rows, as BackcastFailure: one per breached limit cell in spec
     order, then one per (cell, error kind) in row-major order. Their
     evidence names rows (worst_row, first_row); a witness is the caller's
-    row as given. The residuals have one row per row that evaluated.
+    row as Python numbers. The residuals have one row per row that evaluated.
     """
-    history = list(history)
-    if not history:
+    if len(history) == 0:
         raise ValueError("history must have at least one row")
     if observed is not None and len(observed) != len(history):
         raise ValueError("observed rows must match history rows")
@@ -337,7 +334,7 @@ def backcast(model: Model, spec: SimulationSpec, history,
             if len(row) != width:
                 raise ValueError(f"{name} row {i} has {len(row)} values, expected {width}")
 
-    matrix = np.array(history, dtype=float)
+    matrix = np.asarray(history, dtype=float)
     store = run_blocks(model, replace(spec, trials=len(history), stop_on_error=False),
                        ((start, matrix[start:start + TRIALS_BLOCK])
                         for start in range(0, len(history), TRIALS_BLOCK)))
@@ -356,11 +353,11 @@ def backcast(model: Model, spec: SimulationSpec, history,
 
 def run_audit(model: Model, spec: SimulationSpec,
               thresholds: Thresholds = Thresholds(),
-              history=None, observed=None) -> AuditReport:
+              history=None) -> AuditReport:
     """Run every detector over one continue-mode simulation.
 
     Deterministic for fixed (model, spec, thresholds, seed); findings are
-    ordered by detector kind.
+    ordered by detector kind. A history is back-cast for its findings only.
     """
     store = run(model, replace(spec, stop_on_error=False))
     sens = analytics.sensitivity(store)
@@ -373,6 +370,6 @@ def run_audit(model: Model, spec: SimulationSpec,
     findings.extend(check_intervals(store))
     findings.extend(error_census(store))
     if history is not None:
-        findings.extend(backcast(model, spec, history, observed).findings)
+        findings.extend(backcast(model, spec, history).findings)
     return AuditReport(findings=findings, thresholds=thresholds,
                        seed=spec.seed, trials=spec.trials)

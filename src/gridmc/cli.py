@@ -15,6 +15,9 @@ import functools
 import itertools
 import math
 import sys
+from array import array
+
+import numpy as np
 
 from . import analytics, report
 from .audit import Thresholds, run_audit
@@ -200,7 +203,7 @@ def cmd_tornado(args, doc, model, spec) -> int:
     report.export_tornado(torn, report.out_path(args.out, "tornado.csv"))
     print(f"base {torn.base!r}")
     for b in torn.bars:
-        print(f"{b.label}: swing {b.swing!r} direction {b.direction:+d}")
+        print(f"{b.label}: " + (b.error or f"swing {b.swing!r} direction {b.direction:+d}"))
     return EXIT_OK
 
 
@@ -230,13 +233,14 @@ def cmd_scenario(args, doc, model, spec) -> int:
     return EXIT_OK
 
 
-def _read_history(path, spec, model):
-    """(history rows, observed rows or None) of a history CSV, read row by
-    row, each cell by _number. A bad row's error names its physical line: a
-    quoted line break in a label makes the header longer than one line."""
+def _read_history(path, spec, model) -> np.ndarray:
+    """The n × k float matrix of a history CSV's assumption columns; forecast
+    columns after them are checked, not kept. An error names its physical
+    line: a quoted line break in a label makes the header span lines."""
     import csv
     a_labels = [model.label_of(c) for c in spec.assumption_cells]
     f_labels = [f.label for f in spec.forecasts]
+    values = array("d")  # the rows' assumption values, one after another
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
@@ -254,38 +258,35 @@ def _read_history(path, spec, model):
             if extra and extra != [label.strip() for label in f_labels]:
                 raise DocumentError([f"trailing history columns must be forecast labels "
                                      f"{f_labels}, got {extra}"])
-            history, observed = [], [] if extra else None
-            for row in itertools.chain([first], reader):
+            for rows, row in enumerate(itertools.chain([first], reader), 1):
                 line = reader.line_num
                 if len(row) != len(header):
                     raise DocumentError(
                         [f"line {line} has {len(row)} values, the header has {len(header)}"])
                 try:
-                    values = [_number(v) for v in row]
+                    numbers = [_number(v) for v in row]
                 except ValueError as exc:
                     raise DocumentError([f"line {line}: {exc}"]) from None
-                for text, value in zip(row, values):
+                for text, value in zip(row, numbers):
                     if not math.isfinite(value):
                         raise DocumentError([f"line {line}: non-finite value {text!r}"])
-                history.append(values[:len(a_labels)])
-                if extra:
-                    observed.append(values[len(a_labels):])
+                values.extend(numbers[:len(a_labels)])
     except UnicodeDecodeError as exc:
         raise DocumentError([f"not UTF-8 text: {exc}"]) from None
-    return history, observed
+    return np.frombuffer(values).reshape(rows, len(a_labels))
 
 
 def cmd_audit(args, doc, model, spec) -> int:
     thresholds = Thresholds(z=args.z, epsilon=args.epsilon)
-    history = observed = None
+    history = None
     if args.history:
         try:
-            history, observed = _read_history(args.history, spec, model)
+            history = _read_history(args.history, spec, model)
         except DocumentError as exc:
             for d in exc.diagnostics:
                 print(f"history error: {d}", file=sys.stderr)
             return EXIT_USAGE
-    audit_report = run_audit(model, spec, thresholds, history, observed)
+    audit_report = run_audit(model, spec, thresholds, history)
     report.write_json(report.out_path(args.out, "audit.json"), audit_report.to_json())
     if audit_report.findings:
         for f in audit_report.findings:
@@ -357,6 +358,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    if hasattr(sys.stdout, "reconfigure"):  # a character it cannot encode prints escaped (\u20ac)
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

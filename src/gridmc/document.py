@@ -212,7 +212,7 @@ class ModelDocument:
 
     @staticmethod
     def load(path) -> "ModelDocument":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # RFC 8259, whatever the locale
             return ModelDocument.from_json(
                 json.load(fh, parse_constant=_reject_constant,
                           parse_int=_finite(int), parse_float=_finite(float)))

@@ -176,7 +176,7 @@ def test_07_defect_detection(project_doc, hardcode_doc, signflip_doc,
 
         model, spec = noclamp_doc.build(trials=5000, seed=seed)
         report = run_audit(model, spec)
-        limit_findings = report.by_kind(FindingKind.LIMIT_VIOLATION)
+        limit_findings = [f for f in report.findings if f.kind is FindingKind.LIMIT_VIOLATION]
         witnesses_ok = bool(limit_findings)
         for f in limit_findings:
             result = replay(model, spec, f.witness)
@@ -202,7 +202,7 @@ def test_08_correlation_masking(correlated_doc, capsys):
                  if e.label == "COGSGrowth")
     torn = analytics.tornado(model, spec)["ProjectNPV"]
     report = run_audit(model, spec)
-    maskings = report.by_kind(FindingKind.CORRELATION_MASKING)
+    maskings = [f for f in report.findings if f.kind is FindingKind.CORRELATION_MASKING]
     ok = (entry.spearman > 0
           and torn.bar("COGSGrowth").direction == -1
           and len(maskings) == 1 and len(report.findings) == 1

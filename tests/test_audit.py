@@ -31,6 +31,7 @@ from gridmc.simulate import (
     SimulationSpec,
     replay,
     run,
+    run_blocks,
     sample_assumptions,
 )
 from tests.conftest import portfolio_documents
@@ -109,7 +110,7 @@ class TestFixtureAudits:
     def test_sqrt_trap_census_rate(self, sqrt_trap_doc):
         _, _, report = audit_of(sqrt_trap_doc)
         assert set(report.counts) == {"ErrorCensus"}
-        finding = report.by_kind(FindingKind.ERROR_CENSUS)[0]
+        finding = [f for f in report.findings if f.kind is FindingKind.ERROR_CENSUS][0]
         assert finding.evidence["error_kind"] == "DomainError"
         assert finding.evidence["cell"] == "A2"
         # half of all Normal(0,1) draws are negative
@@ -134,7 +135,7 @@ class TestDisconnected:
             assumptions=[(C("A1"), Uniform(0, 1)), (C("A2"), Uniform(0, 1))],
             forecasts=[Forecast(C("A3"), "f")], trials=2000, seed=42)
         report = run_audit(model, spec)
-        disc = report.by_kind(FindingKind.DISCONNECTED)
+        disc = [f for f in report.findings if f.kind is FindingKind.DISCONNECTED]
         assert len(disc) == 1
         assert disc[0].evidence["assumption"] == "y"
 
@@ -163,7 +164,7 @@ class TestDisconnected:
         torn = analytics.tornado(model, spec)["f"]
         assert torn.bar("x").swing == 0.0
         report = run_audit(model, spec)
-        assert report.by_kind(FindingKind.DISCONNECTED) == []
+        assert [f for f in report.findings if f.kind is FindingKind.DISCONNECTED] == []
 
     @staticmethod
     def with_second_forecast(doc):
@@ -176,11 +177,12 @@ class TestDisconnected:
 
     def test_second_forecast_flags_nothing_connected(self, project_doc):
         model, spec = self.with_second_forecast(project_doc)
-        assert run_audit(model, spec).by_kind(FindingKind.DISCONNECTED) == []
+        report = run_audit(model, spec)
+        assert [f for f in report.findings if f.kind is FindingKind.DISCONNECTED] == []
 
     def test_disconnected_from_every_forecast_flagged_against_each(self, hardcode_doc):
         model, spec = self.with_second_forecast(hardcode_doc)
-        found = run_audit(model, spec).by_kind(FindingKind.DISCONNECTED)
+        found = [f for f in run_audit(model, spec).findings if f.kind is FindingKind.DISCONNECTED]
         assert [(f.evidence["assumption"], f.evidence["forecast"]) for f in found] == [
             ("Year1Sales", "ProjectNPV"), ("Year1Sales", "Root")]
 
@@ -195,7 +197,8 @@ class TestDisconnected:
             shapes |= {type(d).__name__ for d in spec.distributions}
             medians = bits(inverse_cdf(d, 0.5) for d in spec.distributions)
             torn = analytics.tornado(model, spec)
-            found = run_audit(model, spec).by_kind(FindingKind.DISCONNECTED)
+            found = [f for f in run_audit(model, spec).findings
+                     if f.kind is FindingKind.DISCONNECTED]
             assert found
             for finding in found:
                 assert bits(finding.witness) == bits(torn[finding.evidence["forecast"]].medians)
@@ -218,7 +221,7 @@ class TestDisconnected:
         # an absurdly small z leaves nothing inside the independence band
         model, spec = hardcode_doc.build()
         report = run_audit(model, spec, thresholds=Thresholds(z=1e-12))
-        assert report.by_kind(FindingKind.DISCONNECTED) == []
+        assert [f for f in report.findings if f.kind is FindingKind.DISCONNECTED] == []
 
     def test_forecast_range_wider_than_the_largest_float(self, tmp_path):
         # Y spans about 3e308, more than the largest float; Z moves nothing
@@ -400,17 +403,17 @@ class TestBackcast:
 
     def test_run_audit_includes_backcast(self):
         model, spec = self._linear()
-        report = run_audit(model, spec, history=[[0.5, 0.5]],
-                           observed=[[99.0]])
         # a wild observed value is not itself a failure; only calc errors
         # and limit breaks are findings
-        assert report.by_kind(FindingKind.BACKCAST_FAILURE) == []
+        assert backcast(model, spec, [[0.5, 0.5]], observed=[[99.0]]).findings == []
+        report = run_audit(model, spec, history=[[0.5, 0.5]])
+        assert [f for f in report.findings if f.kind is FindingKind.BACKCAST_FAILURE] == []
         model2 = build_model([("A1", "x", 1.0), ("A2", "f", "=SQRT(A1)")])
         spec2 = SimulationSpec(assumptions=[(C("A1"), Uniform(0, 1))],
                                forecasts=[Forecast(C("A2"), "f")],
                                trials=200, seed=42)
         report2 = run_audit(model2, spec2, history=[[-2.0]])
-        assert len(report2.by_kind(FindingKind.BACKCAST_FAILURE)) == 1
+        assert len([f for f in report2.findings if f.kind is FindingKind.BACKCAST_FAILURE]) == 1
 
 
 def replay_oracle(model, spec, history, observed=None):
@@ -537,6 +540,29 @@ class TestBackcastBatch:
                 value = result[C(f.evidence["cell"])]
                 assert repr(value) == repr(f.evidence["worst_value"])
 
+    def test_float_matrix_is_not_copied_and_gives_python_floats(self, monkeypatch):
+        model, spec = self._model()
+        history = np.array(self.MIXED * 400)  # three blocks
+        blocks = []
+
+        def spy(model, spec, pairs):
+            pairs = list(pairs)
+            blocks.extend(rows for _, rows in pairs)
+            return run_blocks(model, spec, pairs)
+        monkeypatch.setattr("gridmc.audit.run_blocks", spy)
+        findings = backcast(model, spec, history).findings
+        assert len(blocks) == 3 and all(np.shares_memory(b, history) for b in blocks)
+        assert [json.dumps(f.to_json()) for f in findings] == \
+            [json.dumps(f.to_json()) for f in backcast(model, spec, self.MIXED * 400).findings]
+        for f in findings:
+            assert [type(v) for v in f.witness] == [float, float]
+            result = replay(model, spec, f.witness)
+            if "error_kind" in f.evidence:
+                assert (str(result.cell), result.kind.value) == \
+                    (f.evidence["cell"], f.evidence["error_kind"])
+            else:
+                assert repr(result[C(f.evidence["cell"])]) == repr(f.evidence["worst_value"])
+
     def test_every_row_failing_is_no_error(self):
         # unlike a run, a history in which every row fails is a finding
         history = [[-1.0, 0.0], [-4.0, 1.0], [-0.5, 2.0]]
@@ -582,8 +608,8 @@ class TestBackcastAgreesWithTheRun:
     def test_history_of_the_sampled_rows(self, request, fixture, expected):
         model, spec = request.getfixturevalue(fixture).build(trials=5000)
         report = run_audit(model, spec)
-        from_run = (report.by_kind(FindingKind.LIMIT_VIOLATION)
-                    + report.by_kind(FindingKind.ERROR_CENSUS))
+        from_run = ([f for f in report.findings if f.kind is FindingKind.LIMIT_VIOLATION]
+                    + [f for f in report.findings if f.kind is FindingKind.ERROR_CENSUS])
         from_history = backcast(model, spec, sample_assumptions(spec)).findings
         assert [f.kind for f in from_history] == [FindingKind.BACKCAST_FAILURE] * len(from_run)
         assert [(f.cells, json.dumps(f.to_json()["evidence"]), bits(f.witness))
@@ -603,9 +629,9 @@ class TestFindingSerialization:
         g = AuditFinding(FindingKind.LIMIT_VIOLATION, ("A15",), {}, (1.0,))
         assert g.to_json()["witness"] == [1.0]
 
-    def test_counts_and_by_kind(self, noclamp_doc):
+    def test_counts(self, noclamp_doc):
         _, _, report = audit_of(noclamp_doc)
         total = sum(report.counts.values())
         assert total == len(report.findings)
-        assert len(report.by_kind(FindingKind.LIMIT_VIOLATION)) == \
+        assert len([f for f in report.findings if f.kind is FindingKind.LIMIT_VIOLATION]) == \
             report.counts["LimitViolation"]

@@ -7,6 +7,8 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -301,6 +303,13 @@ class TestTornado:
         assert len(rows) == 5
         assert "base" in capsys.readouterr().out
 
+    def test_failed_bar_prints_its_error(self, tmp_path, capsys):
+        # a disconnected assumption prints swing 0.0 direction +0 too
+        assert main(["tornado", SQRT_TRAP, "--out", str(tmp_path)]) == 0
+        error = json.loads(read(tmp_path / "tornado.json"))["bars"][0]["error"]
+        assert error.startswith("DomainError at A2: square root of -")
+        assert capsys.readouterr().out.splitlines() == ["base 0.0", f"X: {error}"]
+
     def test_bad_quantiles(self, tmp_path, capsys):
         assert main(["tornado", PROJECT, "--low", "0.9", "--high", "0.1",
                      "--out", str(tmp_path)]) == 3
@@ -473,6 +482,97 @@ class TestAudit:
                      str(tmp_path / "nope.csv"), "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "no such file" in err and "nope.csv" in err
+
+
+class TestHistoryMatrix:
+    """A history is read into one n × k float matrix of its assumption
+    columns. Trailing forecast columns, as in a run's trials.csv, are
+    checked and dropped."""
+
+    NOCLAMP = example_path("project-npv-noclamp.json")
+
+    def write_history(self, tmp_path, rows, with_forecast):
+        """A run's assumption rows, and its forecast column if asked, under
+        their labels; returns (path, model, spec, the assumption matrix)."""
+        model, spec = ModelDocument.load(self.NOCLAMP).build()
+        store = simulate.run(model, replace(spec, trials=rows))
+        table = store.assumption_matrix
+        header = [model.label_of(c) for c in spec.assumption_cells]
+        if with_forecast:
+            table = np.hstack([table, store.forecast_matrix])
+            header += [f.label for f in spec.forecasts]
+        path = tmp_path / f"history-{with_forecast}.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(table.tolist())
+        return str(path), model, spec, store.assumption_matrix
+
+    @pytest.mark.parametrize("with_forecast", [False, True])
+    def test_reader_holds_the_values_alone(self, tmp_path, with_forecast):
+        path, model, spec, rows = self.write_history(tmp_path, 20_000, with_forecast)
+        cli._read_history(path, spec, model)  # what a first call sets up once
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            history = cli._read_history(path, spec, model)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.25 * 20_000 * 4 * 8 + 64 * 1024
+        assert history.dtype == np.float64 and history.shape == (20_000, 4)
+        assert np.array_equal(history, rows)
+
+    def test_forecast_column_changes_no_byte(self, tmp_path, capsys):
+        outcomes = []
+        for with_forecast in (False, True):
+            path = self.write_history(tmp_path, 3_000, with_forecast)[0]
+            out = tmp_path / f"audit-{with_forecast}"
+            code = main(["audit", self.NOCLAMP, "--trials", "1000", "--history", path,
+                         "--out", str(out)])
+            outcomes.append((code, capsys.readouterr(), read(out / "audit.json")))
+        assert outcomes[0][0] == 2
+        assert outcomes[0] == outcomes[1]
+        assert b'"BackcastFailure"' in outcomes[0][2]
+
+
+class TestNonAsciiLabel:
+    """A document is read as UTF-8 under any locale, and a character that
+    stdout's encoding cannot hold prints as a backslash escape."""
+
+    def test_commands_under_an_ascii_locale(self, tmp_path):
+        with open(HARDCODE, encoding="utf-8") as fh:
+            text = fh.read().replace('"Year1Sales"', '"Ventes\u20ac"')
+        doc = tmp_path / "ventes.json"
+        doc.write_text(text, encoding="utf-8")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+
+        def child(argv, **settings):
+            return subprocess.run([sys.executable, *argv], capture_output=True,
+                                  env=dict(env, PYTHONPATH=os.path.abspath(src), **settings))
+
+        ascii_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        encoding = child(["-c", "import locale; print(locale.getpreferredencoding(False))"],
+                         **ascii_locale).stdout.decode().strip()
+        assert encoding.replace("-", "").lower() != "utf8"
+        outcomes = {}
+        for command in ("validate", "tornado", "audit"):
+            argv = ["-m", "gridmc", command, str(doc)]
+            if command != "validate":
+                argv += ["--trials", "1000", "--out", str(tmp_path / command)]
+            proc = child(argv, **ascii_locale)
+            assert b"Traceback" not in proc.stderr, proc.stderr
+            outcomes[command] = (proc.returncode, proc.stdout)
+        assert {c: code for c, (code, _) in outcomes.items()} == \
+            {"validate": 0, "tornado": 0, "audit": 2}
+        assert b"Ventes\\u20ac: swing " in outcomes["tornado"][1]
+        assert b"'assumption': 'Ventes\\u20ac'" in outcomes["audit"][1]
+        # a UTF-8 stream prints the label's own bytes
+        utf8 = child(["-m", "gridmc", "audit", str(doc), "--trials", "1000",
+                      "--out", str(tmp_path / "utf8")], PYTHONUTF8="1")
+        assert utf8.returncode == 2
+        assert "'assumption': 'Ventes\u20ac'".encode("utf-8") in utf8.stdout
 
 
 class TestQuotedLabels:
