@@ -302,53 +302,30 @@ def error_census(store: TrialStore, *, history=None) -> list:
     return findings
 
 
-@dataclass(frozen=True)
-class BackcastResult:
-    findings: list
-    residuals: list  # {"row": i, "<forecast>": residual, ...}
-    mean_abs_residual: dict  # forecast label -> MAR
-
-
-def backcast(model: Model, spec: SimulationSpec, history,
-             observed: Optional[list] = None) -> BackcastResult:
+def backcast(model: Model, spec: SimulationSpec, history) -> list:
     """Replay historical assumption rows through the model, once each: run's
     loop (run_blocks) over the history in blocks of TRIALS_BLOCK rows, in
     continue mode, so a failed row is recorded, never a halt or an error.
 
     history: rows of assumption values in spec's order, or their float matrix.
-    observed: optional parallel rows of observed forecast values.
-    The findings are a run's own check_limits and error_census over the
-    history's rows, as BackcastFailure: one per breached limit cell in spec
+    Returns a run's own check_limits and error_census over the history's
+    rows, as BackcastFailure findings: one per breached limit cell in spec
     order, then one per (cell, error kind) in row-major order. Their
     evidence names rows (worst_row, first_row); a witness is the caller's
-    row as Python numbers. The residuals have one row per row that evaluated.
+    row as Python numbers.
     """
     if len(history) == 0:
         raise ValueError("history must have at least one row")
-    if observed is not None and len(observed) != len(history):
-        raise ValueError("observed rows must match history rows")
-    for name, rows, width in (("history", history, len(spec.assumptions)),
-                              ("observed", [] if observed is None else observed,
-                               len(spec.forecasts))):
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise ValueError(f"{name} row {i} has {len(row)} values, expected {width}")
+    for i, row in enumerate(history):
+        if len(row) != len(spec.assumptions):
+            raise ValueError(f"history row {i} has {len(row)} values, "
+                             f"expected {len(spec.assumptions)}")
 
     matrix = np.asarray(history, dtype=float)
     store = run_blocks(model, replace(spec, trials=len(history), stop_on_error=False),
                        ((start, matrix[start:start + TRIALS_BLOCK])
                         for start in range(0, len(history), TRIALS_BLOCK)))
-    labels = [f.label for f in spec.forecasts]
-    residuals, rows = np.empty((0, len(labels))), []
-    if observed is not None:
-        residuals = store.forecast_matrix - np.array(observed, dtype=float)[store.trial_indices]
-        rows = store.trial_indices.tolist()
-    return BackcastResult(
-        findings=check_limits(store, history=history) + error_census(store, history=history),
-        residuals=[dict(zip(["row", *labels], [row, *values]))
-                   for row, values in zip(rows, residuals.tolist())],
-        mean_abs_residual={label: (sum(np.abs(r).tolist()) / len(r) if len(r) else None)
-                           for label, r in zip(labels, residuals.T)})
+    return check_limits(store, history=history) + error_census(store, history=history)
 
 
 def run_audit(model: Model, spec: SimulationSpec,
@@ -370,6 +347,6 @@ def run_audit(model: Model, spec: SimulationSpec,
     findings.extend(check_intervals(store))
     findings.extend(error_census(store))
     if history is not None:
-        findings.extend(backcast(model, spec, history).findings)
+        findings.extend(backcast(model, spec, history))
     return AuditReport(findings=findings, thresholds=thresholds,
                        seed=spec.seed, trials=spec.trials)

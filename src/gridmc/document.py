@@ -212,7 +212,8 @@ class ModelDocument:
 
     @staticmethod
     def load(path) -> "ModelDocument":
-        with open(path, encoding="utf-8") as fh:  # RFC 8259, whatever the locale
+        # RFC 8259, whatever the locale; a byte-order mark is skipped, as --history's
+        with open(path, encoding="utf-8-sig") as fh:
             return ModelDocument.from_json(
                 json.load(fh, parse_constant=_reject_constant,
                           parse_int=_finite(int), parse_float=_finite(float)))

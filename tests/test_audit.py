@@ -334,36 +334,14 @@ class TestBackcast:
             forecasts=[Forecast(C("A3"), "f")], trials=100, seed=42)
         return model, spec
 
-    def test_self_consistency_zero_residuals(self):
-        model, spec = self._linear()
-        store = run(model, spec)
-        history = [list(r) for r in store.assumption_matrix[:5]]
-        observed = [[v] for v in store.forecast_matrix[:5, 0]]
-        result = backcast(model, spec, history, observed)
-        assert result.findings == []
-        assert all(row["f"] == 0.0 for row in result.residuals)
-        assert result.mean_abs_residual == {"f": 0.0}
-
-    def test_residual_hand_oracle(self):
-        model, spec = self._linear()
-        history = [[0.1, 0.2], [0.5, 0.5], [0.9, 0.1]]
-        observed = [[0.0], [0.4], [2.0]]
-        result = backcast(model, spec, history, observed)
-        expected = [3 * a - 2 * b - o[0]
-                    for (a, b), o in zip(history, observed)]
-        got = [row["f"] for row in result.residuals]
-        assert got == pytest.approx(expected, abs=1e-12)
-        assert result.mean_abs_residual["f"] == pytest.approx(
-            sum(abs(e) for e in expected) / 3)
-
     def test_error_row_becomes_failure_finding(self):
         model = build_model([("A1", "x", 1.0), ("A2", "f", "=SQRT(A1)")])
         spec = SimulationSpec(assumptions=[(C("A1"), Uniform(0, 1))],
                               forecasts=[Forecast(C("A2"), "f")],
                               trials=10, seed=1)
-        result = backcast(model, spec, [[4.0], [-1.0], [9.0], [-4.0]])
-        assert len(result.findings) == 1
-        f = result.findings[0]
+        findings = backcast(model, spec, [[4.0], [-1.0], [9.0], [-4.0]])
+        assert len(findings) == 1
+        f = findings[0]
         assert f.kind is FindingKind.BACKCAST_FAILURE
         assert f.cells == ("A2",)
         assert f.evidence == {"cell": "A2", "error_kind": "DomainError", "count": 2,
@@ -373,9 +351,9 @@ class TestBackcast:
     def test_limit_violation_row(self):
         model, spec = self._linear()
         spec.limits = [Limit(C("A3"), min=0.0)]
-        result = backcast(model, spec, [[0.9, 0.1], [0.0001, 0.9], [0.1, 0.2], [0.5, 0.5]])
-        assert len(result.findings) == 1
-        f = result.findings[0]
+        findings = backcast(model, spec, [[0.9, 0.1], [0.0001, 0.9], [0.1, 0.2], [0.5, 0.5]])
+        assert len(findings) == 1
+        f = findings[0]
         assert f.cells == ("A3",)
         assert {k: f.evidence[k] for k in ("cell", "declared_min", "declared_max",
                                            "violations", "worst_row")} == \
@@ -390,22 +368,9 @@ class TestBackcast:
             backcast(model, spec, [])
         with pytest.raises(ValueError, match="expected 2"):
             backcast(model, spec, [[0.5]])
-        with pytest.raises(ValueError, match="observed"):
-            backcast(model, spec, [[0.5, 0.5]], observed=[])
-        # one observed value per row where there is one forecast, not a broadcast
-        model, spec = TestBackcastBatch._model()
-        with pytest.raises(ValueError,
-                           match=r"^observed row 1 has 1 values, expected 2$"):
-            backcast(model, spec, [[4.0, 1.0], [1.0, 2.0]], observed=[[0.0, 1.0], [0.0]])
-        with pytest.raises(ValueError,
-                           match=r"^observed row 0 has 1 values, expected 2$"):
-            backcast(model, spec, [[4.0, 1.0], [1.0, 2.0]], observed=[[0.0], [1.1]])
 
     def test_run_audit_includes_backcast(self):
         model, spec = self._linear()
-        # a wild observed value is not itself a failure; only calc errors
-        # and limit breaks are findings
-        assert backcast(model, spec, [[0.5, 0.5]], observed=[[99.0]]).findings == []
         report = run_audit(model, spec, history=[[0.5, 0.5]])
         assert [f for f in report.findings if f.kind is FindingKind.BACKCAST_FAILURE] == []
         model2 = build_model([("A1", "x", 1.0), ("A2", "f", "=SQRT(A1)")])
@@ -416,11 +381,10 @@ class TestBackcast:
         assert len([f for f in report2.findings if f.kind is FindingKind.BACKCAST_FAILURE]) == 1
 
 
-def replay_oracle(model, spec, history, observed=None):
+def replay_oracle(model, spec, history):
     """Back-casting as one replay call per history row, grouped here: per
     limit, the rows that break it and the first of those farthest outside
-    it; per (cell, error kind), the failed rows. Returns the findings, the
-    residual rows and the mean absolute residuals."""
+    it; per (cell, error kind), the failed rows."""
     results = [replay(model, spec, row) for row in history]
     findings = []
     for lim in spec.limits:
@@ -451,18 +415,7 @@ def replay_oracle(model, spec, history, observed=None):
             {"cell": str(cell), "error_kind": kind, "count": len(rows),
              "rate": len(rows) / len(history), "first_row": rows[0]},
             tuple(history[rows[0]])))
-    residual_rows = []
-    abs_residuals = {f.label: [] for f in spec.forecasts}
-    for i, result in enumerate(results):
-        if observed is None or isinstance(result, CalcError):
-            continue
-        residuals = {"row": i}
-        for fi, f in enumerate(spec.forecasts):
-            residuals[f.label] = result[f.cell] - observed[i][fi]
-            abs_residuals[f.label].append(abs(residuals[f.label]))
-        residual_rows.append(residuals)
-    mar = {label: (sum(v) / len(v) if v else None) for label, v in abs_residuals.items()}
-    return findings, residual_rows, mar
+    return findings
 
 
 class TestBackcastBatch:
@@ -489,46 +442,34 @@ class TestBackcastBatch:
             trials=10, seed=1)
         return model, spec
 
-    def _assert_matches_oracle(self, history, observed):
+    def _assert_matches_oracle(self, history):
         model, spec = self._model()
-        result = backcast(model, spec, history, observed)
-        findings, residuals, mar = replay_oracle(model, spec, history, observed)
+        findings = backcast(model, spec, history)
         # json text tells -0.0 from 0.0 and keeps the order of the findings
-        assert [json.dumps(f.to_json()) for f in result.findings] == \
-            [json.dumps(f.to_json()) for f in findings]
-        assert repr(result.residuals) == repr(residuals)
-        assert repr(result.mean_abs_residual) == repr(mar)
-        return result
+        assert [json.dumps(f.to_json()) for f in findings] == \
+            [json.dumps(f.to_json()) for f in replay_oracle(model, spec, history)]
+        return findings
 
     # 400 copies: 2,800 rows, with errors and breaches in each of three passes
-    @pytest.mark.parametrize("with_observed, copies, passes", [
-        (False, 1, [7]), (True, 1, [7]),
-        (False, 400, [1024, 1024, 752]), (True, 400, [1024, 1024, 752]),
-    ], ids=["False", "True", "False-2800-rows", "True-2800-rows"])
-    def test_mixed_history_matches_replay_oracle(self, monkeypatch, with_observed, copies,
-                                                 passes):
+    @pytest.mark.parametrize("copies, passes", [(1, [7]), (400, [1024, 1024, 752])],
+                             ids=["False", "False-2800-rows"])
+    def test_mixed_history_matches_replay_oracle(self, monkeypatch, copies, passes):
         sizes = []
         monkeypatch.setattr("gridmc.simulate.evaluate_batch",
                             lambda *a: sizes.append(a[2]) or evaluate_batch(*a))
-        history = self.MIXED * copies
-        observed = ([[0.5 * i, -1.0 + i] for i in range(len(history))]
-                    if with_observed else None)
-        result = self._assert_matches_oracle(history, observed)
+        findings = self._assert_matches_oracle(self.MIXED * copies)
         assert sizes == passes
         # A4 breaks in rows 2 and 5, B1 in 3 and 6, A2 in 4 and 5 (one apart
         # from its limits in both, so the first is the worst), and A3 fails in row 1
         assert [(f.cells[0], f.evidence.get("violations", f.evidence.get("count")),
                  f.evidence.get("worst_row", f.evidence.get("first_row")))
-                for f in result.findings] == [
+                for f in findings] == [
             ("A4", 2 * copies, 5), ("B1", 2 * copies, 3), ("A2", 2 * copies, 4),
             ("A3", copies, 1)]
-        offsets = range(0, len(history), len(self.MIXED))
-        assert [r["row"] for r in result.residuals] == (
-            [s + i for s in offsets for i in [0, 2, 3, 4, 5, 6]] if with_observed else [])
 
     def test_witnesses_replay_to_the_finding(self):
         model, spec = self._model()
-        findings = backcast(model, spec, self.MIXED).findings
+        findings = backcast(model, spec, self.MIXED)
         assert len(findings) == 4
         for f in findings:
             result = replay(model, spec, f.witness)
@@ -550,10 +491,10 @@ class TestBackcastBatch:
             blocks.extend(rows for _, rows in pairs)
             return run_blocks(model, spec, pairs)
         monkeypatch.setattr("gridmc.audit.run_blocks", spy)
-        findings = backcast(model, spec, history).findings
+        findings = backcast(model, spec, history)
         assert len(blocks) == 3 and all(np.shares_memory(b, history) for b in blocks)
         assert [json.dumps(f.to_json()) for f in findings] == \
-            [json.dumps(f.to_json()) for f in backcast(model, spec, self.MIXED * 400).findings]
+            [json.dumps(f.to_json()) for f in backcast(model, spec, self.MIXED * 400)]
         for f in findings:
             assert [type(v) for v in f.witness] == [float, float]
             result = replay(model, spec, f.witness)
@@ -566,17 +507,14 @@ class TestBackcastBatch:
     def test_every_row_failing_is_no_error(self):
         # unlike a run, a history in which every row fails is a finding
         history = [[-1.0, 0.0], [-4.0, 1.0], [-0.5, 2.0]]
-        result = self._assert_matches_oracle(history, [[0.0, 0.0]] * 3)
-        assert [f.evidence for f in result.findings] == [
+        assert [f.evidence for f in self._assert_matches_oracle(history)] == [
             {"cell": "A3", "error_kind": "DomainError", "count": 3, "rate": 1.0,
              "first_row": 0}]
-        assert result.residuals == []
-        assert result.mean_abs_residual == {"f": None, "g": None}
 
     def test_witnesses_are_the_callers_rows(self):
         model, spec = self._model()
         # three breaches in one row, a SQRT of a negative, a clean row
-        findings = backcast(model, spec, [[4, 5], [-1, 0], [1, 1]]).findings
+        findings = backcast(model, spec, [[4, 5], [-1, 0], [1, 1]])
         assert [f.witness for f in findings] == [(4, 5)] * 3 + [(-1, 0)]
         assert [json.dumps(f.to_json()["witness"]) for f in findings] == \
             ["[4, 5]"] * 3 + ["[-1, 0]"]
@@ -586,13 +524,9 @@ class TestBackcastBatch:
         st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 4.0]),
                   st.floats(-4.0, 25.0, allow_nan=False)),
         st.floats(-3.0, 5.0, allow_nan=False),
-        st.floats(-10.0, 10.0, allow_nan=False),
-        st.floats(-10.0, 10.0, allow_nan=False),
-    ), min_size=1, max_size=12), st.booleans())
-    def test_random_histories_match_replay_oracle(self, rows, with_observed):
-        history = [[x, y] for x, y, _, _ in rows]
-        observed = [[f, g] for _, _, f, g in rows] if with_observed else None
-        self._assert_matches_oracle(history, observed)
+    ), min_size=1, max_size=12))
+    def test_random_histories_match_replay_oracle(self, rows):
+        self._assert_matches_oracle([list(row) for row in rows])
 
 
 class TestBackcastAgreesWithTheRun:
@@ -610,7 +544,7 @@ class TestBackcastAgreesWithTheRun:
         report = run_audit(model, spec)
         from_run = ([f for f in report.findings if f.kind is FindingKind.LIMIT_VIOLATION]
                     + [f for f in report.findings if f.kind is FindingKind.ERROR_CENSUS])
-        from_history = backcast(model, spec, sample_assumptions(spec)).findings
+        from_history = backcast(model, spec, sample_assumptions(spec))
         assert [f.kind for f in from_history] == [FindingKind.BACKCAST_FAILURE] * len(from_run)
         assert [(f.cells, json.dumps(f.to_json()["evidence"]), bits(f.witness))
                 for f in from_history] == \

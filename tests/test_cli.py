@@ -575,6 +575,31 @@ class TestNonAsciiLabel:
         assert "'assumption': 'Ventes\u20ac'".encode("utf-8") in utf8.stdout
 
 
+class TestByteOrderMark:
+    """A document may start with a UTF-8 byte-order mark, as Notepad and
+    Excel's "CSV UTF-8" write it: it reads as the same document."""
+
+    def test_run_is_the_same_with_a_mark(self, tmp_path, capsys):
+        with open(PROJECT, "rb") as fh:
+            data = fh.read()
+        marked = tmp_path / "project-npv.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + data)
+        outcomes = []
+        for path, out in ((PROJECT, tmp_path / "plain"), (str(marked), tmp_path / "marked")):
+            code = main(["run", path, "--trials", "2000", "--out", str(out)])
+            outcomes.append((code, capsys.readouterr().out))
+            assert main(["validate", path]) == 0
+            capsys.readouterr()
+        assert outcomes[0] == outcomes[1] and outcomes[0][0] == 0
+        names = sorted(os.listdir(tmp_path / "plain"))
+        assert names == sorted(os.listdir(tmp_path / "marked"))
+        assert "trials.csv" in names and "report.json" in names
+        for name in names:
+            with open(tmp_path / "plain" / name, "rb") as a, \
+                    open(tmp_path / "marked" / name, "rb") as b:
+                assert a.read() == b.read(), name
+
+
 class TestQuotedLabels:
     """A label with a comma, a double quote or a line break is one quoted
     field of every CSV gridmc writes, and reads back as a history header."""

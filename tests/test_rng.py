@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats as st
@@ -68,3 +70,43 @@ class TestQuality:
         u = RandomSource(314).uniform_block(np.arange(self.N), np.arange(2))
         r = np.corrcoef(u[:, 0], u[:, 1])[0, 1]
         assert abs(r) < 4 / np.sqrt(self.N)
+
+
+MASK64 = 2**64 - 1
+
+
+def splitmix64_finalizer(x):
+    """splitmix64's finalizer on a Python int, masked to 64 bits by hand."""
+    x ^= x >> 30
+    x = x * 0xBF58476D1CE4E5B9 & MASK64
+    x ^= x >> 27
+    x = x * 0x94D049BB133111EB & MASK64
+    return x ^ x >> 31
+
+
+def oracle_uniform(seed, trial, stream):
+    """The variate at (seed, trial, stream), on Python ints and floats only:
+    each coordinate is mixed on its own, the seed's term after adding the
+    golden gamma mod 2**64, then the trial's and the stream's terms are
+    folded in by xor, one finalizer each. The top 53 bits, plus a half,
+    over 2**53, clamped to the largest float below 1."""
+    s = splitmix64_finalizer((seed + 0x9E3779B97F4A7C15) & MASK64)
+    t = splitmix64_finalizer((trial + 1) * 0x9E3779B97F4A7C15 & MASK64)
+    k = splitmix64_finalizer((stream + 1) * 0xBF58476D1CE4E5B9 & MASK64)
+    x = splitmix64_finalizer(splitmix64_finalizer(s ^ t) ^ k)
+    return min(((x >> 11) + 0.5) * 2.0 ** -53, 1.0 - 2.0 ** -53)
+
+
+class TestBitOracle:
+    """uniform_block against splitmix64 written out on Python ints: every bit
+    of every variate, with any warning an error."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, -1, 2**64 - 1, 2**64 + 5, 2**70])
+    @pytest.mark.parametrize("n,k", [(1, 1), (1, 4), (1024, 1), (1024, 24)])
+    def test_bits(self, seed, n, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = RandomSource(seed).uniform_block(np.arange(n), np.arange(k))
+        assert u.shape == (n, k) and u.dtype == np.float64
+        expected = [[oracle_uniform(seed, t, j) for j in range(k)] for t in range(n)]
+        assert u.tolist() == expected
